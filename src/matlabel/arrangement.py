@@ -86,15 +86,21 @@ class IntPolynomial:
 
 
 def exponents_from_labeling(lab: EdgeLabeling) -> tuple[int, ...]:
+    """Exponents of a MAT-labeling; ValueError when lab is not one."""
+    violation = verify_mat_labeling(lab)
+    if violation is not None:
+        raise ValueError(f"labeling is invalid: {violation.detail}")
+    return dual_partition_exponents(lab)
+
+
+def dual_partition_exponents(lab: EdgeLabeling) -> tuple[int, ...]:
     """Exponents as the dual partition of the labeling's block sizes.
 
     With l = |V| and blocks pi_1..pi_n, the i-th exponent is the number of
     blocks of size at least l - i + 1; the result has exactly l entries
-    (zeros padded by the same formula) and is sorted ascending.
+    (zeros padded by the same formula) and is sorted ascending. lab must
+    already be verified.
     """
-    violation = verify_mat_labeling(lab)
-    if violation is not None:
-        raise ValueError(f"labeling is invalid: {violation.detail}")
     sizes = lab.block_sizes()
     ell = lab.graph.n
     return tuple(

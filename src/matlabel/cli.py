@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import families
-from .arrangement import check_terao_factorization, exponents_from_labeling
+from .arrangement import check_terao_factorization, dual_partition_exponents
 from .brute import brute_force_mat_labeling
 from .chordal import find_chordless_cycle, is_chordal, peo_exponents
 from .construct import construct_mat_labeling
@@ -59,27 +59,6 @@ def _witness_json(witness) -> dict:
     raise TypeError(f"unknown witness {witness!r}")
 
 
-def _classification_witness(g: Graph):
-    cycle = find_chordless_cycle(g)
-    if cycle is not None:
-        return {"kind": "chordless-cycle", "vertices": list(cycle)}
-    sun = detect_induced_sun(g)
-    if sun is not None:
-        return sun.as_json()
-    obstruction = unit_interval_obstruction(g)
-    if obstruction is None:
-        return None
-    kind, payload = obstruction
-    if kind == "claw":
-        return {"kind": "claw", "center": payload[1],
-                "leaves": sorted(payload[v] for v in (2, 3, 4))}
-    if kind == "net":
-        return {"kind": "net",
-                "triangle": [payload[v] for v in (1, 2, 3)],
-                "pendants": [payload[v] for v in (4, 5, 6)]}
-    return payload.as_json()  # only suns remain
-
-
 def _emit(args, data: dict) -> None:
     text = dump_json(data)
     if getattr(args, "out", None):
@@ -100,13 +79,32 @@ def _load(args) -> Graph:
 def cmd_classify(args) -> int:
     g = _load(args)
     chordal = is_chordal(g)
-    strongly = is_strongly_chordal(g)
-    unit_interval = chordal and unit_interval_obstruction(g) is None
+    strongly = chordal and is_strongly_chordal(g)
+    # unit interval graphs are strongly chordal; a strongly chordal graph has
+    # no sun (Farber 1983), so only a claw or a net can keep it from them
+    obstruction = unit_interval_obstruction(g) if strongly else None
+    witness = None
+    if not chordal:
+        witness = _witness_json(find_chordless_cycle(g))
+    elif not strongly:
+        witness = _witness_json(detect_induced_sun(g))
+    elif obstruction is not None:
+        kind, hit = obstruction
+        if kind == "claw":
+            witness = {"kind": "claw", "center": hit[1],
+                       "leaves": sorted(hit[v] for v in (2, 3, 4))}
+        elif kind == "net":
+            witness = {"kind": "net",
+                       "triangle": [hit[v] for v in (1, 2, 3)],
+                       "pendants": [hit[v] for v in (4, 5, 6)]}
+        else:
+            raise RuntimeError(f"classify: strongly chordal graph with {g.n} "
+                               f"vertices has a {kind} obstruction")
     report = {
         "chordal": chordal,
         "strongly_chordal": strongly,
-        "unit_interval": unit_interval,
-        "witness": None if unit_interval else _classification_witness(g),
+        "unit_interval": strongly and obstruction is None,
+        "witness": witness,
     }
     _emit(args, report)
     _say(args, f"{args.graph}: chordal={chordal} strongly_chordal={strongly}")
@@ -151,7 +149,7 @@ def cmd_exponents(args) -> int:
             _emit(args, {"error": "labeling is not a MAT-labeling",
                          "violation": violation.as_json()})
             return EXIT_REJECT
-        exps = exponents_from_labeling(lab)
+        exps = dual_partition_exponents(lab)
     else:
         maybe = peo_exponents(g)
         if maybe is None:
@@ -211,7 +209,7 @@ def cmd_selftest(args) -> int:
         if verify_mat_labeling(lab) is not None or find_mat_peo(lab) is None:
             mismatches.append({"graph": [list(e) for e in g.edges],
                                "check": "construct"})
-        elif not check_terao_factorization(g, exponents_from_labeling(lab)):
+        elif not check_terao_factorization(g, dual_partition_exponents(lab)):
             mismatches.append({"graph": [list(e) for e in g.edges],
                                "check": "factorization"})
     # existence oracle agreement on small graphs

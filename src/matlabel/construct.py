@@ -5,14 +5,18 @@ time extension). Two compatibly labeled cliques merge into a labeling of
 their union clique. A strongly chordal graph is then labeled by building a
 family of mutually compatible labelings over its clique intersection
 poset, bottom-up in rank, and gluing the maximal-clique labelings together
-by plain union. Every greedy choice breaks ties by smallest vertex id, so
-the whole construction is a deterministic function of the input graph.
+by plain union, which the verifier then checks. Any failure on the way
+means the graph is not strongly chordal and is answered with a crown of
+the poset. Every greedy choice breaks ties by smallest vertex id, so the
+whole construction is a deterministic function of the input graph.
 """
 
 from __future__ import annotations
 
-from .chordal import find_chordless_cycle, find_peo
-from .errors import NoLeafPairError, NotStronglyChordalError
+from typing import NoReturn
+
+from .chordal import find_chordless_cycle
+from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
 from .graph import Graph, canonical_edge, sorted_key, sorted_sets
 from .labeling import EdgeLabeling, is_mat_simplicial, verify_mat_labeling
 from .poset import CliquePoset, build_poset, find_any_crown, leaf_pair
@@ -162,8 +166,9 @@ def node_family(g: Graph, poset: CliquePoset | None = None):
     """A MAT-labeling for every poset node, closed under restriction.
 
     Built by rank induction: at node X the labelings of its covered nodes
-    are merged (leaf pair by leaf pair) and then extended to all of X.
-    Raises NoLeafPairError when the graph is not strongly chordal.
+    are merged (leaf pair by leaf pair) and then extended to all of X, so
+    any two labelings of the family agree on the edges they share. Raises
+    NoLeafPairError only when the graph is not strongly chordal.
     """
     if poset is None:
         poset = build_poset(g)
@@ -182,48 +187,42 @@ def node_family(g: Graph, poset: CliquePoset | None = None):
     return family
 
 
-def _glue_antichain(poset, family, antichain):
-    """Union of the family labelings over an antichain of maximal cliques.
-
-    Gluing is a plain union of label maps; the leaf-pair order guarantees
-    each peeled clique meets the rest in a single shared clique, where the
-    labels agree by family compatibility.
-    """
-    elems = sorted_sets(antichain)
-    if len(elems) == 1:
-        lab = family[elems[0]]
-        return set(lab.graph.vertices), lab.labels
-    x0, _ = leaf_pair(poset, elems)
-    rest = [x for x in elems if x != x0]
-    vertices, labels = _glue_antichain(poset, family, rest)
-    lab0 = family[x0]
-    for e, k in lab0.items():
-        if labels.setdefault(e, k) != k:
-            raise AssertionError(f"glue conflict at edge {e}")
-    vertices |= set(lab0.graph.vertices)
-    return vertices, labels
+def _reject_with_crown(g: Graph, poset: CliquePoset, stage: str) -> NoReturn:
+    """Reject a chordal graph whose labeling failed at `stage` with a crown,
+    which exists because only strongly chordal graphs have MAT-labelings."""
+    crown = find_any_crown(poset)
+    if crown is None:
+        raise RuntimeError(
+            f"construct: {stage} failed on a graph with {g.n} vertices, "
+            f"but its clique intersection poset has no crown"
+        )
+    raise NotStronglyChordalError("crown", crown) from None
 
 
 def construct_mat_labeling(g: Graph) -> EdgeLabeling:
     """A MAT-labeling of a strongly chordal graph.
 
+    The union of the node family's maximal-clique labelings, verified.
     Non strongly chordal inputs are rejected with a structured witness:
     a chordless cycle when the graph is not chordal, otherwise a crown of
-    the clique intersection poset (surfaced by a failing leaf-pair search).
+    the clique intersection poset (searched for when there is no leaf pair,
+    the union meets conflicting labels, or the verifier rejects it).
     """
-    if find_peo(g) is None:
-        raise NotStronglyChordalError("chordless-cycle", find_chordless_cycle(g))
-    poset = build_poset(g)
+    try:
+        poset = build_poset(g)
+    except NotChordalError:
+        raise NotStronglyChordalError(
+            "chordless-cycle", find_chordless_cycle(g)) from None
     try:
         family = node_family(g, poset)
-        vertices, labels = _glue_antichain(
-            poset, family, sorted_sets(poset.maximal_nodes)
-        )
     except NoLeafPairError:
-        crown = find_any_crown(poset)
-        assert crown is not None, "leaf-pair failure must come with a crown"
-        raise NotStronglyChordalError("crown", crown) from None
-    result = EdgeLabeling(Graph(vertices, labels.keys()), labels)
-    assert result.graph == g, "glued labeling must cover the input graph"
-    assert verify_mat_labeling(result) is None
+        _reject_with_crown(g, poset, "node family")
+    labels: dict[tuple[int, int], int] = {}
+    for clique in sorted_sets(poset.maximal_nodes):
+        for e, k in family[clique].items():
+            if labels.setdefault(e, k) != k:
+                _reject_with_crown(g, poset, f"union (conflict at edge {e})")
+    result = EdgeLabeling(g, labels)
+    if verify_mat_labeling(result) is not None:
+        _reject_with_crown(g, poset, "verify")
     return result

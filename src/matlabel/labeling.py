@@ -325,12 +325,15 @@ def largest_clique_edges(lab: EdgeLabeling) -> dict[tuple[int, int], frozenset[i
     cliques = maximal_cliques(lab.graph)
     omega = max(len(c) for c in cliques)
     top = lab.max_label
-    assert top == omega - 1, "top label of a valid labeling is the clique number minus 1"
+    if top != omega - 1:
+        raise RuntimeError(f"top label {top} is not the clique number {omega} minus 1")
     out = {}
     for e in sorted(lab.blocks().blocks[top]):
         containing = [c for c in cliques if e[0] in c and e[1] in c]
-        assert len(containing) == 1, f"edge {e} lies in {len(containing)} maximal cliques"
+        if len(containing) != 1:
+            raise RuntimeError(f"edge {e} lies in {len(containing)} maximal cliques")
         out[e] = containing[0]
     largest = {c for c in cliques if len(c) == omega}
-    assert set(out.values()) == largest and len(set(out.values())) == len(out)
+    if set(out.values()) != largest or len(set(out.values())) != len(out):
+        raise RuntimeError("top-label edges do not match the largest cliques")
     return out

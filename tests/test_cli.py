@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from matlabel.cli import main
+from matlabel.labeling import verify_mat_labeling
 
 from .conftest import UI7_EDGES
 
@@ -76,6 +77,24 @@ def test_classify_claw_witness(capsys, tmp_path):
     assert code == 0
     assert report["strongly_chordal"] and not report["unit_interval"]
     assert report["witness"] == {"kind": "claw", "center": 1, "leaves": [2, 3, 4]}
+
+
+def test_classify_claw_needs_no_sun_search(capsys, tmp_path, monkeypatch):
+    # a strongly chordal graph has no induced sun, so none is searched for
+    def no_search(g, n_max=None):
+        raise AssertionError("sun search on a strongly chordal graph")
+
+    monkeypatch.setattr("matlabel.cli.detect_induced_sun", no_search)
+    path = tmp_path / "claw.txt"
+    path.write_text("1 2\n1 3\n1 4\n")
+    code, report = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert report == {
+        "chordal": True,
+        "strongly_chordal": True,
+        "unit_interval": False,
+        "witness": {"kind": "claw", "center": 1, "leaves": [2, 3, 4]},
+    }
 
 
 def test_label_and_verify_round_trip(capsys, ui7_file, tmp_path):
@@ -165,6 +184,23 @@ def test_exponents_with_labeling(capsys, ui7_file, tmp_path):
     capsys.readouterr()
     code, report = run_cli(capsys, "exponents", str(ui7_file), str(out))
     assert code == 0 and report["exponents"] == [0, 1, 2, 2, 2, 3, 3]
+
+
+def test_exponents_with_labeling_verifies_once(capsys, ui7_file, tmp_path,
+                                              monkeypatch):
+    lab = tmp_path / "lab.json"
+    assert main(["label", str(ui7_file), "--out", str(lab)]) == 0
+    calls = []
+
+    def counting(labeling):
+        calls.append(labeling)
+        return verify_mat_labeling(labeling)
+
+    for module in ("matlabel.cli", "matlabel.arrangement"):
+        monkeypatch.setattr(f"{module}.verify_mat_labeling", counting)
+    code, report = run_cli(capsys, "exponents", str(ui7_file), str(lab))
+    assert code == 0 and report["exponents"] == [0, 1, 2, 2, 2, 3, 3]
+    assert len(calls) == 1
 
 
 def test_poset_json_and_crown_flag(capsys, ui7_file, sun3_file):

@@ -8,12 +8,15 @@ import pytest
 from matlabel import (
     EdgeLabeling,
     Graph,
+    MatViolation,
     NotStronglyChordalError,
     build_poset,
     construct_mat_labeling,
     exponents_from_labeling,
     extend_labeling_complete,
     height_labeling_complete,
+    is_chordal,
+    is_strongly_chordal,
     merge_complete,
     node_family,
     verify_mat_labeling,
@@ -23,8 +26,10 @@ from matlabel.families import (
     cycle_graph,
     n_sun,
     path_graph,
+    random_graph,
     random_strongly_chordal,
 )
+from matlabel.oracle import enumerate_graphs
 
 from .conftest import UI7_EXPONENTS, UI7_LABELS
 
@@ -173,8 +178,10 @@ def test_construct_deterministic(ui7):
 
 
 def test_construct_tree_all_ones():
-    lab = construct_mat_labeling(path_graph(6))
-    assert set(lab.labels.values()) == {1}
+    # 1100 vertices give more maximal cliques than the recursion limit
+    for n in (6, 1100):
+        lab = construct_mat_labeling(path_graph(n))
+        assert set(lab.labels.values()) == {1}
 
 
 def test_construct_rejects_sun_with_crown():
@@ -182,6 +189,54 @@ def test_construct_rejects_sun_with_crown():
         construct_mat_labeling(n_sun(3))
     assert err.value.kind == "crown"
     assert err.value.witness.k == 3
+
+
+def _assert_induced_crown(poset, witness):
+    k = witness.k
+    elems = witness.lower + witness.upper
+    assert len(set(elems)) == 2 * k and all(x in poset for x in elems)
+    for i in range(k):
+        for j in range(k):
+            expected = j == i or j == (i + 1) % k
+            assert (witness.lower[i] < witness.upper[j]) == expected
+            assert not witness.upper[j] < witness.lower[i]
+    for layer in (witness.lower, witness.upper):
+        for i in range(k):
+            for j in range(k):
+                assert i == j or not layer[i] < layer[j]
+
+
+def test_construct_rejects_every_small_non_strongly_chordal_with_crown():
+    def chordal_not_sc(g):
+        return is_chordal(g) and not is_strongly_chordal(g)
+
+    graphs = [g for n in range(1, 7)
+              for g in enumerate_graphs(n, chordal_not_sc, connected=True)]
+    assert graphs
+    rng = random.Random(79)
+    sampled = []
+    for _ in range(4000):
+        n = rng.randint(7, 10)
+        g = random_graph(n, rng.randint(n, 2 * n + 2), rng)
+        if chordal_not_sc(g):
+            sampled.append(g)
+    assert sampled
+    for g in graphs + sampled:
+        with pytest.raises(NotStronglyChordalError) as err:
+            construct_mat_labeling(g)
+        assert err.value.kind == "crown"
+        _assert_induced_crown(build_poset(g), err.value.witness)
+
+
+def test_construct_failed_verify_is_an_internal_error(ui7, monkeypatch):
+    # the clique labelings still verify; only the union is rejected
+    violation = MatViolation("ML1-cycle", 1, detail="injected")
+    monkeypatch.setattr(
+        "matlabel.construct.verify_mat_labeling",
+        lambda lab: violation if lab.graph == ui7 else verify_mat_labeling(lab),
+    )
+    with pytest.raises(RuntimeError, match="verify"):
+        construct_mat_labeling(ui7)
 
 
 def test_construct_rejects_nonchordal_with_cycle():

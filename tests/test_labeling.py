@@ -196,3 +196,13 @@ def test_largest_clique_edges_rejects_invalid():
     with pytest.raises(ValueError):
         largest_clique_edges(all_ones(complete_graph(3)))
     assert largest_clique_edges(EdgeLabeling(Graph([1, 2]), {})) == {}
+
+
+def test_largest_clique_edges_checks_invariants_explicitly(monkeypatch):
+    # three pairs of a triangle are no maximal cliques: the triangle's top
+    # label 2 no longer matches the clique number; this must raise even
+    # under python -O
+    pairs = (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
+    monkeypatch.setattr("matlabel.poset.maximal_cliques", lambda g: pairs)
+    with pytest.raises(RuntimeError, match="clique number"):
+        largest_clique_edges(height_labeling_complete(3))
