@@ -172,7 +172,14 @@ def cmd_poset(args) -> int:
                      "witness": _witness_json(find_chordless_cycle(g))})
         return EXIT_REJECT
     p = build_poset(g)
-    crown = find_any_crown(p)
+    # a chordal graph's clique intersection poset is crown-free exactly when
+    # the graph is strongly chordal, so only the other graphs are searched
+    crown = None
+    if not is_strongly_chordal(g):
+        crown = find_any_crown(p)
+        if crown is None:
+            raise RuntimeError(f"poset: graph with {g.n} vertices is chordal but not "
+                               f"strongly chordal, and its poset has no crown")
     if args.out and args.out.endswith(".dot"):
         Path(args.out).write_text(poset_to_dot(p))
     else:

@@ -69,7 +69,9 @@ def _greedy_mat_peo_extension(lab: EdgeLabeling, prefix: list[int]) -> list[int]
                 current = current.restrict_vertices(current.graph.vertex_set - {v})
                 break
         else:
-            raise AssertionError("no MAT-simplicial vertex outside the prefix")
+            raise RuntimeError(
+                f"MAT-PEO extension: no MAT-simplicial vertex outside the prefix "
+                f"in a labeled clique of size {current.graph.n}")
     return prefix + suffix[::-1]
 
 

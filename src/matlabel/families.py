@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 
 from .graph import Graph
-from .strong_chordal import claw, is_simple_vertex, is_strongly_chordal, net
+from .strong_chordal import claw, is_simple_vertex, is_strongly_chordal, n_sun, net
 
 __all__ = [
     "claw", "complete_graph", "cycle_graph", "n_sun", "net", "path_graph",
@@ -30,17 +30,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     return Graph(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
-
-
-def n_sun(n: int) -> Graph:
-    """Central clique 1..n plus outer vertex n+i adjacent to i and i+1 (cyclic)."""
-    if n < 3:
-        raise ValueError("suns are defined for n >= 3")
-    edges = list(combinations(range(1, n + 1), 2))
-    for i in range(1, n + 1):
-        edges.append((i, n + i))
-        edges.append((i % n + 1, n + i))
-    return Graph(range(1, 2 * n + 1), edges)
 
 
 def rising_sun() -> Graph:
@@ -94,7 +83,11 @@ def random_strongly_chordal(n: int, seed=None, rng: random.Random | None = None,
                 break
         if placed is None:
             placed = g.add_vertex(v, [rng.choice(g.vertices)])
-            assert is_simple_vertex(placed, v), "pendant vertices are always simple"
+            if not is_simple_vertex(placed, v):
+                raise RuntimeError(f"random_strongly_chordal: pendant vertex {v} "
+                                   f"is not simple in a graph with {placed.n} vertices")
         g = placed
-    assert is_strongly_chordal(g)
+    if not is_strongly_chordal(g):
+        raise RuntimeError(f"random_strongly_chordal: grown graph with {g.n} "
+                           f"vertices is not strongly chordal")
     return g

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
@@ -196,6 +196,49 @@ def sorted_key(s: Iterable[int]) -> tuple[int, ...]:
 def sorted_sets(sets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     """Vertex sets in the canonical (size, elements) order."""
     return tuple(sorted((frozenset(s) for s in sets), key=sorted_key))
+
+
+def find_embedding(candidates: Sequence, pattern: Sequence[Sequence],
+                   relation: Callable) -> list | None:
+    """First placement of the pattern's positions on distinct candidates, or None.
+
+    `relation(x)` returns the row of candidate x, indexable by candidate:
+    `relation(x)[v]` is how x relates to v. `pattern[i]` lists, for each
+    earlier position j < i, the value the row of image[j] must hold at
+    image[i]. Positions are placed in order, each trying the candidates in
+    the given order, and the search backtracks on an explicit stack rather
+    than by recursion, so the result is the least image list in candidate
+    order. A row is built once per placement. Exponential in the worst case.
+    """
+    size = len(pattern)
+    if not size:
+        return []
+    image: list = []
+    rows: list = []
+    used: set = set()
+    stack = [iter(candidates)]
+    while stack:
+        want = pattern[len(image)]
+        for v in stack[-1]:
+            if v in used:
+                continue
+            for row, w in zip(rows, want):
+                if row[v] != w:
+                    break
+            else:
+                image.append(v)
+                if len(image) == size:
+                    return image
+                rows.append(relation(v))
+                used.add(v)
+                stack.append(iter(candidates))
+                break
+        else:
+            stack.pop()
+            if image:
+                used.discard(image.pop())
+                rows.pop()
+    return None
 
 
 def iter_subsets(items: Iterable[int]) -> Iterator[frozenset[int]]:

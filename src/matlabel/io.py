@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .graph import Graph, canonical_edge
+from .graph import Graph, _check_vertex_id, canonical_edge
 from .labeling import EdgeLabeling
 from .poset import CliquePoset
 
@@ -42,11 +42,15 @@ def parse_graph_text(text: str) -> Graph:
 
 def parse_graph_json(text: str) -> Graph:
     data = json.loads(text)
-    if not isinstance(data, dict) or "edges" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise ValueError('graph JSON needs an "edges" array')
-    edges = [(int(u), int(v)) for u, v in data["edges"]]
-    vertices = [int(v) for v in data.get("vertices", [])]
-    return Graph(vertices, edges)
+    vertices = data.get("vertices", [])
+    if not isinstance(vertices, list):
+        raise ValueError('graph JSON "vertices" must be an array')
+    for i, e in enumerate(data["edges"]):
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"graph JSON edges[{i}] must be a pair [u, v], got {e!r}")
+    return Graph(vertices, data["edges"])
 
 
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
@@ -77,14 +81,17 @@ def labeling_to_json_dict(lab: EdgeLabeling) -> dict:
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     """Labeling from JSON; the edge set must match the graph exactly."""
     data = json.loads(text)
-    if not isinstance(data, dict) or "edges" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise ValueError('labeling JSON needs an "edges" array')
     labels = {}
-    for item in data["edges"]:
-        e = canonical_edge(int(item["u"]), int(item["v"]))
+    for i, item in enumerate(data["edges"]):
+        if not isinstance(item, dict) or not {"u", "v", "label"} <= item.keys():
+            raise ValueError(f'labeling JSON edges[{i}] must be an object with '
+                             f'"u", "v" and "label", got {item!r}')
+        e = canonical_edge(_check_vertex_id(item["u"]), _check_vertex_id(item["v"]))
         if e in labels:
             raise ValueError(f"duplicate labeling entry for edge {e}")
-        labels[e] = int(item["label"])
+        labels[e] = item["label"]
     return EdgeLabeling(g, labels)
 
 

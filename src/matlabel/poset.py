@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .chordal import find_peo
 from .errors import NoLeafPairError, NotChordalError
-from .graph import Graph, sorted_sets
+from .graph import Graph, find_embedding, sorted_sets
 
 
 def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
@@ -125,50 +125,28 @@ class CrownWitness:
 def find_crown(p: CliquePoset | Sequence[frozenset[int]], k: int) -> CrownWitness | None:
     """An induced subposet isomorphic to the k-crown, or None.
 
-    Search assigns the k lower elements then the k upper ones, candidates
-    in canonical node order, so the first hit is the lexicographically
+    A graph.find_embedding over the nodes in canonical order: the k lower
+    elements are placed first, pairwise incomparable, then the k upper ones,
+    each above exactly its two lower elements and incomparable to the other
+    upper ones. The rows are those of a comparison matrix over node
+    indices, built once per call. The first hit is the lexicographically
     least witness. Exponential worst case, fine at desk scale.
     """
     if k < 3:
         raise ValueError("crowns are searched for k >= 3")
-    nodes = tuple(p.nodes) if hasattr(p, "nodes") else sorted_sets(p)
+    nodes = tuple(p.nodes) if hasattr(p, "nodes") else sorted_sets(set(map(frozenset, p)))
     if len(nodes) < 2 * k:
         return None
-    chosen: list[frozenset[int]] = []
-
-    def ok_lower(v, idx):
-        return all(not (v < chosen[j] or chosen[j] < v) for j in range(idx))
-
-    def ok_upper(v, idx):
-        if v in chosen:
-            return False
-        for j in range(k):  # exact comparabilities against all lower picks
-            below = chosen[j] < v
-            if below != (j == idx or (j + 1) % k == idx):
-                return False
-        for y in chosen[k:]:
-            if y < v or v < y:
-                return False
-        return True
-
-    def place(idx):
-        if idx == 2 * k:
-            return True
-        for v in nodes:
-            if idx < k:
-                if v in chosen or not ok_lower(v, idx):
-                    continue
-            elif not ok_upper(v, idx - k):
-                continue
-            chosen.append(v)
-            if place(idx + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if place(0):
-        return CrownWitness(k, tuple(chosen[:k]), tuple(chosen[k:]))
-    return None
+    # compare[a][b] is 1 when nodes[a] < nodes[b], -1 when nodes[b] < nodes[a]
+    compare = [[(x < y) - (y < x) for y in nodes] for x in nodes]
+    pattern = [(0,) * i for i in range(k)]
+    pattern += [tuple(int(j == i or (j + 1) % k == i) for j in range(k)) + (0,) * i
+                for i in range(k)]
+    image = find_embedding(range(len(nodes)), pattern, compare.__getitem__)
+    if image is None:
+        return None
+    return CrownWitness(k, tuple(nodes[a] for a in image[:k]),
+                        tuple(nodes[a] for a in image[k:]))
 
 
 def find_any_crown(p: CliquePoset) -> CrownWitness | None:

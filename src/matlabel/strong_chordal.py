@@ -9,9 +9,10 @@ an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .chordal import find_chordless_cycle, is_chordal
-from .graph import Graph
+from .graph import Graph, find_embedding
 
 
 def is_simple_vertex(g: Graph, v: int) -> bool:
@@ -67,7 +68,8 @@ class SunWitness:
 def detect_induced_sun(g: Graph, n_max: int | None = None) -> SunWitness | None:
     """Smallest induced n-sun with 3 <= n <= n_max, or None.
 
-    Backtracking over the central clique then the outer vertices, trying
+    For n = 3, 4, ... this is find_induced_subgraph(g, n_sun(n)): the
+    central clique is placed first, then the outer vertices, with
     candidates in ascending order, so the returned witness is the
     lexicographically least tuple (inner + outer) for the smallest n.
     Default n_max is |V| // 2 (a sun needs 2n vertices).
@@ -77,75 +79,37 @@ def detect_induced_sun(g: Graph, n_max: int | None = None) -> SunWitness | None:
     elif n_max < 3:
         raise ValueError("n_max must be at least 3")
     for n in range(3, n_max + 1):
-        hit = _find_sun(g, n)
+        hit = find_induced_subgraph(g, n_sun(n))
         if hit is not None:
-            return SunWitness(n, hit[:n], hit[n:])
+            image = tuple(hit.values())  # keyed 1..2n in ascending order
+            return SunWitness(n, image[:n], image[n:])
     return None
-
-
-def _find_sun(g, n):
-    verts = g.vertices
-    chosen: list[int] = []
-
-    def ok_inner(v, idx):
-        return all(g.has_edge(v, chosen[j]) for j in range(idx))
-
-    def ok_outer(v, idx):
-        # outer position idx attaches to inner idx and idx+1 (cyclically)
-        if v in chosen:
-            return False
-        want = {chosen[idx], chosen[(idx + 1) % n]}
-        for j, u in enumerate(chosen[:n]):
-            if g.has_edge(v, u) != (u in want):
-                return False
-        return all(not g.has_edge(v, w) for w in chosen[n:])
-
-    def place(idx):
-        if idx == 2 * n:
-            return True
-        for v in verts:
-            if idx < n:
-                if v in chosen or not ok_inner(v, idx):
-                    continue
-            elif not ok_outer(v, idx - n):
-                continue
-            chosen.append(v)
-            if place(idx + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return tuple(chosen) if place(0) else None
 
 
 def find_induced_subgraph(g: Graph, pattern: Graph) -> dict[int, int] | None:
     """Injective map from pattern vertices to g realizing pattern as an
-    induced subgraph, or None. Deterministic, smallest-image-first."""
-    pverts = pattern.vertices
-    gverts = g.vertices
-    image: list[int] = []
+    induced subgraph, or None.
 
-    def place(idx):
-        if idx == len(pverts):
-            return True
-        p = pverts[idx]
-        for v in gverts:
-            if v in image:
-                continue
-            if any(
-                g.has_edge(v, image[j]) != pattern.has_edge(p, pverts[j])
-                for j in range(idx)
-            ):
-                continue
-            image.append(v)
-            if place(idx + 1):
-                return True
-            image.pop()
-        return False
+    A graph.find_embedding over the vertices of g in ascending order:
+    pattern vertices are placed in ascending order, each on the smallest
+    vertex of g with exactly the pattern's adjacencies to the vertices
+    already placed, so the map is the least one in that order. Rows are
+    adjacency bytes over vertex indices. Exponential in the worst case.
+    """
+    pverts, verts = pattern.vertices, g.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [[index[u] for u in g.neighborhood(v)] for v in verts]
 
-    if place(0):
-        return dict(zip(pverts, image))
-    return None
+    def adjacency(i):
+        row = bytearray(len(verts))
+        for j in nbrs[i]:
+            row[j] = 1
+        return row
+
+    want = [tuple(int(pattern.has_edge(p, q)) for q in pverts[:i])
+            for i, p in enumerate(pverts)]
+    image = find_embedding(range(len(verts)), want, adjacency)
+    return None if image is None else {p: verts[i] for p, i in zip(pverts, image)}
 
 
 def claw() -> Graph:
@@ -156,6 +120,17 @@ def claw() -> Graph:
 def net() -> Graph:
     """Triangle 1-2-3 with a pendant vertex on each corner."""
     return Graph.from_edges([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)])
+
+
+def n_sun(n: int) -> Graph:
+    """Central clique 1..n plus outer vertex n+i adjacent to i and i+1 (cyclic)."""
+    if n < 3:
+        raise ValueError("suns are defined for n >= 3")
+    edges = list(combinations(range(1, n + 1), 2))
+    for i in range(1, n + 1):
+        edges.append((i, n + i))
+        edges.append((i % n + 1, n + i))
+    return Graph(range(1, 2 * n + 1), edges)
 
 
 def unit_interval_obstruction(g: Graph):

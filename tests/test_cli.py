@@ -213,6 +213,25 @@ def test_poset_json_and_crown_flag(capsys, ui7_file, sun3_file):
     assert not report["crown_free"] and report["crown"]["k"] == 3
 
 
+def test_poset_answers_strongly_chordal_input_without_search(
+        capsys, ui7_file, monkeypatch):
+    # the poset of a strongly chordal graph is crown-free, so none is searched;
+    # test_poset_json_and_crown_flag shows the 3-sun still gets its crown
+    def no_search(p):
+        raise AssertionError("crown search on a strongly chordal graph")
+
+    monkeypatch.setattr("matlabel.cli.find_any_crown", no_search)
+    code, report = run_cli(capsys, "poset", str(ui7_file))
+    assert code == 0
+    assert report["crown_free"] is True and report["crown"] is None
+
+
+def test_poset_missing_crown_is_internal_error(capsys, sun3_file, monkeypatch):
+    monkeypatch.setattr("matlabel.cli.find_any_crown", lambda p: None)
+    with pytest.raises(RuntimeError, match="poset: graph with 6 vertices"):
+        main(["poset", str(sun3_file)])
+
+
 def test_poset_nonchordal_rejected(capsys, c4_file):
     code, report = run_cli(capsys, "poset", str(c4_file))
     assert code == 2
@@ -233,6 +252,46 @@ def test_parse_error_exit_code(capsys, tmp_path):
     capsys.readouterr()
     assert main(["classify", str(tmp_path / "missing.txt")]) == 1
     capsys.readouterr()
+
+
+# a valid labeling of the path 1-2-3, for cases where the graph file is at fault
+P3_LABELING = {"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 1}]}
+
+
+@pytest.mark.parametrize("graph, labeling, message", [
+    pytest.param({"edges": [[1, 2], [2, 3]]},
+                 {"edges": [{"u": 1, "v": 2, "label": 2.9}, {"u": 2, "v": 3, "label": 1}]},
+                 "must be a positive integer, got 2.9", id="float-label"),
+    pytest.param({"edges": [[1, 2], [2, 3]]},
+                 {"edges": [{"u": 1, "v": 2, "label": True}, {"u": 2, "v": 3, "label": 1}]},
+                 "must be a positive integer, got True", id="bool-label"),
+    pytest.param({"edges": [[1, 2], [2, 3]]},
+                 {"edges": [{"u": 1.0, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 1}]},
+                 "vertex ids must be nonnegative integers, got 1.0", id="float-endpoint"),
+    pytest.param({"edges": [[1.7, 2], [2, 3]]}, P3_LABELING,
+                 "vertex ids must be nonnegative integers, got 1.7", id="float-vertex"),
+    pytest.param({"edges": [[1, 2], [2, 3]]},
+                 {"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3}]},
+                 "labeling JSON edges[1] must be an object", id="missing-label"),
+    pytest.param({"edges": 5}, P3_LABELING,
+                 'graph JSON needs an "edges" array', id="edges-not-array"),
+    pytest.param({"edges": [[1, 2], [2]]}, P3_LABELING,
+                 "graph JSON edges[1] must be a pair", id="short-edge"),
+    pytest.param({"edges": [[1, 2]], "vertices": 3}, P3_LABELING,
+                 'graph JSON "vertices" must be an array', id="vertices-not-array"),
+    pytest.param({"edges": [[1, 2], [2, 3]]}, {"edges": 5},
+                 'labeling JSON needs an "edges" array', id="labels-not-array"),
+])
+def test_strict_json_input_is_input_error(capsys, tmp_path, graph, labeling, message):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(json.dumps(graph))
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_text(json.dumps(labeling))
+    code = main(["verify", str(graph_file), str(lab_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("matlabel: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_byte_identical_output(ui7_file, tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 
 from matlabel import Graph, canonical_edge, is_strongly_chordal
+from matlabel.graph import find_embedding
 from matlabel.families import claw, complete_graph, n_sun, path_graph, rising_sun
 
 
@@ -139,3 +140,14 @@ def test_add_vertex():
         g.add_vertex(3, [1])
     with pytest.raises(ValueError):
         g.add_vertex(9, [77])
+
+
+def test_find_embedding_order_and_backtracking():
+    less = {v: {u: v < u for u in range(1, 6)} for v in range(1, 6)}.__getitem__
+    # 3 is tried first but nothing lies above it, so the search backtracks
+    assert find_embedding([3, 1, 2], [(), (True,)], less) == [1, 3]
+    assert find_embedding([3, 1, 2], [(), (True,), (True, True)], less) == [1, 2, 3]
+    assert find_embedding([1, 2], [(), (True,), (True, True)], less) is None
+    assert find_embedding([1, 2], [], less) == []
+    # candidates are used at most once even when the relation allows repeats
+    assert find_embedding([5], [(), (False,)], less) is None

@@ -110,7 +110,8 @@ def test_crown_detection_agrees_with_oracle():
         for k in range(3, len(p.nodes) // 2 + 1):
             fast = find_crown(p, k)
             slow = brute_induced_subposet(p, crown_pattern(k))
-            assert (fast is None) == (slow is None)
+            # both place lowers then uppers over the nodes in canonical order
+            assert (None if fast is None else fast.lower + fast.upper) == slow
         assert (find_any_crown(p) is None) == all(
             brute_induced_subposet(p, crown_pattern(k)) is None
             for k in range(3, len(p.nodes) // 2 + 1)

@@ -160,6 +160,9 @@ def test_find_induced_subgraph():
     hit = find_induced_subgraph(n_sun(3), net())
     # the 3-sun has no induced net: the outer vertices pend off edges
     assert hit is None
+    # the search backtracks on a stack, so long patterns do not recurse
+    long = path_graph(1100)
+    assert find_induced_subgraph(long, long) == {v: v for v in long.vertices}
 
 
 def _threeway(g):
