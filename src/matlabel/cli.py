@@ -18,7 +18,7 @@ from .arrangement import check_terao_factorization, dual_partition_exponents
 from .brute import brute_force_mat_labeling
 from .chordal import find_chordless_cycle, is_chordal, peo_exponents
 from .construct import construct_mat_labeling
-from .errors import NotStronglyChordalError
+from .errors import NotChordalError, NotStronglyChordalError
 from .graph import Graph
 from .io import (
     dump_json,
@@ -35,6 +35,7 @@ from .strong_chordal import (
     SunWitness,
     detect_induced_sun,
     is_strongly_chordal,
+    simple_elimination,
     unit_interval_obstruction,
 )
 
@@ -79,7 +80,8 @@ def _load(args) -> Graph:
 def cmd_classify(args) -> int:
     g = _load(args)
     chordal = is_chordal(g)
-    strongly = chordal and is_strongly_chordal(g)
+    residue = simple_elimination(g)[1] if chordal else None
+    strongly = chordal and residue.n == 0
     # unit interval graphs are strongly chordal; a strongly chordal graph has
     # no sun (Farber 1983), so only a claw or a net can keep it from them
     obstruction = unit_interval_obstruction(g) if strongly else None
@@ -87,7 +89,7 @@ def cmd_classify(args) -> int:
     if not chordal:
         witness = _witness_json(find_chordless_cycle(g))
     elif not strongly:
-        witness = _witness_json(detect_induced_sun(g))
+        witness = _witness_json(detect_induced_sun(residue))
     elif obstruction is not None:
         kind, hit = obstruction
         if kind == "claw":
@@ -167,11 +169,12 @@ def cmd_exponents(args) -> int:
 
 def cmd_poset(args) -> int:
     g = _load(args)
-    if not is_chordal(g):
+    try:
+        p = build_poset(g)
+    except NotChordalError:
         _emit(args, {"error": "graph is not chordal",
                      "witness": _witness_json(find_chordless_cycle(g))})
         return EXIT_REJECT
-    p = build_poset(g)
     # a chordal graph's clique intersection poset is crown-free exactly when
     # the graph is strongly chordal, so only the other graphs are searched
     crown = None

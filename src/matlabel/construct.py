@@ -1,14 +1,15 @@
 """Constructing MAT-labelings of strongly chordal graphs.
 
 Complete graphs are labeled directly (height labeling, or one-vertex-at-a-
-time extension). Two compatibly labeled cliques merge into a labeling of
-their union clique. A strongly chordal graph is then labeled by building a
-family of mutually compatible labelings over its clique intersection
-poset, bottom-up in rank, and gluing the maximal-clique labelings together
-by plain union, which the verifier then checks. Any failure on the way
-means the graph is not strongly chordal and is answered with a crown of
-the poset. Every greedy choice breaks ties by smallest vertex id, so the
-whole construction is a deterministic function of the input graph.
+time extension along a greedy MAT-PEO computed once per clique). Two
+compatibly labeled cliques merge into a labeling of their union clique. A
+strongly chordal graph is then labeled by building a family of mutually
+compatible labelings over its clique intersection poset, bottom-up in
+rank, and gluing the maximal-clique labelings together by plain union,
+which the verifier then checks. Any failure on the way means the graph is
+not strongly chordal and is answered with a crown of the poset. Every
+greedy choice breaks ties by smallest vertex id, so the whole construction
+is a deterministic function of the input graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NoReturn
 from .chordal import find_chordless_cycle
 from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
 from .graph import Graph, canonical_edge, sorted_key, sorted_sets
-from .labeling import EdgeLabeling, is_mat_simplicial, verify_mat_labeling
+from .labeling import EdgeLabeling, find_mat_peo, verify_mat_labeling
 from .poset import CliquePoset, build_poset, find_any_crown, leaf_pair
 
 
@@ -53,30 +54,11 @@ def _require_valid_complete(lab: EdgeLabeling, what: str) -> None:
         raise ValueError(f"{what} is not a MAT-labeling: {violation.detail}")
 
 
-def _greedy_mat_peo_extension(lab: EdgeLabeling, prefix: list[int]) -> list[int]:
-    """Extend a MAT-PEO of a sub-clique to the whole labeled complete graph.
-
-    Peels MAT-simplicial vertices outside the prefix from the top; for
-    valid labelings of complete graphs one always exists.
-    """
-    fixed = set(prefix)
-    current = lab
-    suffix: list[int] = []
-    while current.graph.n > len(prefix):
-        for v in current.graph.vertices:
-            if v not in fixed and is_mat_simplicial(current, v):
-                suffix.append(v)
-                current = current.restrict_vertices(current.graph.vertex_set - {v})
-                break
-        else:
-            raise RuntimeError(
-                f"MAT-PEO extension: no MAT-simplicial vertex outside the prefix "
-                f"in a labeled clique of size {current.graph.n}")
-    return prefix + suffix[::-1]
-
-
-def _mat_peo_complete(lab: EdgeLabeling) -> list[int]:
-    return _greedy_mat_peo_extension(lab, [])
+def _mat_peo(lab: EdgeLabeling, prefix, stage: str) -> list[int]:
+    order = find_mat_peo(lab, prefix)
+    if order is None:  # lab is a verified labeled clique
+        raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {lab.graph.n}")
+    return order
 
 
 def extend_labeling_complete(
@@ -84,18 +66,24 @@ def extend_labeling_complete(
 ) -> EdgeLabeling:
     """Extend a MAT-labeling of the clique on w to one of K_ell.
 
-    New vertices are appended one at a time in ascending id order; each new
-    vertex v is joined along a MAT-PEO (v_1, ..., v_m) of the current
-    labeled clique with label(v_i, v) = i. Default target vertex set is w
-    plus the smallest positive integers not in w.
+    New vertices v are appended in ascending id order, each joined along the
+    greedy MAT-PEO (o_1, ..., o_m) of the current labeled clique C with
+    label(o_i, v) = i. Default target vertex set is w plus the smallest
+    positive integers not in w.
+
+    The order is computed once, for lab_w: that of C + v is (o_1, ..., o_m)
+    with v inserted right after the last o_i greater than v, or in front.
+    Proof: a MAT-labeling of K_m has labels <= m - 1, so after the join
+    only v and o_m have incident labels {1..m}, and both are MAT-simplicial.
+    The greedy removes the smaller; removing o_m leaves the same situation
+    on C - o_m, whose greedy MAT-PEO is (o_1, ..., o_(m-1)).
     """
     w = frozenset(w)
     if vertices is None:
         vs = set(w)
         candidate = 1
         while len(vs) < ell:
-            if candidate not in vs:
-                vs.add(candidate)
+            vs.add(candidate)
             candidate += 1
     else:
         vs = set(vertices)
@@ -104,14 +92,13 @@ def extend_labeling_complete(
     if lab_w.graph.vertex_set != w:
         raise ValueError("lab_w must be a labeling of the clique on w")
     _require_valid_complete(lab_w, "lab_w")
-    current = lab_w
+    order = _mat_peo(lab_w, (), "extension")
+    labels = lab_w.labels
     for v in sorted(vs - w):
-        order = _mat_peo_complete(current)
-        labels = current.labels
         for i, u in enumerate(order, start=1):
             labels[canonical_edge(u, v)] = i
-        current = EdgeLabeling(_complete(list(current.graph.vertices) + [v]), labels)
-    return current
+        order.insert(max((i + 1 for i, u in enumerate(order) if u > v), default=0), v)
+    return EdgeLabeling(_complete(vs), labels)
 
 
 def merge_complete(a, b, lab_a: EdgeLabeling, lab_b: EdgeLabeling) -> EdgeLabeling:
@@ -134,9 +121,9 @@ def merge_complete(a, b, lab_a: EdgeLabeling, lab_b: EdgeLabeling) -> EdgeLabeli
                 f"labelings disagree on shared edge {(u, v)}: "
                 f"{lab_a.label(u, v)} vs {lab_b.label(u, v)}"
             )
-    shared_order = _mat_peo_complete(lab_a.restrict_vertices(shared))
-    order_a = _greedy_mat_peo_extension(lab_a, shared_order)
-    order_b = _greedy_mat_peo_extension(lab_b, shared_order)
+    shared_order = _mat_peo(lab_a.restrict_vertices(shared), (), "merge")
+    order_a = _mat_peo(lab_a, shared_order, "merge")
+    order_b = _mat_peo(lab_b, shared_order, "merge")
     p = len(shared_order)
     labels = lab_a.labels
     labels.update(lab_b.labels)
@@ -149,19 +136,21 @@ def merge_complete(a, b, lab_a: EdgeLabeling, lab_b: EdgeLabeling) -> EdgeLabeli
 def _labeling_for_antichain(poset, family, antichain):
     """Compatible labeling of the clique on the union of an antichain.
 
-    Recursively peels the leaf-pair node X0 and merges family[X0] with the
-    labeling of the remaining union; the leaf-pair property makes the
-    overlap a single shared node, on which the family labelings agree.
+    Peels leaf-pair nodes X0 off until at most one node is left, then merges
+    each family[X0] back in, in reverse order; the leaf-pair property makes
+    each overlap a single shared node, on which the family labelings agree.
+    The empty antichain gets the labeling of the empty clique.
     """
     elems = sorted_sets(antichain)
-    if len(elems) == 1:
-        return family[elems[0]]
-    x0, _ = leaf_pair(poset, elems)
-    rest = [x for x in elems if x != x0]
-    lab_rest = _labeling_for_antichain(poset, family, rest)
-    return merge_complete(
-        frozenset().union(*rest), x0, lab_rest, family[x0]
-    )
+    peeled = []
+    while len(elems) > 1:
+        x0, _ = leaf_pair(poset, elems)
+        peeled.append(x0)
+        elems = [x for x in elems if x != x0]
+    lab = family[elems[0]] if elems else EdgeLabeling(Graph(), {})
+    for x0 in reversed(peeled):
+        lab = merge_complete(lab.graph.vertex_set, x0, lab, family[x0])
+    return lab
 
 
 def node_family(g: Graph, poset: CliquePoset | None = None):
@@ -176,11 +165,7 @@ def node_family(g: Graph, poset: CliquePoset | None = None):
         poset = build_poset(g)
     family: dict[frozenset, EdgeLabeling] = {}
     for x in sorted(poset.nodes, key=lambda node: (poset.rank[node], sorted_key(node))):
-        covered = poset.covers[x]
-        if not covered:
-            base = EdgeLabeling(_complete(()), {})
-        else:
-            base = _labeling_for_antichain(poset, family, covered)
+        base = _labeling_for_antichain(poset, family, poset.covers[x])
         if base.graph.vertex_set != x:
             base = extend_labeling_complete(
                 len(x), base.graph.vertex_set, base, vertices=x

@@ -17,7 +17,7 @@ total function used to classify arbitrary labelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, canonical_edge
 
@@ -276,24 +276,26 @@ def is_mat_simplicial(lab: EdgeLabeling, v: int) -> bool:
     return mat_simplicial_violation(lab, v) is None
 
 
-def find_mat_peo(lab: EdgeLabeling) -> list[int] | None:
+def find_mat_peo(lab: EdgeLabeling, prefix: Sequence[int] = ()) -> list[int] | None:
     """Ordering with every prefix vertex MAT-simplicial, or None.
 
-    Greedy removal of the smallest MAT-simplicial vertex. Removing a
-    MAT-simplicial vertex preserves validity and invalidity alike, so the
-    greedy search succeeds exactly when the labeling is a MAT-labeling.
+    Greedy removal of the smallest MAT-simplicial vertex not in `prefix`,
+    which starts the ordering as given (unchecked). Removing a
+    MAT-simplicial vertex preserves validity and invalidity alike, so with
+    no prefix the search succeeds exactly when the labeling is a
+    MAT-labeling.
     """
     current = lab
     removal: list[int] = []
-    while current.graph.n:
+    while current.graph.n > len(prefix):
         for v in current.graph.vertices:
-            if is_mat_simplicial(current, v):
+            if v not in prefix and is_mat_simplicial(current, v):
                 removal.append(v)
                 current = current.restrict_vertices(current.graph.vertex_set - {v})
                 break
         else:
             return None
-    return removal[::-1]
+    return list(prefix) + removal[::-1]
 
 
 def is_mat_peo(lab: EdgeLabeling, order) -> bool:

@@ -26,13 +26,14 @@ def is_simple_vertex(g: Graph, v: int) -> bool:
     return all(a <= b for a, b in zip(closed, closed[1:]))
 
 
-def find_simple_elimination_ordering(g: Graph) -> list[int] | None:
-    """Ordering (v_1, ..., v_l) with v_i simple in g[{v_1..v_i}], or None.
+def simple_elimination(g: Graph) -> tuple[list[int], Graph]:
+    """Greedy simple elimination: (the ordering found, the stuck residue).
 
-    Greedy: repeatedly remove the smallest simple vertex. Strong chordality
-    is hereditary and guarantees a simple vertex at every step, so the
-    greedy choice is never wrong; getting stuck proves no such ordering
-    exists.
+    Removes the smallest simple vertex while there is one; the ordering
+    lists the removed vertices, last first. Strong chordality is hereditary
+    and gives a simple vertex at every step, so the residue is empty exactly
+    when g is strongly chordal. It keeps every induced sun of g, since no
+    sun vertex is ever simple in a graph containing the sun.
     """
     current = g
     removal: list[int] = []
@@ -43,8 +44,14 @@ def find_simple_elimination_ordering(g: Graph) -> list[int] | None:
                 current = current.delete_vertex(v)
                 break
         else:
-            return None
-    return removal[::-1]
+            break
+    return removal[::-1], current
+
+
+def find_simple_elimination_ordering(g: Graph) -> list[int] | None:
+    """Ordering (v_1, ..., v_l) with v_i simple in g[{v_1..v_i}], or None."""
+    order, residue = simple_elimination(g)
+    return None if residue.n else order
 
 
 def is_strongly_chordal(g: Graph) -> bool:

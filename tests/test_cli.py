@@ -97,6 +97,36 @@ def test_classify_claw_needs_no_sun_search(capsys, tmp_path, monkeypatch):
     }
 
 
+def test_classify_searches_the_elimination_residue_for_a_sun(
+        capsys, tmp_path, monkeypatch):
+    # no vertex of an induced sun is ever simple, so simple elimination
+    # leaves every sun of the graph in its stuck residue
+    from matlabel import cli
+
+    searched = []
+    real_search = cli.detect_induced_sun
+
+    def spy(g, n_max=None):
+        searched.append(g.n)
+        return real_search(g, n_max)
+
+    monkeypatch.setattr(cli, "detect_induced_sun", spy)
+    path = tmp_path / "sun-on-path.txt"
+    edges = [(i, i + 1) for i in range(1, 40)] + [(40, 41)]
+    edges += [(41, 42), (41, 43), (42, 43), (41, 44), (42, 44),
+              (42, 45), (43, 45), (41, 46), (43, 46)]
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    code, report = run_cli(capsys, "classify", str(path))
+    assert code == 0 and searched == [6]
+    assert report == {
+        "chordal": True,
+        "strongly_chordal": False,
+        "unit_interval": False,
+        "witness": {"kind": "sun", "n": 3, "inner": [41, 42, 43],
+                    "outer": [44, 45, 46]},
+    }
+
+
 def test_label_and_verify_round_trip(capsys, ui7_file, tmp_path):
     out = tmp_path / "lab.json"
     dot = tmp_path / "lab.dot"
@@ -235,6 +265,27 @@ def test_poset_missing_crown_is_internal_error(capsys, sun3_file, monkeypatch):
 def test_poset_nonchordal_rejected(capsys, c4_file):
     code, report = run_cli(capsys, "poset", str(c4_file))
     assert code == 2
+
+
+def test_poset_computes_one_peo(capsys, ui7_file, c4_file, monkeypatch):
+    from matlabel import chordal
+
+    calls = []
+    real_find_peo = chordal.find_peo
+
+    def counting(g):
+        calls.append(g.n)
+        return real_find_peo(g)
+
+    for module in ("matlabel.chordal", "matlabel.poset"):
+        monkeypatch.setattr(f"{module}.find_peo", counting)
+    code, report = run_cli(capsys, "poset", str(ui7_file))
+    assert code == 0 and len(report["nodes"]) == 10 and calls == [7]
+    calls.clear()
+    code, report = run_cli(capsys, "poset", str(c4_file))
+    assert code == 2 and calls == [4]
+    assert report == {"error": "graph is not chordal",
+                      "witness": {"kind": "chordless-cycle", "vertices": [1, 2, 3, 4]}}
 
 
 def test_poset_dot_output(capsys, ui7_file, tmp_path):

@@ -1,7 +1,7 @@
 """Height labelings, extension, merging, node families, and the constructor."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -14,9 +14,12 @@ from matlabel import (
     construct_mat_labeling,
     exponents_from_labeling,
     extend_labeling_complete,
+    find_mat_peo,
     height_labeling_complete,
     is_chordal,
+    is_mat_simplicial,
     is_strongly_chordal,
+    leaf_pair,
     merge_complete,
     node_family,
     verify_mat_labeling,
@@ -29,6 +32,7 @@ from matlabel.families import (
     random_graph,
     random_strongly_chordal,
 )
+from matlabel.graph import sorted_key, sorted_sets
 from matlabel.oracle import enumerate_graphs
 
 from .conftest import UI7_EXPONENTS, UI7_LABELS
@@ -73,6 +77,75 @@ def test_extend_single_edge_gives_112_triangle():
                             dict(zip(complete_graph(3).edges, combo)))
         if verify_mat_labeling(cand) is None:
             assert sorted(combo) == [1, 1, 2]
+
+
+def _extend_by_repeel(w, lab_w, vertices):
+    """Reference extension: a fresh greedy MAT-PEO of the whole current
+    clique before every appended vertex, and a new labeling after it."""
+    current = lab_w
+    for v in sorted(set(vertices) - set(w)):
+        rest, removal = current, []
+        while rest.graph.n:
+            u = next(x for x in rest.graph.vertices if is_mat_simplicial(rest, x))
+            removal.append(u)
+            rest = rest.restrict_vertices(rest.graph.vertex_set - {u})
+        labels = current.labels
+        for i, u in enumerate(reversed(removal), start=1):
+            labels[(min(u, v), max(u, v))] = i
+        vs = sorted(current.graph.vertex_set | {v})
+        current = EdgeLabeling(Graph(vs, combinations(vs, 2)), labels)
+    return current
+
+
+def test_extend_matches_per_vertex_repeel():
+    rng = random.Random(53)
+    bases = [height_labeling_complete(4, vertices=[10, 20, 30, 40])]
+    for _ in range(12):
+        g = random_strongly_chordal(rng.randint(4, 14), rng=rng, grow_bias=0.8)
+        bases.extend(lab for lab in node_family(g).values() if lab.graph.n >= 2)
+    checked = 0
+    for lab_w in bases:
+        w = lab_w.graph.vertex_set
+        # new ids below, between and above those of w
+        fresh = [x for x in range(0, 2 * max(w) + 8) if x not in w]
+        extra = rng.sample(fresh, rng.randint(1, 6))
+        target = w | set(extra)
+        got = extend_labeling_complete(len(target), w, lab_w, vertices=target)
+        assert got == _extend_by_repeel(w, lab_w, target)
+        checked += 1
+    assert checked >= 30
+
+
+def test_extend_from_empty_is_height_labeling():
+    rng = random.Random(54)
+    empty = EdgeLabeling(Graph(), {})
+    for ell in range(1, 10):
+        vs = rng.sample(range(100), ell)
+        assert (extend_labeling_complete(ell, (), empty, vertices=vs)
+                == height_labeling_complete(ell, vs))
+
+
+def test_extend_peels_one_mat_peo(monkeypatch):
+    seen = []
+
+    def counting(lab, prefix=()):
+        seen.append((lab.graph.n, tuple(prefix)))
+        return find_mat_peo(lab, prefix)
+
+    monkeypatch.setattr("matlabel.construct.find_mat_peo", counting)
+    lab = extend_labeling_complete(12, {3, 7}, height_labeling_complete(2, [3, 7]))
+    assert seen == [(2, ())]
+    assert lab == _extend_by_repeel({3, 7}, height_labeling_complete(2, [3, 7]),
+                                    range(1, 13))
+
+
+def test_failed_mat_peo_of_a_verified_clique_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr("matlabel.construct.find_mat_peo", lambda lab, prefix=(): None)
+    with pytest.raises(RuntimeError, match="extension: no MAT-PEO of a clique of size 3"):
+        extend_labeling_complete(5, {1, 2, 3}, height_labeling_complete(3))
+    with pytest.raises(RuntimeError, match="merge: no MAT-PEO of a clique of size 1"):
+        merge_complete({1, 2, 3}, {3, 4, 5}, height_labeling_complete(3),
+                       height_labeling_complete(3, vertices=[3, 4, 5]))
 
 
 def test_extend_validation():
@@ -149,6 +222,40 @@ def test_node_family_example(ui7):
         for y in poset.nodes:
             if y < x:
                 assert family[x].restrict_vertices(y) == family[y]
+
+
+def test_node_family_merges_as_the_recursive_peel(monkeypatch):
+    # the former recursion: peel a leaf-pair node, label the rest, merge it in
+    def recursive(poset, antichain, merges):
+        elems = sorted_sets(antichain)
+        if len(elems) == 1:
+            return elems[0]
+        x0, _ = leaf_pair(poset, elems)
+        union = recursive(poset, [x for x in elems if x != x0], merges)
+        merges.append((union, x0))
+        return union | x0
+
+    import matlabel.construct as construct
+
+    merged = []
+    real_merge = construct.merge_complete
+
+    def recording(a, b, lab_a, lab_b):
+        merged.append((frozenset(a), frozenset(b)))
+        return real_merge(a, b, lab_a, lab_b)
+
+    monkeypatch.setattr(construct, "merge_complete", recording)
+    rng = random.Random(55)
+    for _ in range(15):
+        g = random_strongly_chordal(rng.randint(6, 24), rng=rng, grow_bias=0.5)
+        poset = build_poset(g)
+        merged.clear()
+        node_family(g, poset)
+        expected = []
+        for x in sorted(poset.nodes, key=lambda n: (poset.rank[n], sorted_key(n))):
+            if poset.covers[x]:
+                recursive(poset, poset.covers[x], expected)
+        assert merged == expected
 
 
 def test_node_family_complete():

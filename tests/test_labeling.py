@@ -142,6 +142,18 @@ def test_find_mat_peo_rejects_invalid():
     assert find_mat_peo(all_ones(complete_graph(3))) is None
 
 
+def test_find_mat_peo_with_prefix(ui7_labeling):
+    clique = ui7_labeling.restrict_vertices({2, 3, 4, 5})
+    assert find_mat_peo(clique) == [5, 4, 3, 2]
+    # the smallest MAT-simplicial vertex outside the prefix goes first
+    assert find_mat_peo(clique, [2]) == [2, 4, 3, 5]
+    assert find_mat_peo(clique, (4, 5)) == [4, 5, 3, 2]
+    assert find_mat_peo(clique, [5, 4, 3, 2]) == [5, 4, 3, 2]
+    assert is_mat_peo(clique, [2, 4, 3, 5])
+    # edge 2-3 is labeled 2, so the prefix (2, 3) is no MAT-PEO and stays stuck
+    assert find_mat_peo(clique, [2, 3]) is None
+
+
 def test_find_mat_peo_single_vertex():
     lab = EdgeLabeling(Graph([4]), {})
     assert find_mat_peo(lab) == [4]

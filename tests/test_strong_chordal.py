@@ -30,6 +30,7 @@ from matlabel.families import (
 )
 from matlabel.oracle import enumerate_graphs
 from matlabel.strong_chordal import claw as claw_pattern
+from matlabel.strong_chordal import simple_elimination
 
 
 def test_sun_has_no_simple_vertex():
@@ -46,6 +47,26 @@ def test_complete_graph_all_simple():
 def test_simple_elimination_of_sun_fails():
     assert find_simple_elimination_ordering(n_sun(3)) is None
     assert find_simple_elimination_ordering(n_sun(4)) is None
+
+
+def test_simple_elimination_residue_keeps_every_sun(ui7):
+    assert simple_elimination(ui7) == (find_simple_elimination_ordering(ui7), Graph())
+    assert simple_elimination(n_sun(4)) == ([], n_sun(4))
+    rng = random.Random(37)
+    for _ in range(60):
+        host = random_strongly_chordal(rng.randint(1, 14), rng=rng, grow_bias=0.7)
+        sun = n_sun(rng.choice([3, 4]))
+        old = list(host.vertices) + [-v for v in sun.vertices]
+        new = dict(zip(old, rng.sample(range(80), len(old))))
+        edges = [(new[u], new[v]) for u, v in host.edges]
+        edges += [(new[-u], new[-v]) for u, v in sun.edges]
+        edges.append((new[host.vertices[0]], new[-rng.choice(sun.vertices)]))
+        g = Graph(new.values(), edges)
+        order, residue = simple_elimination(g)
+        assert residue == g.induced_subgraph(residue.vertices)
+        assert sorted(order + list(residue.vertices)) == list(g.vertices)
+        assert {new[-v] for v in sun.vertices} <= residue.vertex_set
+        assert detect_induced_sun(residue) == detect_induced_sun(g) is not None
 
 
 def test_simple_elimination_ordering_is_valid(ui7):
