@@ -161,8 +161,23 @@ def _deletion_contraction(g: Graph, memo) -> IntPolynomial:
 
 
 def check_terao_factorization(g: Graph, exponents: Sequence[int]) -> bool:
-    """True iff the chromatic polynomial equals prod (t - d) over exponents."""
-    return chromatic_polynomial(g) == IntPolynomial.from_roots(exponents)
+    """True iff the chromatic polynomial equals prod (t - d) over exponents.
+
+    For a chordal g, chromatic_polynomial(g) is prod (t - e) over the
+    exponents e along a PEO, so the check compares two monic polynomials
+    that split into integer linear factors. Z[t] is a unique factorization
+    domain and each t - r is irreducible there, so two such products are
+    equal iff they have the same factors with the same multiplicities,
+    that is iff the multisets of roots are equal. The check therefore
+    compares the sorted PEO exponents with the sorted given list and never
+    expands a polynomial. A non-chordal g keeps the deletion-contraction
+    route.
+    """
+    peo = find_peo(g)
+    if peo is None:
+        chi = chromatic_polynomial(g, method="deletion-contraction")
+        return chi == IntPolynomial.from_roots(exponents)
+    return list(exponents_along(g, peo)) == sorted(exponents)
 
 
 def separator_product_check(g: Graph, a: int, b: int) -> bool:

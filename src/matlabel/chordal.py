@@ -7,6 +7,7 @@ is chordal exactly when such an ordering exists.
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Sequence
 
@@ -19,9 +20,16 @@ def is_simplicial(g: Graph, v: int) -> bool:
 
 
 def is_peo(g: Graph, order: Sequence[int]) -> bool:
-    """Check the PEO condition on every prefix of `order`.
+    """Check the PEO condition on every prefix of `order`, in O(n + m).
 
     Raises ValueError if `order` is not a permutation of the vertices.
+
+    It is enough that, for every v, the earlier neighbors of v other than
+    the latest one, p, are adjacent to p (Tarjan & Yannakakis 1984). If
+    instead some v had nonadjacent earlier neighbors x and y, neither is p
+    (the other would be a neighbor of p), so both are earlier neighbors of
+    p; the same pair then fails at p, which comes before v. Repeating this
+    forever is impossible, so every earlier neighborhood is a clique.
     """
     seq = list(order)
     if sorted(seq) != list(g.vertices):
@@ -29,8 +37,11 @@ def is_peo(g: Graph, order: Sequence[int]) -> bool:
     position = {v: i for i, v in enumerate(seq)}
     for i, v in enumerate(seq):
         earlier = [u for u in g.neighborhood(v) if position[u] < i]
-        if not g.is_clique(earlier):
-            return False
+        if earlier:
+            p = max(earlier, key=position.__getitem__)
+            near = g.neighborhood(p)
+            if any(u != p and u not in near for u in earlier):
+                return False
     return True
 
 
@@ -42,17 +53,35 @@ def find_peo(g: Graph) -> list[int] | None:
     satisfies the prefix PEO condition; the candidate is validated and
     None is returned when validation fails (non-chordal input).
     """
+    order = _mcs_order(g)
+    return order if is_peo(g, order) else None
+
+
+def _mcs_order(g: Graph) -> list[int]:
+    """Visit order of maximum cardinality search, ties to the smallest id.
+
+    The next vertex comes off a heap keyed by (-weight, id) with lazy
+    deletion: raising a weight pushes a new entry, and an entry is skipped
+    when its vertex is visited. A vertex's newest entry holds its current
+    weight and leaves the heap before its stale ones, so the first entry of
+    an unvisited vertex to leave is the largest weight with the smallest
+    id: the order of a full scan, in O((n + m) log n).
+    """
     weight = {v: 0 for v in g.vertices}
+    heap = [(0, v) for v in g.vertices]
     order: list[int] = []
-    unvisited = set(g.vertices)
-    while unvisited:
-        z = max(sorted(unvisited), key=lambda v: weight[v])
-        unvisited.remove(z)
+    visited: set[int] = set()
+    while heap:
+        _, z = heapq.heappop(heap)
+        if z in visited:
+            continue
+        visited.add(z)
         order.append(z)
         for y in g.neighborhood(z):
-            if y in unvisited:
+            if y not in visited:
                 weight[y] += 1
-    return order if is_peo(g, order) else None
+                heapq.heappush(heap, (-weight[y], y))
+    return order
 
 
 def is_chordal(g: Graph) -> bool:

@@ -181,7 +181,9 @@ class Graph:
 
     def _require_subset(self, s: Iterable[int]) -> frozenset[int]:
         vs = frozenset(s)
-        unknown = vs - set(self._vertices)
+        # difference with the dict itself costs O(|vs|); `- self._adj.keys()`
+        # would walk every vertex of the graph
+        unknown = vs.difference(self._adj)
         if unknown:
             raise ValueError(f"unknown vertex ids {sorted(unknown)}")
         return vs

@@ -40,8 +40,16 @@ def parse_graph_text(text: str) -> Graph:
     return Graph(vertices, edges)
 
 
+def _load_json(text: str, what: str):
+    """json.loads, with decoder recursion on deep nesting as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON is nested too deeply") from None
+
+
 def parse_graph_json(text: str) -> Graph:
-    data = json.loads(text)
+    data = _load_json(text, "graph")
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise ValueError('graph JSON needs an "edges" array')
     vertices = data.get("vertices", [])
@@ -80,7 +88,7 @@ def labeling_to_json_dict(lab: EdgeLabeling) -> dict:
 
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     """Labeling from JSON; the edge set must match the graph exactly."""
-    data = json.loads(text)
+    data = _load_json(text, "labeling")
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise ValueError('labeling JSON needs an "edges" array')
     labels = {}

@@ -36,8 +36,9 @@ class EdgeLabeling:
             if e in canon:
                 raise ValueError(f"duplicate label entry for edge {e}")
             canon[e] = k
-        missing = set(graph.edges) - set(canon)
-        extra = set(canon) - set(graph.edges)
+        edges = set(graph.edges)
+        missing = edges.difference(canon)
+        extra = canon.keys() - edges
         if missing or extra:
             raise ValueError(
                 f"label domain must equal the edge set "
@@ -146,8 +147,12 @@ class MatViolation:
         }
 
 
-def _forest_components(edges):
-    """Union-find over the given edges; returns (find, cycle_edge | None)."""
+def _forest_roots(edges):
+    """Union-find over sorted edges; returns ({vertex: root}, cycle_edge | None).
+
+    cycle_edge is the first edge, in the given order, whose endpoints are
+    already joined by the edges before it.
+    """
     parent: dict[int, int] = {}
 
     def find(x):
@@ -158,14 +163,14 @@ def _forest_components(edges):
         return x
 
     cycle_edge = None
-    for u, v in sorted(edges):
+    for u, v in edges:
         ru, rv = find(u), find(v)
         if ru == rv:
             if cycle_edge is None:
                 cycle_edge = (u, v)
             continue
         parent[ru] = rv
-    return find, cycle_edge
+    return {x: find(x) for x in parent}, cycle_edge
 
 
 def _path_in(edges, src, dst):
@@ -189,45 +194,62 @@ def _path_in(edges, src, dst):
     return None
 
 
+def _path_edges(path):
+    return tuple(canonical_edge(a, b) for a, b in zip(path, path[1:]))
+
+
 def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
     """None iff lab satisfies ML1, ML2 and ML3 for every level.
 
     Levels run from 1 to the maximum label; blocks that are empty in
     between are allowed structurally and surface, when illegal, as a
-    triangle-count violation on some later edge.
+    triangle-count violation on some later edge. Within a level, ML1 is
+    checked before ML2 and ML2 before ML3, and the first violation found
+    is returned.
+
+    One vertex -> neighbour -> label table and the sorted edge list of
+    every level are built once. ML3 counts the triangles of an edge from
+    the table. ML2 reports the least edge f = (x, y) of E_{k-1} whose ends
+    are joined in the forest pi_k. Ends joined by a path of pi_k are both
+    vertices of pi_k, so such an f runs between two vertices of the forest
+    with the same root: only the earlier edges at the forest's vertices
+    are scanned, and the least hit among them is the first hit of a scan
+    of all of E_{k-1} in sorted order.
     """
-    g = lab.graph
-    data = lab.blocks()
+    table: dict[int, dict[int, int]] = {v: {} for v in lab.graph.vertices}
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(lab.max_label + 1)]
+    for (u, v), k in lab.items():
+        table[u][v] = k
+        table[v][u] = k
+        levels[k].append((u, v))
     for k in range(1, lab.max_label + 1):
-        pi_k = data.blocks[k]
-        find, cycle_edge = _forest_components(pi_k)
+        pi_k = levels[k]
+        root, cycle_edge = _forest_roots(pi_k)
         if cycle_edge is not None:
             u, v = cycle_edge
-            path = _path_in(pi_k - {cycle_edge}, u, v)
-            cycle = tuple(
-                canonical_edge(a, b) for a, b in zip(path, path[1:])
-            ) + (cycle_edge,)
+            path = _path_in([e for e in pi_k if e != cycle_edge], u, v)
             return MatViolation(
-                "ML1-cycle", k, edges=cycle,
+                "ML1-cycle", k, edges=_path_edges(path) + (cycle_edge,),
                 detail=f"edges labeled {k} contain a cycle",
             )
-        for f in sorted(data.prefixes[k - 1]):
-            x, y = f
-            if find(x) == find(y):
-                path = _path_in(pi_k, x, y)
-                witness = tuple(canonical_edge(a, b) for a, b in zip(path, path[1:]))
-                return MatViolation(
-                    "ML2-closure", k, edges=(f,) + witness,
-                    detail=f"edge {f} labeled {lab.label(*f)} is spanned by "
-                           f"edges labeled {k}",
-                )
-        for e in sorted(pi_k):
-            u, v = e
-            count = sum(
-                1
-                for w in g.common_neighbors(u, v)
-                if lab.label(u, w) < k and lab.label(v, w) < k
+        closing = min(
+            ((x, y) for x, r in root.items() for y, j in table[x].items()
+             if j < k and x < y and root.get(y) == r),
+            default=None,
+        )
+        if closing is not None:
+            x, y = closing
+            return MatViolation(
+                "ML2-closure", k,
+                edges=(closing,) + _path_edges(_path_in(pi_k, x, y)),
+                detail=f"edge {closing} labeled {table[x][y]} is spanned by "
+                       f"edges labeled {k}",
             )
+        for e in pi_k:
+            near, far = (table[v] for v in e)
+            if len(near) > len(far):
+                near, far = far, near
+            count = sum(1 for w, j in near.items() if j < k and far.get(w, k) < k)
             if count != k - 1:
                 return MatViolation(
                     "ML3-triangle-count", k, edges=(e,),

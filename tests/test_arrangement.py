@@ -121,6 +121,52 @@ def test_terao_factorization(ui7):
     assert not check_terao_factorization(complete_graph(3), (0, 1, 1))
 
 
+def _factorizes_expanded(g, exponents):
+    """Reference check: expand both sides and compare the polynomials."""
+    return chromatic_polynomial(g) == IntPolynomial.from_roots(exponents)
+
+
+def _exponent_lists(exps, rng):
+    """The list itself shuffled, each entry off by one, two entries moved
+    one apart (same sum and length), and one entry dropped or repeated."""
+    lists = [rng.sample(list(exps), len(exps))]
+    for i in range(len(exps)):
+        for step in (-1, 1):
+            off = list(exps)
+            off[i] += step
+            lists.append(off)
+    if len(exps) >= 2:
+        i, j = rng.sample(range(len(exps)), 2)
+        moved = list(exps)
+        moved[i] += 1
+        moved[j] -= 1
+        lists.append(moved)
+    if exps:
+        lists.append(list(exps)[1:])
+        lists.append(list(exps) + [rng.choice(exps)])
+    return lists
+
+
+def test_factorization_check_matches_the_expanded_identity():
+    rng = random.Random(83)
+    seen = {True: 0, False: 0}
+    graphs = [random_strongly_chordal(rng.randint(1, 16), rng=rng,
+                                      grow_bias=rng.choice((0.4, 0.8)))
+              for _ in range(40)]
+    graphs += [random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+               for n in (rng.randint(1, 7) for _ in range(40))]
+    graphs += [Graph(), cycle_graph(5), complete_graph(6)]
+    for g in graphs:
+        exps = peo_exponents(g)
+        if exps is None:  # not chordal: degree counts are the wrong roots
+            exps = tuple(sorted(g.degree(v) // 2 for v in g.vertices))
+        for candidate in _exponent_lists(exps, rng):
+            got = check_terao_factorization(g, candidate)
+            assert got == _factorizes_expanded(g, candidate)
+            seen[got] += 1
+    assert seen[True] >= 40 and seen[False] >= 500, seen
+
+
 def test_separator_product_path():
     assert separator_product_check(path_graph(3), 1, 3)
 

@@ -14,7 +14,8 @@ from matlabel import (
     minimal_separator_decomposition,
     peo_exponents,
 )
-from matlabel.chordal import exponents_along, random_peo
+from matlabel import Graph
+from matlabel.chordal import _mcs_order, exponents_along, random_peo
 from matlabel.families import (
     claw,
     complete_graph,
@@ -22,6 +23,7 @@ from matlabel.families import (
     n_sun,
     path_graph,
     random_graph,
+    random_strongly_chordal,
 )
 from matlabel.oracle import brute_induced_cycles, brute_minimal_separators
 
@@ -155,8 +157,6 @@ def test_minimal_separators_agree_with_oracle():
 def test_peo_exponents_values(ui7):
     assert peo_exponents(complete_graph(4)) == (0, 1, 2, 3)
     assert peo_exponents(ui7) == (0, 1, 2, 2, 2, 3, 3)
-    from matlabel import Graph
-
     assert peo_exponents(Graph(range(5))) == (0, 0, 0, 0, 0)
     assert peo_exponents(cycle_graph(4)) is None
 
@@ -177,3 +177,75 @@ def test_peo_exponents_sum_is_edge_count():
         exps = peo_exponents(g)
         if exps is not None:
             assert sum(exps) == g.m
+
+
+def _mcs_by_sort(g):
+    """Reference maximum cardinality search: a full scan of the unvisited
+    vertices in id order at every step, keeping the first of largest weight."""
+    weight = {v: 0 for v in g.vertices}
+    order = []
+    unvisited = set(g.vertices)
+    while unvisited:
+        z = max(sorted(unvisited), key=lambda v: weight[v])
+        unvisited.remove(z)
+        order.append(z)
+        for y in g.neighborhood(z):
+            if y in unvisited:
+                weight[y] += 1
+    return order
+
+
+def _relabeled(g, rng):
+    ids = rng.sample(range(3 * g.n + 5), g.n)
+    to = dict(zip(g.vertices, ids))
+    return Graph(ids, [(to[u], to[v]) for u, v in g.edges])
+
+
+def test_mcs_order_matches_the_sorted_scan():
+    rng = random.Random(61)
+    graphs = []
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        graphs.append(random_graph(n, rng.randint(0, n * (n - 1) // 2), rng))
+    for _ in range(60):
+        graphs.append(random_strongly_chordal(rng.randint(2, 60), rng=rng,
+                                              grow_bias=rng.choice((0.3, 0.6, 0.9))))
+    graphs += [cycle_graph(9), n_sun(5), complete_graph(12), Graph(range(6))]
+    graphs += [_relabeled(g, rng) for g in graphs[:: 3]]
+    chordal = 0
+    for g in graphs:
+        order = _mcs_by_sort(g)
+        assert _mcs_order(g) == order
+        expected = order if is_peo(g, order) else None
+        assert find_peo(g) == expected
+        chordal += expected is not None
+    assert 90 <= chordal <= len(graphs) - 40  # both kinds are well covered
+
+
+def _is_peo_by_cliques(g, order):
+    """Reference PEO check: every earlier neighborhood is a clique."""
+    position = {v: i for i, v in enumerate(order)}
+    return all(
+        g.is_clique([u for u in g.neighborhood(v) if position[u] < i])
+        for i, v in enumerate(order)
+    )
+
+
+def test_is_peo_matches_the_clique_check():
+    rng = random.Random(62)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            g = random_strongly_chordal(n, rng=rng, grow_bias=0.7)
+        else:
+            g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        orders = [rng.sample(g.vertices, g.n) for _ in range(3)]
+        peo = random_peo(g, rng)
+        if peo is not None:
+            orders.append(peo)
+        for order in orders:
+            got = is_peo(g, order)
+            assert got == _is_peo_by_cliques(g, order)
+            seen[got] += 1
+    assert min(seen.values()) >= 200, seen

@@ -233,6 +233,38 @@ def test_exponents_with_labeling_verifies_once(capsys, ui7_file, tmp_path,
     assert len(calls) == 1
 
 
+def test_exponents_computes_one_peo(capsys, ui7_file, tmp_path, monkeypatch):
+    from matlabel import chordal
+
+    lab = tmp_path / "lab.json"
+    assert main(["label", str(ui7_file), "--out", str(lab)]) == 0
+    bad = tmp_path / "bad.json"
+    report = json.loads(lab.read_text())
+    report["edges"][0]["label"] += 1
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    calls = []
+    real_find_peo = chordal.find_peo
+
+    def counting(g):
+        calls.append(g.n)
+        return real_find_peo(g)
+
+    for module in ("matlabel.chordal", "matlabel.arrangement"):
+        monkeypatch.setattr(f"{module}.find_peo", counting)
+    expected = {"chromatic_factors_check": True,
+                "exponents": [0, 1, 2, 2, 2, 3, 3]}
+    assert run_cli(capsys, "exponents", str(ui7_file)) == (0, expected)
+    assert calls == [7]
+    calls.clear()
+    assert run_cli(capsys, "exponents", str(ui7_file), str(lab)) == (0, expected)
+    assert calls == [7]
+    calls.clear()
+    code, report = run_cli(capsys, "exponents", str(ui7_file), str(bad))
+    assert code == 2 and report["error"] == "labeling is not a MAT-labeling"
+    assert calls == []
+
+
 def test_poset_json_and_crown_flag(capsys, ui7_file, sun3_file):
     code, report = run_cli(capsys, "poset", str(ui7_file))
     assert code == 0
@@ -345,6 +377,23 @@ def test_strict_json_input_is_input_error(capsys, tmp_path, graph, labeling, mes
     assert message in captured.err
 
 
+@pytest.mark.parametrize("deep", ["graph", "labeling"])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, deep):
+    # the decoder recurses once per level and would raise RecursionError
+    nested = "[" * 200_000 + "]" * 200_000
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(nested if deep == "graph" else json.dumps({"edges": [[1, 2]]}))
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_text(nested)
+    if deep == "graph":
+        code = main(["classify", str(graph_file)])
+    else:
+        code = main(["verify", str(graph_file), str(lab_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"matlabel: error: {deep} JSON is nested too deeply\n"
+
+
 def test_byte_identical_output(ui7_file, tmp_path):
     runs = []
     for i in range(2):
@@ -380,6 +429,29 @@ def test_selftest(capsys):
     code, report = run_cli(capsys, "selftest", "--seed", "5")
     assert code == 0
     assert report["mismatches"] == []
+
+
+def test_selftest_cross_checks_the_factorization_shortcut(capsys, monkeypatch):
+    # a shortcut that accepts wrong exponents is caught by the expanded identity
+    monkeypatch.setattr("matlabel.cli.check_terao_factorization",
+                        lambda g, exponents: True)
+    monkeypatch.setattr("matlabel.cli.dual_partition_exponents",
+                        lambda lab: (0,) * lab.graph.n)
+    code, report = run_cli(capsys, "selftest", "--seed", "5")
+    assert code == 2 and report["mismatches"]
+    assert {m["check"] for m in report["mismatches"]} == {"factorization"}
+
+
+def test_selftest_cross_check_does_not_read_a_peo(capsys, monkeypatch):
+    # a fault in the PEO exponents that the checked list shares is still
+    # caught: deletion-contraction never reads a PEO
+    monkeypatch.setattr("matlabel.arrangement.exponents_along",
+                        lambda g, order: (0,) * g.n)
+    monkeypatch.setattr("matlabel.cli.dual_partition_exponents",
+                        lambda lab: (0,) * lab.graph.n)
+    code, report = run_cli(capsys, "selftest", "--seed", "5")
+    assert code == 2 and report["mismatches"]
+    assert {m["check"] for m in report["mismatches"]} == {"factorization"}
 
 
 def test_usage_error_exit_code():

@@ -1,10 +1,15 @@
 """The labeling verifier, MAT-simplicial vertices, MAT-PEOs."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from matlabel import (
     EdgeLabeling,
     Graph,
+    MatViolation,
+    construct_mat_labeling,
     find_mat_peo,
     height_labeling_complete,
     is_mat_peo,
@@ -13,7 +18,8 @@ from matlabel import (
     mat_simplicial_violation,
     verify_mat_labeling,
 )
-from matlabel.families import complete_graph, path_graph
+from matlabel.families import complete_graph, path_graph, random_strongly_chordal
+from matlabel.graph import canonical_edge
 
 
 def all_ones(g):
@@ -218,3 +224,122 @@ def test_largest_clique_edges_checks_invariants_explicitly(monkeypatch):
     monkeypatch.setattr("matlabel.poset.maximal_cliques", lambda g: pairs)
     with pytest.raises(RuntimeError, match="clique number"):
         largest_clique_edges(height_labeling_complete(3))
+
+
+def _verify_by_scan(lab):
+    """Reference verifier: every level unions its edges in sorted order,
+    scans all of E_{k-1} in sorted order for ML2 and counts ML3 triangles
+    through `lab.label`."""
+    g = lab.graph
+    data = lab.blocks()
+    for k in range(1, lab.max_label + 1):
+        pi_k = data.blocks[k]
+        parent = {}
+
+        def find(x):
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        cycle_edge = None
+        for u, v in sorted(pi_k):
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                if cycle_edge is None:
+                    cycle_edge = (u, v)
+                continue
+            parent[ru] = rv
+        if cycle_edge is not None:
+            u, v = cycle_edge
+            path = _bfs_path(pi_k - {cycle_edge}, u, v)
+            cycle = tuple(canonical_edge(a, b) for a, b in zip(path, path[1:]))
+            return MatViolation("ML1-cycle", k, edges=cycle + (cycle_edge,),
+                                detail=f"edges labeled {k} contain a cycle")
+        for f in sorted(data.prefixes[k - 1]):
+            x, y = f
+            if find(x) == find(y):
+                path = _bfs_path(pi_k, x, y)
+                witness = tuple(canonical_edge(a, b) for a, b in zip(path, path[1:]))
+                return MatViolation(
+                    "ML2-closure", k, edges=(f,) + witness,
+                    detail=f"edge {f} labeled {lab.label(*f)} is spanned by "
+                           f"edges labeled {k}")
+        for e in sorted(pi_k):
+            u, v = e
+            count = sum(1 for w in g.common_neighbors(u, v)
+                        if lab.label(u, w) < k and lab.label(v, w) < k)
+            if count != k - 1:
+                return MatViolation(
+                    "ML3-triangle-count", k, edges=(e,),
+                    detail=f"edge {e} labeled {k} closes {count} triangles "
+                           f"with earlier labels, needs {k - 1}")
+    return None
+
+
+def _bfs_path(edges, src, dst):
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    prev = {src: None}
+    queue = [src]
+    while queue:
+        x = queue.pop(0)
+        if x == dst:
+            path = [x]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
+        for y in sorted(adj.get(x, ())):
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    return None
+
+
+def _labelings_to_verify(rng):
+    """Valid labelings of seeded SC graphs (some with scattered vertex ids),
+    their one-edge, two-edge and swap mutations, and random labelings."""
+    for _ in range(70):
+        g = random_strongly_chordal(rng.randint(2, 24), rng=rng,
+                                    grow_bias=rng.choice((0.5, 0.8, 0.95)))
+        if rng.random() < 0.4:
+            ids = rng.sample(range(4 * g.n), g.n)
+            to = dict(zip(g.vertices, ids))
+            g = Graph(ids, [(to[u], to[v]) for u, v in g.edges])
+        if g.m == 0:
+            continue
+        lab = construct_mat_labeling(g)
+        yield lab
+        top = lab.max_label + 2
+        edges = list(g.edges)
+        for _ in range(6):
+            yield lab.with_label(*rng.choice(edges), rng.randint(1, top))
+        labels = lab.labels
+        for e in rng.sample(edges, min(2, len(edges))):
+            labels[e] = rng.randint(1, top)
+        yield EdgeLabeling(g, labels)
+        if len(edges) >= 2:
+            a, b = rng.sample(edges, 2)
+            labels = lab.labels
+            labels[a], labels[b] = labels[b], labels[a]
+            yield EdgeLabeling(g, labels)
+        yield EdgeLabeling(g, {e: rng.randint(1, lab.max_label) for e in edges})
+    for ell in range(2, 12):
+        lab = height_labeling_complete(ell)
+        yield lab
+        for _ in range(4):
+            yield lab.with_label(*rng.choice(lab.graph.edges), rng.randint(1, ell))
+
+
+def test_verifier_matches_the_sorted_scan():
+    kinds = Counter()
+    for lab in _labelings_to_verify(random.Random(67)):
+        got = verify_mat_labeling(lab)
+        expected = _verify_by_scan(lab)
+        assert (got and got.as_json()) == (expected and expected.as_json())
+        kinds[None if got is None else got.kind] += 1
+    assert min(kinds[kind] for kind in (None, "ML1-cycle", "ML2-closure",
+                                         "ML3-triangle-count")) >= 50, kinds
