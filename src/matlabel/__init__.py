@@ -2,7 +2,7 @@
 
 The package recognizes strongly chordal graphs, constructs and verifies
 MAT-labelings of their edges, builds clique intersection posets with crown
-detection, and computes the exponents and chromatic polynomial cross-checks
+witnesses, and computes the exponents and chromatic polynomial cross-checks
 of the associated graphic arrangements.
 """
 
@@ -43,21 +43,20 @@ from .labeling import (
     mat_simplicial_violation,
     verify_mat_labeling,
 )
+from .oracle import detect_induced_sun, find_any_crown, find_crown, is_crown_free
 from .poset import (
     CliquePoset,
     CrownWitness,
     build_poset,
-    find_any_crown,
-    find_crown,
-    is_crown_free,
+    crown_from_sun,
     leaf_pair,
     maximal_cliques,
 )
 from .strong_chordal import (
     SunWitness,
-    detect_induced_sun,
     find_induced_subgraph,
     find_simple_elimination_ordering,
+    find_sun,
     is_simple_vertex,
     is_strongly_chordal,
     is_unit_interval,
@@ -84,6 +83,7 @@ __all__ = [
     "check_terao_factorization",
     "chromatic_polynomial",
     "construct_mat_labeling",
+    "crown_from_sun",
     "detect_induced_sun",
     "exponents_from_labeling",
     "extend_labeling_complete",
@@ -94,6 +94,7 @@ __all__ = [
     "find_mat_peo",
     "find_peo",
     "find_simple_elimination_ordering",
+    "find_sun",
     "height_labeling_complete",
     "is_chordal",
     "is_crown_free",

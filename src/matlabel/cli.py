@@ -2,8 +2,9 @@
 
 Subcommands: classify, label, verify, exponents, poset, selftest. Machine
 readable JSON goes to stdout (or --out); human summaries go to stderr
-under --verbose. Exit codes: 0 success, 1 input or usage error, 2
-mathematical rejection with a machine-checkable witness.
+under --verbose. Exit codes: 0 success, 1 input or usage error (or an
+internal error, reported in one stderr line), 2 mathematical rejection
+with a machine-checkable witness.
 """
 
 from __future__ import annotations
@@ -35,14 +36,8 @@ from .io import (
     poset_to_json_dict,
 )
 from .labeling import find_mat_peo, verify_mat_labeling
-from .poset import CrownWitness, build_poset, find_any_crown
-from .strong_chordal import (
-    SunWitness,
-    detect_induced_sun,
-    is_strongly_chordal,
-    simple_elimination,
-    unit_interval_obstruction,
-)
+from .poset import CrownWitness, build_poset, crown_from_sun
+from .strong_chordal import SunWitness, claw_or_net, find_sun, is_strongly_chordal
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -85,28 +80,25 @@ def _load(args) -> Graph:
 def cmd_classify(args) -> int:
     g = _load(args)
     chordal = is_chordal(g)
-    residue = simple_elimination(g)[1] if chordal else None
-    strongly = chordal and residue.n == 0
+    sun = find_sun(g) if chordal else None
+    strongly = chordal and sun is None
     # unit interval graphs are strongly chordal; a strongly chordal graph has
     # no sun (Farber 1983), so only a claw or a net can keep it from them
-    obstruction = unit_interval_obstruction(g) if strongly else None
+    obstruction = claw_or_net(g) if strongly else None
     witness = None
     if not chordal:
         witness = _witness_json(find_chordless_cycle(g))
     elif not strongly:
-        witness = _witness_json(detect_induced_sun(residue))
+        witness = _witness_json(sun)
     elif obstruction is not None:
         kind, hit = obstruction
         if kind == "claw":
             witness = {"kind": "claw", "center": hit[1],
                        "leaves": sorted(hit[v] for v in (2, 3, 4))}
-        elif kind == "net":
+        else:
             witness = {"kind": "net",
                        "triangle": [hit[v] for v in (1, 2, 3)],
                        "pendants": [hit[v] for v in (4, 5, 6)]}
-        else:
-            raise RuntimeError(f"classify: strongly chordal graph with {g.n} "
-                               f"vertices has a {kind} obstruction")
     report = {
         "chordal": chordal,
         "strongly_chordal": strongly,
@@ -185,13 +177,9 @@ def cmd_poset(args) -> int:
                      "witness": _witness_json(find_chordless_cycle(g))})
         return EXIT_REJECT
     # a chordal graph's clique intersection poset is crown-free exactly when
-    # the graph is strongly chordal, so only the other graphs are searched
-    crown = None
-    if not is_strongly_chordal(g):
-        crown = find_any_crown(p)
-        if crown is None:
-            raise RuntimeError(f"poset: graph with {g.n} vertices is chordal but not "
-                               f"strongly chordal, and its poset has no crown")
+    # the graph is strongly chordal; otherwise a sun of it gives a crown
+    sun = find_sun(g)
+    crown = None if sun is None else crown_from_sun(p, sun)
     if args.out and args.out.endswith(".dot"):
         Path(args.out).write_text(poset_to_dot(p))
     else:
@@ -205,6 +193,8 @@ def cmd_poset(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .oracle import detect_induced_sun, find_any_crown
+
     rng = random.Random(args.seed)
     mismatches = []
     checked = 0
@@ -307,6 +297,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"matlabel: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RuntimeError as exc:  # a broken invariant: one line, no traceback
+        print(f"matlabel: internal error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

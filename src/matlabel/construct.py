@@ -7,9 +7,10 @@ strongly chordal graph is then labeled by building a family of mutually
 compatible labelings over its clique intersection poset, bottom-up in
 rank, and gluing the maximal-clique labelings together by plain union,
 which the verifier then checks. Any failure on the way means the graph is
-not strongly chordal and is answered with a crown of the poset. Every
-greedy choice breaks ties by smallest vertex id, so the whole construction
-is a deterministic function of the input graph.
+not strongly chordal and is answered with a crown of the poset, lifted
+from an induced sun. Every greedy choice breaks ties by smallest vertex
+id, so the whole construction is a deterministic function of the input
+graph.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .chordal import find_chordless_cycle
 from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
 from .graph import Graph, canonical_edge, sorted_key, sorted_sets
 from .labeling import EdgeLabeling, find_mat_peo, verify_mat_labeling
-from .poset import CliquePoset, build_poset, find_any_crown, leaf_pair
+from .poset import CliquePoset, build_poset, crown_from_sun, leaf_pair
+from .strong_chordal import find_sun
 
 
 def _complete(vertices) -> Graph:
@@ -175,15 +177,16 @@ def node_family(g: Graph, poset: CliquePoset | None = None):
 
 
 def _reject_with_crown(g: Graph, poset: CliquePoset, stage: str) -> NoReturn:
-    """Reject a chordal graph whose labeling failed at `stage` with a crown,
-    which exists because only strongly chordal graphs have MAT-labelings."""
-    crown = find_any_crown(poset)
-    if crown is None:
+    """Reject a chordal graph whose labeling failed at `stage` with the crown
+    lifted from one of its suns, which exist because only strongly chordal
+    graphs have MAT-labelings."""
+    sun = find_sun(g)
+    if sun is None:
         raise RuntimeError(
             f"construct: {stage} failed on a graph with {g.n} vertices, "
-            f"but its clique intersection poset has no crown"
+            f"but find_sun found no sun in it"
         )
-    raise NotStronglyChordalError("crown", crown) from None
+    raise NotStronglyChordalError("crown", crown_from_sun(poset, sun)) from None
 
 
 def construct_mat_labeling(g: Graph) -> EdgeLabeling:
@@ -192,8 +195,9 @@ def construct_mat_labeling(g: Graph) -> EdgeLabeling:
     The union of the node family's maximal-clique labelings, verified.
     Non strongly chordal inputs are rejected with a structured witness:
     a chordless cycle when the graph is not chordal, otherwise a crown of
-    the clique intersection poset (searched for when there is no leaf pair,
-    the union meets conflicting labels, or the verifier rejects it).
+    the clique intersection poset, lifted from an induced sun when there is
+    no leaf pair, the union meets conflicting labels, or the verifier
+    rejects it.
     """
     try:
         poset = build_poset(g)

@@ -1,17 +1,21 @@
-"""Brute-force oracles for tests and acceptance checks.
+"""Brute-force oracles for tests, acceptance checks and `matlabel selftest`.
 
 Deliberately naive and implemented apart from the production recognizers:
-these share only the graph primitives, so agreement between an oracle and
-a production path is meaningful evidence. Every oracle carries a hard
-input-size guard, overridable where it exists.
+these share only the graph primitives and the pattern search behind the
+claw and net witnesses, so agreement between an oracle and a production
+path is meaningful evidence. The scans carry a hard input-size guard,
+overridable where it exists; the sun and crown searches are exponential
+in the worst case and have none.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from .graph import Graph, iter_subsets
+from .graph import Graph, find_embedding, iter_subsets, sorted_sets
+from .poset import CliquePoset, CrownWitness
+from .strong_chordal import SunWitness, find_induced_subgraph, n_sun
 
 
 def enumerate_graphs(
@@ -68,6 +72,67 @@ def brute_induced_cycles(
             walk.append(next(x for x in sub.neighborhood(b) if x != a))
         return tuple(walk)
     return None
+
+
+def detect_induced_sun(g: Graph, n_max: int | None = None) -> SunWitness | None:
+    """Smallest induced n-sun with 3 <= n <= n_max, or None.
+
+    For n = 3, 4, ... this is find_induced_subgraph(g, n_sun(n)): the
+    central clique is placed first, then the outer vertices, with
+    candidates in ascending order, so the returned witness is the
+    lexicographically least tuple (inner + outer) for the smallest n.
+    Default n_max is |V| // 2 (a sun needs 2n vertices).
+    """
+    if n_max is None:
+        n_max = g.n // 2
+    elif n_max < 3:
+        raise ValueError("n_max must be at least 3")
+    for n in range(3, n_max + 1):
+        hit = find_induced_subgraph(g, n_sun(n))
+        if hit is not None:
+            image = tuple(hit.values())  # keyed 1..2n in ascending order
+            return SunWitness(n, image[:n], image[n:])
+    return None
+
+
+def find_crown(p: CliquePoset | Sequence[frozenset[int]], k: int) -> CrownWitness | None:
+    """An induced subposet isomorphic to the k-crown, or None.
+
+    A graph.find_embedding over the nodes in canonical order: the k lower
+    elements are placed first, pairwise incomparable, then the k upper ones,
+    each above exactly its two lower elements and incomparable to the other
+    upper ones. The rows are those of a comparison matrix over node
+    indices, built once per call. The first hit is the lexicographically
+    least witness. Exponential worst case, fine at desk scale.
+    """
+    if k < 3:
+        raise ValueError("crowns are searched for k >= 3")
+    nodes = tuple(p.nodes) if hasattr(p, "nodes") else sorted_sets(set(map(frozenset, p)))
+    if len(nodes) < 2 * k:
+        return None
+    # compare[a][b] is 1 when nodes[a] < nodes[b], -1 when nodes[b] < nodes[a]
+    compare = [[(x < y) - (y < x) for y in nodes] for x in nodes]
+    pattern = [(0,) * i for i in range(k)]
+    pattern += [tuple(int(j == i or (j + 1) % k == i) for j in range(k)) + (0,) * i
+                for i in range(k)]
+    image = find_embedding(range(len(nodes)), pattern, compare.__getitem__)
+    if image is None:
+        return None
+    return CrownWitness(k, tuple(nodes[a] for a in image[:k]),
+                        tuple(nodes[a] for a in image[k:]))
+
+
+def find_any_crown(p: CliquePoset) -> CrownWitness | None:
+    for k in range(3, len(p.nodes) // 2 + 1):
+        hit = find_crown(p, k)
+        if hit is not None:
+            return hit
+    return None
+
+
+def is_crown_free(p: CliquePoset) -> bool:
+    """True iff no induced k-crown exists for any 3 <= k <= |nodes| / 2."""
+    return find_any_crown(p) is None
 
 
 def crown_pattern(k: int) -> tuple[int, frozenset[tuple[int, int]]]:

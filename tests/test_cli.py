@@ -6,10 +6,34 @@ import sys
 
 import pytest
 
+from matlabel import Graph, build_poset
 from matlabel.cli import main
+from matlabel.families import n_sun
 from matlabel.labeling import verify_mat_labeling
 
 from .conftest import UI7_EDGES
+
+ORACLE_SEARCHES = ("detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free")
+
+
+def _forbid(monkeypatch, target):
+    """Make the function at dotted path `target` raise, wherever it is bound."""
+    module_name, name = target.rsplit(".", 1)
+    original = getattr(sys.modules[module_name], name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{target} called")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "matlabel" or module_name.startswith("matlabel."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+def _forbid_oracles(monkeypatch):
+    for name in ORACLE_SEARCHES:
+        _forbid(monkeypatch, f"matlabel.oracle.{name}")
 
 
 @pytest.fixture
@@ -80,44 +104,60 @@ def test_classify_claw_witness(capsys, tmp_path):
 
 
 def test_classify_claw_needs_no_sun_search(capsys, tmp_path, monkeypatch):
-    # a strongly chordal graph has no induced sun, so none is searched for
-    def no_search(g, n_max=None):
-        raise AssertionError("sun search on a strongly chordal graph")
+    # a strongly chordal graph has no induced sun, so after recognition only
+    # the claw and net patterns are searched for, and chordality is not
+    # tested again by a cycle search
+    _forbid_oracles(monkeypatch)
+    from matlabel import strong_chordal
 
-    monkeypatch.setattr("matlabel.cli.detect_induced_sun", no_search)
+    searched = []
+    real_search = strong_chordal.find_induced_subgraph
+
+    def spy(g, pattern):
+        searched.append(pattern.n)
+        return real_search(g, pattern)
+
+    monkeypatch.setattr(strong_chordal, "find_induced_subgraph", spy)
+    _forbid(monkeypatch, "matlabel.chordal.find_chordless_cycle")
     path = tmp_path / "claw.txt"
     path.write_text("1 2\n1 3\n1 4\n")
     code, report = run_cli(capsys, "classify", str(path))
-    assert code == 0
+    assert code == 0 and searched == [4]
     assert report == {
         "chordal": True,
         "strongly_chordal": True,
         "unit_interval": False,
         "witness": {"kind": "claw", "center": 1, "leaves": [2, 3, 4]},
     }
+    searched.clear()
+    path.write_text("".join(f"{u} {v}\n" for u, v in UI7_EDGES))
+    code, report = run_cli(capsys, "classify", str(path))
+    assert code == 0 and report["unit_interval"] and searched == [4, 6]
 
 
 def test_classify_searches_the_elimination_residue_for_a_sun(
         capsys, tmp_path, monkeypatch):
     # no vertex of an induced sun is ever simple, so simple elimination
-    # leaves every sun of the graph in its stuck residue
-    from matlabel import cli
+    # leaves every sun of the graph in its stuck residue, and the sun is
+    # read off by eliminating only within that residue
+    _forbid_oracles(monkeypatch)
+    from matlabel import strong_chordal
 
-    searched = []
-    real_search = cli.detect_induced_sun
+    eliminated = []
+    real_elimination = strong_chordal.simple_elimination
 
-    def spy(g, n_max=None):
-        searched.append(g.n)
-        return real_search(g, n_max)
+    def spy(g):
+        eliminated.append(g.n)
+        return real_elimination(g)
 
-    monkeypatch.setattr(cli, "detect_induced_sun", spy)
+    monkeypatch.setattr(strong_chordal, "simple_elimination", spy)
     path = tmp_path / "sun-on-path.txt"
     edges = [(i, i + 1) for i in range(1, 40)] + [(40, 41)]
     edges += [(41, 42), (41, 43), (42, 43), (41, 44), (42, 44),
               (42, 45), (43, 45), (41, 46), (43, 46)]
     path.write_text("".join(f"{u} {v}\n" for u, v in edges))
     code, report = run_cli(capsys, "classify", str(path))
-    assert code == 0 and searched == [6]
+    assert code == 0 and eliminated == [46] + [5] * 6
     assert report == {
         "chordal": True,
         "strongly_chordal": False,
@@ -125,6 +165,26 @@ def test_classify_searches_the_elimination_residue_for_a_sun(
         "witness": {"kind": "sun", "n": 3, "inner": [41, 42, 43],
                     "outer": [44, 45, 46]},
     }
+
+
+@pytest.mark.parametrize("command, exit_code", [
+    ("classify", 0), ("label", 2), ("poset", 0)])
+def test_large_sun_is_answered_without_an_exhaustive_search(
+        capsys, tmp_path, monkeypatch, command, exit_code):
+    # the exhaustive sun and crown searches would run for minutes on the
+    # 12-sun; the witnesses come from find_sun and crown_from_sun instead
+    _forbid_oracles(monkeypatch)
+    _forbid(monkeypatch, "matlabel.graph.find_embedding")
+    path = tmp_path / "sun12.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in n_sun(12).edges))
+    code, report = run_cli(capsys, command, str(path))
+    assert code == exit_code
+    witness = report["crown"] if command == "poset" else report["witness"]
+    if command == "classify":
+        assert witness == {"kind": "sun", "n": 12, "inner": list(range(1, 13)),
+                           "outer": list(range(13, 25))}
+    else:
+        assert witness["kind"] == "crown" and witness["k"] == 12
 
 
 def test_label_and_verify_round_trip(capsys, ui7_file, tmp_path):
@@ -277,21 +337,34 @@ def test_poset_json_and_crown_flag(capsys, ui7_file, sun3_file):
 
 def test_poset_answers_strongly_chordal_input_without_search(
         capsys, ui7_file, monkeypatch):
-    # the poset of a strongly chordal graph is crown-free, so none is searched;
-    # test_poset_json_and_crown_flag shows the 3-sun still gets its crown
-    def no_search(p):
-        raise AssertionError("crown search on a strongly chordal graph")
-
-    monkeypatch.setattr("matlabel.cli.find_any_crown", no_search)
+    # the poset of a strongly chordal graph is crown-free, so no crown is
+    # built; test_poset_json_and_crown_flag shows the 3-sun still gets one
+    _forbid_oracles(monkeypatch)
+    _forbid(monkeypatch, "matlabel.cli.crown_from_sun")
     code, report = run_cli(capsys, "poset", str(ui7_file))
     assert code == 0
     assert report["crown_free"] is True and report["crown"] is None
 
 
-def test_poset_missing_crown_is_internal_error(capsys, sun3_file, monkeypatch):
-    monkeypatch.setattr("matlabel.cli.find_any_crown", lambda p: None)
-    with pytest.raises(RuntimeError, match="poset: graph with 6 vertices"):
-        main(["poset", str(sun3_file)])
+def test_poset_internal_error_is_one_line(capsys, c4_file, monkeypatch):
+    # find_sun's read-off finds no sun on a chordless cycle; were poset to
+    # pass it one, the broken invariant is one stderr line and exit 1
+    monkeypatch.setattr("matlabel.cli.build_poset", lambda g: build_poset(Graph([1])))
+    code = main(["poset", str(c4_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("matlabel: internal error: find_sun: the minimal "
+                            "residue of a graph with 4 vertices is not a sun "
+                            "(4 vertices)\n")
+
+
+def test_label_internal_error_is_one_line(capsys, sun3_file, monkeypatch):
+    monkeypatch.setattr("matlabel.construct.find_sun", lambda g: None)
+    code = main(["label", str(sun3_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("matlabel: internal error: construct: ")
+    assert "graph with 6 vertices" in captured.err and captured.err.count("\n") == 1
 
 
 def test_poset_nonchordal_rejected(capsys, c4_file):

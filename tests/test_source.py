@@ -63,3 +63,40 @@ def test_no_recursion_outside_the_oracles():
         found |= {f"{path.name}:{name}" for name in names}
     assert sorted(found - RECURSION_ALLOWED) == []
     assert found >= RECURSION_ALLOWED  # the check still sees the oracles
+
+
+ORACLE_SEARCHES = {"detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free"}
+
+# the oracles themselves, their re-exports, the runtime cross-check, and the
+# old attribute paths that clibench/layers.py spans
+ORACLE_NAMES_ALLOWED = {"oracle.py", "brute.py", "__init__.py", "cli.py:cmd_selftest",
+                        "poset.py:__getattr__", "strong_chordal.py:__getattr__"}
+
+
+def _names_by_scope(tree):
+    """(top-level function or "<module>", identifier) for every name use."""
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield scope, node.id
+            elif isinstance(node, ast.Attribute):
+                yield scope, node.attr
+            elif isinstance(node, ast.alias):
+                yield scope, node.name
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield scope, node.name
+
+
+def test_exhaustive_searches_stay_in_the_oracles():
+    # the sun and crown searches are exponential; rejections read the sun
+    # off the elimination residue and lift the crown from it
+    found = set()
+    for path in SOURCES:
+        for scope, name in _names_by_scope(ast.parse(path.read_text(), str(path))):
+            if name in ORACLE_SEARCHES:
+                found.add(f"{path.name}:{scope}")
+    allowed = {f for f in found
+               if f in ORACLE_NAMES_ALLOWED or f.split(":")[0] in ORACLE_NAMES_ALLOWED}
+    assert sorted(found - allowed) == []
+    assert "cli.py:cmd_selftest" in found  # the check still sees the cross-check

@@ -6,11 +6,14 @@ import pytest
 
 from matlabel import (
     Graph,
+    SunWitness,
     build_poset,
+    crown_from_sun,
     detect_induced_sun,
     find_any_crown,
     find_induced_subgraph,
     find_simple_elimination_ordering,
+    find_sun,
     is_chordal,
     is_simple_vertex,
     is_strongly_chordal,
@@ -31,6 +34,8 @@ from matlabel.families import (
 from matlabel.oracle import enumerate_graphs
 from matlabel.strong_chordal import claw as claw_pattern
 from matlabel.strong_chordal import simple_elimination
+
+from .test_construct import _assert_induced_crown
 
 
 def test_sun_has_no_simple_vertex():
@@ -114,17 +119,78 @@ def test_detect_sun_lexicographically_least_witness():
     assert w.inner == (1, 2, 3) and w.outer == (4, 5, 6)
 
 
+def _assert_induced_sun(g, w):
+    inner, outer = w.inner, w.outer
+    assert w.n >= 3 and len(inner) == len(outer) == w.n
+    assert len(set(inner) | set(outer)) == 2 * w.n
+    assert all(g.has_edge(u, v) for i, u in enumerate(inner) for v in inner[i + 1:])
+    for i, v in enumerate(outer):
+        assert {u for u in inner + outer if g.has_edge(u, v)} == {
+            inner[i], inner[(i + 1) % w.n]}
+
+
 def test_sun_witness_is_checkable():
     g = n_sun(4).add_vertex(100, [1, 2, 3, 4])  # bury the sun a little
-    w = detect_induced_sun(g)
-    assert w is not None
-    inner, outer = w.inner, w.outer
-    assert g.is_clique(inner)
-    for i, v in enumerate(outer):
-        expected = {inner[i], inner[(i + 1) % w.n]}
-        assert g.neighborhood(v) & set(inner) == expected
-    sub = g.induced_subgraph(set(inner) | set(outer))
-    assert sub.m == len(inner) * (len(inner) - 1) // 2 + 2 * w.n
+    for w in (detect_induced_sun(g), find_sun(g)):
+        assert w is not None
+        _assert_induced_sun(g, w)
+
+
+def _bridged_suns(rng, k, count):
+    """SC hosts with an n_sun(k) on shuffled ids joined by one bridge.
+
+    A sun is 2-connected, so it lies in one block; the host's blocks have
+    none, so each graph has exactly one sun.
+    """
+    for _ in range(count):
+        host = random_strongly_chordal(rng.randint(1, 14), rng=rng, grow_bias=0.7)
+        sun = n_sun(k)
+        old = list(host.vertices) + [-v for v in sun.vertices]
+        new = dict(zip(old, rng.sample(range(100), len(old))))
+        edges = [(new[u], new[v]) for u, v in host.edges]
+        edges += [(new[-u], new[-v]) for u, v in sun.edges]
+        edges.append((new[rng.choice(host.vertices)], new[-rng.choice(sun.vertices)]))
+        yield Graph(new.values(), edges)
+
+
+def test_find_sun_and_its_crown(corpus6_facts):
+    small = [f.graph for f in corpus6_facts if f.chordal and not f.strongly_chordal]
+    rng = random.Random(41)
+    bridged = {k: list(_bridged_suns(rng, k, 40)) for k in range(3, 8)}
+    graphs = small + [g for k in bridged for g in bridged[k]]
+    graphs += [n_sun(k) for k in range(3, 21)]
+    assert len(small) > 100
+    found = {}
+    for g in graphs:
+        found[g] = w = find_sun(g)
+        _assert_induced_sun(g, w)
+        p = build_poset(g)
+        _assert_induced_crown(p, crown_from_sun(p, w))
+    for k in range(3, 6):
+        for g in bridged[k]:
+            assert found[g] == detect_induced_sun(g)
+    for k in range(3, 21):
+        assert found[n_sun(k)] == SunWitness(
+            k, tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1)))
+
+
+def test_find_sun_none_exactly_on_strongly_chordal():
+    assert find_sun(Graph()) is None
+    assert find_sun(rising_sun()) is None
+    assert find_sun(rising_sun().contract_edge((1, 2))) is not None
+    rng = random.Random(42)
+    for _ in range(30):
+        assert find_sun(random_strongly_chordal(rng.randint(1, 20), rng=rng)) is None
+
+
+def test_find_sun_on_a_chordless_cycle_is_an_error():
+    with pytest.raises(RuntimeError, match="find_sun: .* graph with 5 vertices"):
+        find_sun(cycle_graph(5))
+
+
+def test_crown_from_sun_needs_a_sun_of_the_graph():
+    with pytest.raises(ValueError, match="not a sun of the poset's graph"):
+        crown_from_sun(build_poset(complete_graph(5)), find_sun(n_sun(3)))
 
 
 def test_is_strongly_chordal_basics():
