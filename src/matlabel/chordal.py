@@ -23,26 +23,35 @@ def is_peo(g: Graph, order: Sequence[int]) -> bool:
     """Check the PEO condition on every prefix of `order`, in O(n + m).
 
     Raises ValueError if `order` is not a permutation of the vertices.
-
-    It is enough that, for every v, the earlier neighbors of v other than
-    the latest one, p, are adjacent to p (Tarjan & Yannakakis 1984). If
-    instead some v had nonadjacent earlier neighbors x and y, neither is p
-    (the other would be a neighbor of p), so both are earlier neighbors of
-    p; the same pair then fails at p, which comes before v. Repeating this
-    forever is impossible, so every earlier neighborhood is a clique.
     """
     seq = list(order)
     if sorted(seq) != list(g.vertices):
         raise ValueError("ordering is not a permutation of the vertex set")
-    position = {v: i for i, v in enumerate(seq)}
-    for i, v in enumerate(seq):
+    return _peo_violation(g, seq) is None
+
+
+def _peo_violation(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first (v, p, x) at which `order` fails the PEO check, or None.
+
+    p is the latest earlier neighbor of v and x the least earlier neighbor
+    of v not adjacent to p. It is enough that, for every v, the earlier
+    neighbors of v other than p are adjacent to p (Tarjan & Yannakakis
+    1984). If instead some v had nonadjacent earlier neighbors x and y,
+    neither is p (the other would be a neighbor of p), so both are earlier
+    neighbors of p; the same pair then fails at p, which comes before v.
+    Repeating this forever is impossible, so every earlier neighborhood is
+    a clique.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
         earlier = [u for u in g.neighborhood(v) if position[u] < i]
         if earlier:
             p = max(earlier, key=position.__getitem__)
             near = g.neighborhood(p)
-            if any(u != p and u not in near for u in earlier):
-                return False
-    return True
+            x = min((u for u in earlier if u != p and u not in near), default=None)
+            if x is not None:
+                return v, p, x
+    return None
 
 
 def find_peo(g: Graph) -> list[int] | None:
@@ -54,7 +63,7 @@ def find_peo(g: Graph) -> list[int] | None:
     None is returned when validation fails (non-chordal input).
     """
     order = _mcs_order(g)
-    return order if is_peo(g, order) else None
+    return order if _peo_violation(g, order) is None else None
 
 
 def _mcs_order(g: Graph) -> list[int]:
@@ -147,30 +156,31 @@ def minimal_separator_decomposition(
     return separator, comp_a, rest
 
 
-def find_chordless_cycle(g: Graph, min_len: int = 4) -> tuple[int, ...] | None:
-    """An induced cycle of length >= min_len, or None.
+def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
+    """An induced cycle on 4 or more vertices, or None exactly when g is chordal.
 
-    Searches, for each vertex v and nonadjacent pair x, y in N(v), a
-    shortest x-y path avoiding N[v] - {x, y}; such a path closes with v to
-    a chordless cycle. Any chordless cycle is found this way, so a None
-    result certifies chordality.
+    Read off the first failure (v, p, x) of the PEO check on the MCS order:
+    a shortest x-p path avoiding N[v] - {x, p} is induced and closes with v
+    to a chordless cycle, and it exists (Tarjan & Yannakakis, SIAM J.
+    Comput. 13 (1984) 566-579; addendum 14 (1985) 254-255). The cycle
+    starts at its least vertex and goes on to the smaller of its neighbors.
+    Raises RuntimeError if no path closes it.
     """
-    for v in g.vertices:
-        nbrs = sorted(g.neighborhood(v))
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1:]:
-                if g.has_edge(x, y):
-                    continue
-                forbidden = (g.closed_neighborhood(v) - {x, y}) | {v}
-                path = _shortest_path(g, x, y, forbidden)
-                if path is not None and len(path) >= min_len - 1:
-                    return (v,) + path
-    return None
+    violation = _peo_violation(g, _mcs_order(g))
+    if violation is None:
+        return None
+    v, p, x = violation
+    path = _shortest_path(g, x, p, g.closed_neighborhood(v) - {x, p})
+    if path is None:
+        raise RuntimeError(f"find_chordless_cycle: no path closes a cycle at vertex "
+                           f"{v} of a graph with {g.n} vertices")
+    cycle = (v,) + path
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
 
 
 def _shortest_path(g, src, dst, forbidden):
-    if src in forbidden or dst in forbidden:
-        return None
     prev = {src: None}
     queue = [src]
     while queue:

@@ -37,7 +37,8 @@ from .io import (
 )
 from .labeling import find_mat_peo, verify_mat_labeling
 from .poset import CrownWitness, build_poset, crown_from_sun
-from .strong_chordal import SunWitness, claw_or_net, find_sun, is_strongly_chordal
+from .strong_chordal import (SunWitness, find_sun, is_strongly_chordal,
+                             unit_interval_obstruction)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,13 +52,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _witness_json(witness) -> dict:
-    if isinstance(witness, SunWitness):
-        return witness.as_json()
-    if isinstance(witness, CrownWitness):
+    if isinstance(witness, (SunWitness, CrownWitness)):
         return witness.as_json()
     if isinstance(witness, tuple):
         return {"kind": "chordless-cycle", "vertices": list(witness)}
     raise TypeError(f"unknown witness {witness!r}")
+
+
+def _obstruction_json(kind: str, hit) -> dict:
+    if kind == "claw":
+        return {"kind": "claw", "center": hit[1],
+                "leaves": sorted(hit[v] for v in (2, 3, 4))}
+    if kind == "net":
+        return {"kind": "net", "triangle": [hit[v] for v in (1, 2, 3)],
+                "pendants": [hit[v] for v in (4, 5, 6)]}
+    return _witness_json(hit)
 
 
 def _emit(args, data: dict) -> None:
@@ -79,34 +88,16 @@ def _load(args) -> Graph:
 
 def cmd_classify(args) -> int:
     g = _load(args)
-    chordal = is_chordal(g)
-    sun = find_sun(g) if chordal else None
-    strongly = chordal and sun is None
-    # unit interval graphs are strongly chordal; a strongly chordal graph has
-    # no sun (Farber 1983), so only a claw or a net can keep it from them
-    obstruction = claw_or_net(g) if strongly else None
-    witness = None
-    if not chordal:
-        witness = _witness_json(find_chordless_cycle(g))
-    elif not strongly:
-        witness = _witness_json(sun)
-    elif obstruction is not None:
-        kind, hit = obstruction
-        if kind == "claw":
-            witness = {"kind": "claw", "center": hit[1],
-                       "leaves": sorted(hit[v] for v in (2, 3, 4))}
-        else:
-            witness = {"kind": "net",
-                       "triangle": [hit[v] for v in (1, 2, 3)],
-                       "pendants": [hit[v] for v in (4, 5, 6)]}
+    kind, hit = unit_interval_obstruction(g) or (None, None)
     report = {
-        "chordal": chordal,
-        "strongly_chordal": strongly,
-        "unit_interval": strongly and obstruction is None,
-        "witness": witness,
+        "chordal": kind != "chordless-cycle",
+        "strongly_chordal": kind in (None, "claw", "net"),
+        "unit_interval": kind is None,
+        "witness": None if kind is None else _obstruction_json(kind, hit),
     }
     _emit(args, report)
-    _say(args, f"{args.graph}: chordal={chordal} strongly_chordal={strongly}")
+    _say(args, f"{args.graph}: chordal={report['chordal']} "
+               f"strongly_chordal={report['strongly_chordal']}")
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ keys and arrays so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from .graph import Graph, _check_vertex_id, canonical_edge
@@ -31,19 +32,37 @@ def parse_graph_text(text: str) -> Graph:
             continue
         try:
             if line.startswith("vertices:"):
-                vertices.extend(int(tok) for tok in line[len("vertices:"):].split())
+                vertices.extend(_vertex_token(tok)
+                                for tok in line[len("vertices:"):].split())
             else:
                 u, v = line.split()
-                edges.append((int(u), int(v)))
+                edges.append((_vertex_token(u), _vertex_token(v)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
     return Graph(vertices, edges)
 
 
+def _vertex_token(tok: str) -> int:
+    """An ASCII decimal vertex id; int() alone would also take '1_0', '+3'
+    and non-ASCII digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"not a vertex id: {tok!r}")
+    return int(tok)
+
+
 def _load_json(text: str, what: str):
-    """json.loads, with decoder recursion on deep nesting as a ValueError."""
+    """json.loads, with a repeated object key or decoder recursion on deep
+    nesting as a ValueError."""
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+            raise ValueError(f"{what} JSON repeats the key {key!r} in one object")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chordal import find_chordless_cycle, is_chordal
+from .chordal import find_chordless_cycle, find_peo
 from .graph import Graph, find_embedding
 
 
@@ -194,27 +194,25 @@ def claw_or_net(g: Graph):
 
 
 def unit_interval_obstruction(g: Graph):
-    """First forbidden structure for unit interval graphs, or None.
+    """The first rung of unit interval ⊂ strongly chordal ⊂ chordal that g
+    fails, or None exactly when g is unit interval.
 
-    Returns ("chordless-cycle", vertices), ("claw", map), ("net", map) or
-    ("sun", SunWitness) for the least induced 3-sun. A graph is unit
-    interval iff this returns None.
+    ("chordless-cycle", vertices) when g is not chordal, else ("sun",
+    SunWitness) when g has a sun, else claw_or_net(g). A chordal graph is
+    unit interval iff it has no induced claw, net or 3-sun (Wegner 1967),
+    and a k-sun with k >= 4 holds a claw, so any sun rules g out.
     """
-    cyc = find_chordless_cycle(g)
-    if cyc is not None:
-        return ("chordless-cycle", cyc)
-    hit = claw_or_net(g)
-    if hit is None and g.n >= 6:
-        sun = find_induced_subgraph(g, n_sun(3))
-        if sun is not None:
-            hit = ("sun", SunWitness(3, tuple(sun[p] for p in (1, 2, 3)),
-                                     tuple(sun[p] for p in (4, 5, 6))))
-    return hit
+    if find_peo(g) is None:
+        return ("chordless-cycle", find_chordless_cycle(g))
+    sun = find_sun(g)
+    if sun is not None:
+        return ("sun", sun)
+    return claw_or_net(g)
 
 
 def is_unit_interval(g: Graph) -> bool:
-    """Chordal with no induced claw, net or 3-sun."""
-    return is_chordal(g) and unit_interval_obstruction(g) is None
+    """Chordal with no induced claw, net or sun."""
+    return unit_interval_obstruction(g) is None
 
 
 def __getattr__(name):

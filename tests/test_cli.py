@@ -533,3 +533,38 @@ def test_usage_error_exit_code():
         capture_output=True,
     )
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "١"])
+def test_edge_list_takes_only_ascii_decimal_ids(capsys, tmp_path, token):
+    # int() alone reads these as 10, 3 and 1
+    path = tmp_path / "g.txt"
+    path.write_text(f"1 2\n{token} 2\n", encoding="utf-8")
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"matlabel: error: line 2: cannot parse {token + ' 2'!r}\n"
+
+
+@pytest.mark.parametrize("graph, labeling, command, message", [
+    pytest.param('{"vertices": [1], "edges": [[1, 2]], "edges": []}', None, "classify",
+                 "graph JSON repeats the key 'edges'", id="graph"),
+    pytest.param('{"edges": [[1, 2]]}', '{"edges": [{"u": 1, "v": 2, "label": 5, '
+                 '"label": 1}]}', "verify", "labeling JSON repeats the key 'label'",
+                 id="labeling"),
+])
+def test_repeated_json_key_is_input_error(capsys, tmp_path, graph, labeling, command,
+                                          message):
+    # json.loads alone keeps the last value of a repeated key
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(graph)
+    argv = [command, str(graph_file)]
+    if labeling is not None:
+        lab_file = tmp_path / "lab.json"
+        lab_file.write_text(labeling)
+        argv.append(str(lab_file))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("matlabel: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
