@@ -11,12 +11,12 @@ import heapq
 import random
 from typing import Sequence
 
-from .graph import Graph
+from .graph import Graph, peel
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff the neighborhood of v is a clique."""
-    return g.is_clique(g.neighborhood(v))
+    """True iff N(v) is a clique; g may also be graph.peel's adjacency dict."""
+    return all(g[v] <= g[u] | {u} for u in g[v])
 
 
 def is_peo(g: Graph, order: Sequence[int]) -> bool:
@@ -62,8 +62,16 @@ def find_peo(g: Graph) -> list[int] | None:
     satisfies the prefix PEO condition; the candidate is validated and
     None is returned when validation fails (non-chordal input).
     """
-    order = _mcs_order(g)
-    return order if _peo_violation(g, order) is None else None
+    order, violation = _checked_mcs(g)
+    return list(order) if violation is None else None
+
+
+def _checked_mcs(g: Graph):
+    """(MCS order, its first PEO violation or None), computed once per graph."""
+    if g._mcs is None:
+        order = _mcs_order(g)
+        g._mcs = (tuple(order), _peo_violation(g, order))
+    return g._mcs
 
 
 def _mcs_order(g: Graph) -> list[int]:
@@ -98,17 +106,13 @@ def is_chordal(g: Graph) -> bool:
 
 
 def random_peo(g: Graph, rng: random.Random) -> list[int] | None:
-    """A uniformly haphazard valid PEO, built by random simplicial removal."""
-    current = g
-    removal: list[int] = []
-    while current.n:
-        choices = [v for v in current.vertices if is_simplicial(current, v)]
-        if not choices:
-            return None
-        v = rng.choice(choices)
-        removal.append(v)
-        current = current.delete_vertex(v)
-    return removal[::-1]
+    """A haphazard valid PEO, or None: graph.peel's simplicial removal under
+    a random relabeling of g, which can give every PEO of g."""
+    ids = rng.sample(g.vertices, g.n)  # vertex ids[i] is relabeled i
+    to = {v: i for i, v in enumerate(ids)}
+    removal, left = peel(Graph(range(g.n), [(to[u], to[v]) for u, v in g.edges]),
+                         is_simplicial)
+    return None if left else [ids[i] for i in reversed(removal)]
 
 
 def peo_exponents(g: Graph) -> tuple[int, ...] | None:
@@ -166,7 +170,7 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
     starts at its least vertex and goes on to the smaller of its neighbors.
     Raises RuntimeError if no path closes it.
     """
-    violation = _peo_violation(g, _mcs_order(g))
+    violation = _checked_mcs(g)[1]
     if violation is None:
         return None
     v, p, x = violation

@@ -28,7 +28,7 @@ class Graph:
     print and serialize identically.
     """
 
-    __slots__ = ("_vertices", "_adj", "_hash")
+    __slots__ = ("_vertices", "_adj", "_hash", "_mcs")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {_check_vertex_id(v): set() for v in vertices}
@@ -41,6 +41,7 @@ class Graph:
         self._vertices: tuple[int, ...] = tuple(sorted(adj))
         self._adj: dict[int, frozenset[int]] = {v: frozenset(adj[v]) for v in self._vertices}
         self._hash: int | None = None
+        self._mcs = None  # chordal's one MCS pass and check, on first use
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -82,6 +83,8 @@ class Graph:
         """Open neighborhood N(v)."""
         self._require_vertex(v)
         return self._adj[v]
+
+    __getitem__ = neighborhood  # g[v], as in a {vertex: neighbours} dict
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         """Closed neighborhood N[v] = N(v) + v."""
@@ -198,6 +201,27 @@ def sorted_key(s: Iterable[int]) -> tuple[int, ...]:
 def sorted_sets(sets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     """Vertex sets in the canonical (size, elements) order."""
     return tuple(sorted((frozenset(s) for s in sets), key=sorted_key))
+
+
+def peel(g: Graph, removable: Callable[[dict[int, set[int]], int], bool],
+         kept: Iterable[int] = ()) -> tuple[list[int], list[int]]:
+    """Greedy elimination: (the removed vertices in order, the vertices left).
+
+    Copies the adjacency of g once into a mutable {vertex: neighbours} dict
+    and keeps removing the smallest vertex v outside `kept` for which
+    `removable(adj, v)` holds, until none does. The predicate sees the
+    vertices left and their neighbours among them, and must not change adj.
+    """
+    adj = {v: set(g[v]) for v in g.vertices}  # ascending, also after deletions
+    kept = frozenset(kept)
+    removed: list[int] = []
+    while True:
+        v = next((v for v in adj if v not in kept and removable(adj, v)), None)
+        if v is None:
+            return removed, list(adj)
+        removed.append(v)
+        for u in adj.pop(v):
+            adj[u].discard(v)
 
 
 def find_embedding(candidates: Sequence, pattern: Sequence[Sequence],

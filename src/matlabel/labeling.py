@@ -17,9 +17,11 @@ total function used to classify arbitrary labelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Graph, canonical_edge
+from .chordal import _shortest_path
+from .graph import Graph, canonical_edge, peel
 
 
 class EdgeLabeling:
@@ -173,27 +175,6 @@ def _forest_roots(edges):
     return {x: find(x) for x in parent}, cycle_edge
 
 
-def _path_in(edges, src, dst):
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        x = queue.pop(0)
-        if x == dst:
-            path = [x]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return tuple(reversed(path))
-        for y in sorted(adj.get(x, ())):
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    return None
-
-
 def _path_edges(path):
     return tuple(canonical_edge(a, b) for a, b in zip(path, path[1:]))
 
@@ -227,7 +208,7 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
         root, cycle_edge = _forest_roots(pi_k)
         if cycle_edge is not None:
             u, v = cycle_edge
-            path = _path_in([e for e in pi_k if e != cycle_edge], u, v)
+            path = _shortest_path(Graph.from_edges(set(pi_k) - {cycle_edge}), u, v, ())
             return MatViolation(
                 "ML1-cycle", k, edges=_path_edges(path) + (cycle_edge,),
                 detail=f"edges labeled {k} contain a cycle",
@@ -241,7 +222,8 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
             x, y = closing
             return MatViolation(
                 "ML2-closure", k,
-                edges=(closing,) + _path_edges(_path_in(pi_k, x, y)),
+                edges=(closing,) + _path_edges(
+                    _shortest_path(Graph.from_edges(pi_k), x, y, ())),
                 detail=f"edge {closing} labeled {table[x][y]} is spanned by "
                        f"edges labeled {k}",
             )
@@ -264,13 +246,14 @@ def mat_simplicial_violation(lab: EdgeLabeling, v: int) -> MatViolation | None:
 
     MS1: v is simplicial. MS2: the labels incident to v are exactly
     1..deg(v). MS3: every edge inside N(v) is labeled strictly below the
-    larger of its endpoints' labels toward v.
+    larger of its endpoints' labels toward v. lab.graph may also be the
+    {vertex: neighbours} dict of graph.peel.
     """
     g = lab.graph
-    nbrs = sorted(g.neighborhood(v))
+    nbrs = sorted(g[v])
     for i, a in enumerate(nbrs):
         for b in nbrs[i + 1:]:
-            if not g.has_edge(a, b):
+            if b not in g[a]:
                 return MatViolation(
                     "MS1", 0, vertices=(v, a, b),
                     detail=f"neighbors {a}, {b} of {v} are nonadjacent",
@@ -298,26 +281,27 @@ def is_mat_simplicial(lab: EdgeLabeling, v: int) -> bool:
     return mat_simplicial_violation(lab, v) is None
 
 
+def _mat_simplicial_left(lab: EdgeLabeling):
+    """graph.peel's predicate: v is MAT-simplicial in lab restricted to the
+    vertices left, whose adjacency dict stands in for lab.graph."""
+    return lambda adj, v: mat_simplicial_violation(
+        SimpleNamespace(graph=adj, label=lab.label), v) is None
+
+
 def find_mat_peo(lab: EdgeLabeling, prefix: Sequence[int] = ()) -> list[int] | None:
     """Ordering with every prefix vertex MAT-simplicial, or None.
 
-    Greedy removal of the smallest MAT-simplicial vertex not in `prefix`,
-    which starts the ordering as given (unchecked). Removing a
+    graph.peel removes the smallest MAT-simplicial vertex not in `prefix`,
+    which starts the ordering as given: distinct vertices of lab's graph
+    (else ValueError), not checked for MAT-simpliciality. Removing a
     MAT-simplicial vertex preserves validity and invalidity alike, so with
-    no prefix the search succeeds exactly when the labeling is a
-    MAT-labeling.
+    no prefix the search succeeds exactly when lab is a MAT-labeling.
     """
-    current = lab
-    removal: list[int] = []
-    while current.graph.n > len(prefix):
-        for v in current.graph.vertices:
-            if v not in prefix and is_mat_simplicial(current, v):
-                removal.append(v)
-                current = current.restrict_vertices(current.graph.vertex_set - {v})
-                break
-        else:
-            return None
-    return list(prefix) + removal[::-1]
+    prefix = list(prefix)
+    if len(set(prefix)) != len(prefix) or not all(map(lab.graph.has_vertex, prefix)):
+        raise ValueError(f"prefix must list distinct vertices of the graph, got {prefix}")
+    removal, left = peel(lab.graph, _mat_simplicial_left(lab), prefix)
+    return prefix + removal[::-1] if len(left) == len(prefix) else None
 
 
 def is_mat_peo(lab: EdgeLabeling, order) -> bool:
@@ -325,11 +309,8 @@ def is_mat_peo(lab: EdgeLabeling, order) -> bool:
     seq = list(order)
     if sorted(seq) != list(lab.graph.vertices):
         raise ValueError("ordering is not a permutation of the vertex set")
-    for i in range(len(seq), 0, -1):
-        prefix = lab.restrict_vertices(seq[:i])
-        if not is_mat_simplicial(prefix, seq[i - 1]):
-            return False
-    return True
+    ok = _mat_simplicial_left(lab)  # peel seq from its end, one vertex a step
+    return not peel(lab.graph, lambda adj, v: v == seq[len(adj) - 1] and ok(adj, v))[1]
 
 
 def largest_clique_edges(lab: EdgeLabeling) -> dict[tuple[int, int], frozenset[int]]:

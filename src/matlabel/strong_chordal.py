@@ -13,40 +13,31 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chordal import find_chordless_cycle, find_peo
-from .graph import Graph, find_embedding
+from .graph import Graph, find_embedding, peel
 
 
 def is_simple_vertex(g: Graph, v: int) -> bool:
     """True iff the closed neighborhoods of N[v] form an inclusion chain.
 
     Simple vertices are in particular simplicial; greedy removal of simple
-    vertices succeeds exactly on strongly chordal graphs.
+    vertices succeeds exactly on strongly chordal graphs. g may also be
+    graph.peel's adjacency dict.
     """
-    closed = [g.closed_neighborhood(u) for u in sorted(g.closed_neighborhood(v))]
-    closed.sort(key=len)
+    closed = sorted((g[u] | {u} for u in g[v] | {v}), key=len)
     return all(a <= b for a, b in zip(closed, closed[1:]))
 
 
 def simple_elimination(g: Graph) -> tuple[list[int], Graph]:
     """Greedy simple elimination: (the ordering found, the stuck residue).
 
-    Removes the smallest simple vertex while there is one; the ordering
-    lists the removed vertices, last first. Strong chordality is hereditary
-    and gives a simple vertex at every step, so the residue is empty exactly
-    when g is strongly chordal. It keeps every induced sun of g, since no
-    sun vertex is ever simple in a graph containing the sun.
+    graph.peel removes the smallest simple vertex while there is one; the
+    ordering lists the removed vertices, last first. Strong chordality is
+    hereditary and gives a simple vertex at every step, so the residue is
+    empty exactly when g is strongly chordal. It keeps every induced sun of
+    g, since no sun vertex is ever simple in a graph containing the sun.
     """
-    current = g
-    removal: list[int] = []
-    while current.n:
-        for v in current.vertices:
-            if is_simple_vertex(current, v):
-                removal.append(v)
-                current = current.delete_vertex(v)
-                break
-        else:
-            break
-    return removal[::-1], current
+    removal, left = peel(g, is_simple_vertex)
+    return removal[::-1], g.induced_subgraph(left)
 
 
 def find_simple_elimination_ordering(g: Graph) -> list[int] | None:

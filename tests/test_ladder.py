@@ -2,6 +2,7 @@
 and unit_interval_obstruction as the one cycle -> sun -> claw/net ladder."""
 
 import ast
+import json
 import random
 from pathlib import Path
 
@@ -144,3 +145,36 @@ def test_sun_patterns_are_searched_for_only_in_the_oracle():
                             for arg in node.args)):
                 found.append(path.name)
     assert found == ["oracle.py"]
+
+
+def test_one_mcs_pass_per_command(tmp_path, capsys, monkeypatch):
+    # classify, poset and label read a rejection's chordless cycle off the
+    # failed check of the MCS pass that tested chordality, and run no other
+    from matlabel import chordal
+
+    calls = []
+    real_mcs = chordal._mcs_order
+
+    def spy(g):
+        calls.append(g.n)
+        return real_mcs(g)
+
+    rng = random.Random(12)
+    for g in (host_with_bridged_cycle(rng), host_with_bridged_cycle(rng),
+              random_strongly_chordal(40, seed=3)):
+        cycle = find_chordless_cycle(Graph(g.vertices, g.edges))
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        monkeypatch.setattr(chordal, "_mcs_order", spy)
+        for command in ("classify", "poset", "label"):
+            calls.clear()
+            code = main([command, str(path)])
+            report = json.loads(capsys.readouterr().out)
+            assert calls == [g.n], command
+            if cycle is None:
+                assert code == 0
+            else:
+                assert code == (0 if command == "classify" else 2)
+                assert report["witness"] == {"kind": "chordless-cycle",
+                                             "vertices": list(cycle)}
+        monkeypatch.undo()

@@ -1,0 +1,191 @@
+"""graph.peel, the one greedy elimination loop: simple elimination and the
+greedy MAT-PEO against the loops that rebuilt a Graph or an EdgeLabeling
+for every removed vertex, and counts of the values built."""
+
+import random
+
+import pytest
+
+from matlabel import (EdgeLabeling, Graph, construct_mat_labeling, find_mat_peo,
+                      height_labeling_complete, is_mat_peo, is_mat_simplicial,
+                      is_simple_vertex)
+from matlabel.families import n_sun, random_graph, random_strongly_chordal
+from matlabel.strong_chordal import find_sun, simple_elimination
+
+
+def rebuild_simple_elimination(g: Graph):
+    """Reference: delete the smallest simple vertex from a rebuilt Graph."""
+    current = g
+    removal = []
+    while current.n:
+        for v in current.vertices:
+            if is_simple_vertex(current, v):
+                removal.append(v)
+                current = current.delete_vertex(v)
+                break
+        else:
+            break
+    return removal[::-1], current
+
+
+def rebuild_find_mat_peo(lab: EdgeLabeling, prefix=()):
+    """Reference: restrict a rebuilt EdgeLabeling past the smallest
+    MAT-simplicial vertex not in prefix."""
+    current = lab
+    removal = []
+    while current.graph.n > len(prefix):
+        for v in current.graph.vertices:
+            if v not in prefix and is_mat_simplicial(current, v):
+                removal.append(v)
+                current = current.restrict_vertices(current.graph.vertex_set - {v})
+                break
+        else:
+            return None
+    return list(prefix) + removal[::-1]
+
+
+def rebuild_is_mat_peo(lab: EdgeLabeling, order) -> bool:
+    """Reference: check each vertex on the rebuilt labeling of its prefix."""
+    seq = list(order)
+    return all(is_mat_simplicial(lab.restrict_vertices(seq[:i]), seq[i - 1])
+               for i in range(len(seq), 0, -1))
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    ids = rng.sample(range(3 * g.n + 5), g.n)
+    to = dict(zip(g.vertices, ids))
+    return Graph(ids, [(to[u], to[v]) for u, v in g.edges])
+
+
+def with_bridged_sun(rng: random.Random) -> Graph:
+    """A strongly chordal host with one k-sun bridged to it, relabeled."""
+    host = random_strongly_chordal(rng.randint(1, 25), rng=rng,
+                                   grow_bias=rng.choice((0.3, 0.6, 0.9)))
+    sun = n_sun(rng.randint(3, 6))
+    first = max(host.vertices)
+    edges = list(host.edges) + [(first + u, first + v) for u, v in sun.edges]
+    edges.append((rng.choice(host.vertices), first + rng.choice(sun.vertices)))
+    return relabeled(Graph.from_edges(edges), rng)
+
+
+def graphs(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            yield random_strongly_chordal(rng.randint(1, 40), rng=rng,
+                                          grow_bias=rng.choice((0.3, 0.6, 0.9)))
+        elif kind == 1:
+            yield with_bridged_sun(rng)
+        else:
+            n = rng.randint(1, 12)
+            yield random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+
+
+def test_simple_elimination_matches_the_rebuild_loop():
+    residues = 0
+    for g in graphs(91, 240):
+        order, residue = simple_elimination(g)
+        assert (order, residue) == rebuild_simple_elimination(g)
+        residues += residue.n > 0
+    assert 100 <= residues <= 200  # both outcomes are well covered
+
+
+def labelings(seed: int, count: int):
+    """Valid labelings of small strongly chordal graphs and cliques, each
+    followed by a copy with one edge relabeled."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            g = random_strongly_chordal(rng.randint(1, 11), rng=rng,
+                                        grow_bias=rng.choice((0.6, 0.9)))
+            lab = construct_mat_labeling(relabeled(g, rng))
+        else:
+            ell = rng.randint(1, 7)
+            lab = height_labeling_complete(ell, rng.sample(range(30), ell))
+        yield lab
+        if lab.graph.m:
+            u, v = rng.choice(lab.graph.edges)
+            yield lab.with_label(u, v, rng.randint(1, lab.max_label + 1))
+
+
+def test_find_mat_peo_matches_the_rebuild_loop():
+    rng = random.Random(92)
+    found = failed = 0
+    for lab in labelings(93, 120):
+        order = find_mat_peo(lab)
+        assert order == rebuild_find_mat_peo(lab)
+        found += order is not None
+        failed += order is None
+        for _ in range(3):
+            prefix = rng.sample(lab.graph.vertices, rng.randint(0, lab.graph.n))
+            assert find_mat_peo(lab, prefix) == rebuild_find_mat_peo(lab, prefix)
+    assert found >= 120 and failed >= 20
+
+
+def test_is_mat_peo_matches_the_rebuild_loop():
+    rng = random.Random(94)
+    verdicts = set()
+    for lab in labelings(95, 120):
+        orders = [rng.sample(lab.graph.vertices, lab.graph.n) for _ in range(3)]
+        order = find_mat_peo(lab)
+        if order is not None:
+            orders.append(order)
+        for order in orders:
+            verdict = is_mat_peo(lab, order)
+            assert verdict == rebuild_is_mat_peo(lab, order)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_find_mat_peo_rejects_a_foreign_or_repeated_prefix():
+    lab = height_labeling_complete(3)
+    for prefix in ([99], [1, 1], [1, 4], [3, 2, 1, 1]):
+        with pytest.raises(ValueError, match="prefix must list distinct vertices"):
+            find_mat_peo(lab, prefix)
+    assert find_mat_peo(lab, [2]) == rebuild_find_mat_peo(lab, [2])
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of Graph and EdgeLabeling values constructed."""
+    counts = {"Graph": 0, "EdgeLabeling": 0}
+    for cls in (Graph, EdgeLabeling):
+        real = cls.__init__
+
+        def counting(self, *args, _name=cls.__name__, _real=real, **kwargs):
+            counts[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def test_simple_elimination_builds_only_the_residue(built):
+    rng = random.Random(96)
+    for g in (random_strongly_chordal(80, seed=8, grow_bias=0.9),
+              with_bridged_sun(rng), n_sun(6)):
+        built["Graph"] = 0
+        simple_elimination(g)
+        assert built["Graph"] <= 1
+
+
+def test_find_sun_builds_two_graphs_per_residue_vertex(built):
+    g = n_sun(12)
+    built["Graph"] = 0
+    assert find_sun(g).n == 12
+    # the first residue, then for each vertex the deletion and its residue,
+    # then the sun pattern and its image for the witness check; a rebuild
+    # per removal would be quadratic
+    assert built["Graph"] <= 2 * g.n + 3
+
+
+def test_mat_peo_peels_build_no_labeling(built):
+    lab = construct_mat_labeling(random_strongly_chordal(40, seed=4, grow_bias=0.9))
+    mutant = lab.with_label(*lab.graph.edges[0], lab.max_label + 1)
+    built.update(Graph=0, EdgeLabeling=0)
+    order = find_mat_peo(lab)
+    assert order is not None and is_mat_peo(lab, order)
+    assert find_mat_peo(lab, order[:5]) is not None
+    assert find_mat_peo(mutant) is None and not is_mat_peo(mutant, order)
+    assert built == {"Graph": 0, "EdgeLabeling": 0}

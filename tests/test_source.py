@@ -100,3 +100,19 @@ def test_exhaustive_searches_stay_in_the_oracles():
                if f in ORACLE_NAMES_ALLOWED or f.split(":")[0] in ORACLE_NAMES_ALLOWED}
     assert sorted(found - allowed) == []
     assert "cli.py:cmd_selftest" in found  # the check still sees the cross-check
+
+
+def test_traced_benchmark_spans_resolve():
+    # clibench/layers.py wraps matlabel.<layer>.<name> for its traced runs;
+    # a renamed or moved function would break `run.py --trace 1`
+    import importlib
+
+    layers = Path(__file__).resolve().parents[1] / "clibench" / "layers.py"
+    tree = ast.parse(layers.read_text(), str(layers))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    missing = [f"{layer}.{name}" for layer, names in spans.items() for name in names
+               if not callable(getattr(importlib.import_module(f"matlabel.{layer}"),
+                                       name, None))]
+    assert spans and missing == []
