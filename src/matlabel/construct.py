@@ -3,23 +3,23 @@
 Complete graphs are labeled directly (height labeling, or one-vertex-at-a-
 time extension along a greedy MAT-PEO computed once per clique). Two
 compatibly labeled cliques merge into a labeling of their union clique. A
-strongly chordal graph is then labeled by building a family of mutually
-compatible labelings over its clique intersection poset, bottom-up in
-rank, and gluing the maximal-clique labelings together by plain union,
-which the verifier then checks. Any failure on the way means the graph is
-not strongly chordal and is answered with a crown of the poset, lifted
-from an induced sun. Every greedy choice breaks ties by smallest vertex
-id, so the whole construction is a deterministic function of the input
-graph.
+strongly chordal graph is then labeled by one edge -> label table, filled
+bottom-up in rank over its clique intersection poset by merging each
+node's covers and extending to the whole node, and verified once. Any
+failure on the way means the graph is not strongly chordal and is answered
+with a crown of the poset, lifted from an induced sun. Every greedy choice
+breaks ties by smallest vertex id, so the whole construction is a
+deterministic function of the input graph.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NoReturn
 
 from .chordal import find_chordless_cycle
 from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
-from .graph import Graph, canonical_edge, sorted_key, sorted_sets
+from .graph import Graph, canonical_edge, sorted_key
 from .labeling import EdgeLabeling, find_mat_peo, verify_mat_labeling
 from .poset import CliquePoset, build_poset, crown_from_sun, leaf_pair
 from .strong_chordal import find_sun
@@ -27,7 +27,7 @@ from .strong_chordal import find_sun
 
 def _complete(vertices) -> Graph:
     vs = sorted(vertices)
-    return Graph(vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]])
+    return Graph(vs, combinations(vs, 2))
 
 
 def height_labeling_complete(ell: int, vertices=None) -> EdgeLabeling:
@@ -40,10 +40,7 @@ def height_labeling_complete(ell: int, vertices=None) -> EdgeLabeling:
     vs = sorted(vertices) if vertices is not None else list(range(1, ell + 1))
     if len(vs) != ell:
         raise ValueError(f"expected {ell} vertices, got {len(vs)}")
-    labels = {
-        (u, v): j - i
-        for i, u in enumerate(vs) for j, v in enumerate(vs) if i < j
-    }
+    labels = {(u, v): j - i for (i, u), (j, v) in combinations(enumerate(vs), 2)}
     return EdgeLabeling(_complete(vs), labels)
 
 
@@ -56,11 +53,32 @@ def _require_valid_complete(lab: EdgeLabeling, what: str) -> None:
         raise ValueError(f"{what} is not a MAT-labeling: {violation.detail}")
 
 
-def _mat_peo(lab: EdgeLabeling, prefix, stage: str) -> list[int]:
-    order = find_mat_peo(lab, prefix)
-    if order is None:  # lab is a verified labeled clique
-        raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {lab.graph.n}")
+def _mat_peo(table, vs, prefix, stage: str) -> list[int]:
+    g = _complete(vs)
+    order = find_mat_peo(EdgeLabeling(g, {e: table[e] for e in g.edges}), prefix)
+    if order is None:  # merges and extensions of MAT-labelings are MAT-labelings
+        raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
     return order
+
+
+def _extend_into(table, w, vs) -> None:
+    """Label the edges at vs - w, given the clique on w labeled in table."""
+    order = _mat_peo(table, w, (), "extension")
+    for v in sorted(vs - w):
+        for i, u in enumerate(order, start=1):
+            table[canonical_edge(u, v)] = i
+        order.insert(max((i + 1 for i, u in enumerate(order) if u > v), default=0), v)
+
+
+def _merge_into(table, a, b) -> None:
+    """Label the edges between a - b and b - a, given a and b labeled in table."""
+    shared_order = _mat_peo(table, a & b, (), "merge")
+    order_a = _mat_peo(table, a, shared_order, "merge")
+    order_b = _mat_peo(table, b, shared_order, "merge")
+    p = len(shared_order)
+    for i, x in enumerate(order_a[p:], start=1):
+        for j, y in enumerate(order_b[p:], start=1):
+            table[canonical_edge(x, y)] = p + i + j - 1
 
 
 def extend_labeling_complete(
@@ -94,12 +112,8 @@ def extend_labeling_complete(
     if lab_w.graph.vertex_set != w:
         raise ValueError("lab_w must be a labeling of the clique on w")
     _require_valid_complete(lab_w, "lab_w")
-    order = _mat_peo(lab_w, (), "extension")
     labels = lab_w.labels
-    for v in sorted(vs - w):
-        for i, u in enumerate(order, start=1):
-            labels[canonical_edge(u, v)] = i
-        order.insert(max((i + 1 for i, u in enumerate(order) if u > v), default=0), v)
+    _extend_into(labels, w, vs)
     return EdgeLabeling(_complete(vs), labels)
 
 
@@ -116,64 +130,62 @@ def merge_complete(a, b, lab_a: EdgeLabeling, lab_b: EdgeLabeling) -> EdgeLabeli
         raise ValueError("labelings must live on the cliques over a and b")
     _require_valid_complete(lab_a, "lab_a")
     _require_valid_complete(lab_b, "lab_b")
-    shared = a & b
-    for u, v in _complete(shared).edges:
+    for u, v in _complete(a & b).edges:
         if lab_a.label(u, v) != lab_b.label(u, v):
             raise ValueError(
                 f"labelings disagree on shared edge {(u, v)}: "
                 f"{lab_a.label(u, v)} vs {lab_b.label(u, v)}"
             )
-    shared_order = _mat_peo(lab_a.restrict_vertices(shared), (), "merge")
-    order_a = _mat_peo(lab_a, shared_order, "merge")
-    order_b = _mat_peo(lab_b, shared_order, "merge")
-    p = len(shared_order)
     labels = lab_a.labels
     labels.update(lab_b.labels)
-    for i, x in enumerate(order_a[p:], start=1):
-        for j, y in enumerate(order_b[p:], start=1):
-            labels[canonical_edge(x, y)] = p + i + j - 1
+    _merge_into(labels, a, b)
     return EdgeLabeling(_complete(a | b), labels)
 
 
-def _labeling_for_antichain(poset, family, antichain):
-    """Compatible labeling of the clique on the union of an antichain.
+def _label_table(poset: CliquePoset) -> dict[tuple[int, int], int]:
+    """One edge -> label table that restricts to a MAT-labeling on every node.
 
-    Peels leaf-pair nodes X0 off until at most one node is left, then merges
-    each family[X0] back in, in reverse order; the leaf-pair property makes
-    each overlap a single shared node, on which the family labelings agree.
-    The empty antichain gets the labeling of the empty clique.
+    Nodes go bottom-up in rank. At node X, leaf-pair nodes X0 are peeled off
+    its covers until at most one, w, is left; each X0 is merged back in
+    reverse order (labeling the edges between w - X0 and X0 - w, then w |=
+    X0), and extension labels the edges at X - w.
+
+    No write touches an edge written before, so no node's labeling changes.
+    Writes made earlier at X lie in w. An edge written at an earlier node Y
+    lies in Y & X, a node strictly below X, so in a cover c of X; covers lie
+    in w, so the edge is not at X - w. For a cross edge {p, q}, p in w - X0
+    and q in X0 - w, c is neither X0 (p is not in it) nor left after X0's
+    peel (q is not in w), so c was peeled first; its leaf partner contains
+    c & X0 and c & Y' for a cover Y' in w holding p, so both p and q.
+    Following partners ends at X0 or a cover in w: a contradiction.
     """
-    elems = sorted_sets(antichain)
-    peeled = []
-    while len(elems) > 1:
-        x0, _ = leaf_pair(poset, elems)
-        peeled.append(x0)
-        elems = [x for x in elems if x != x0]
-    lab = family[elems[0]] if elems else EdgeLabeling(Graph(), {})
-    for x0 in reversed(peeled):
-        lab = merge_complete(lab.graph.vertex_set, x0, lab, family[x0])
-    return lab
+    table: dict[tuple[int, int], int] = {}
+    for x in sorted(poset.nodes, key=lambda node: (poset.rank[node], sorted_key(node))):
+        covers, peeled = list(poset.covers[x]), []
+        while len(covers) > 1:
+            x0, _ = leaf_pair(poset, covers)
+            peeled.append(x0)
+            covers.remove(x0)
+        w = covers[0] if covers else frozenset()
+        for x0 in reversed(peeled):
+            _merge_into(table, w, x0)
+            w |= x0
+        if w != x:
+            _extend_into(table, w, x)
+    return table
 
 
 def node_family(g: Graph, poset: CliquePoset | None = None):
     """A MAT-labeling for every poset node, closed under restriction.
 
-    Built by rank induction: at node X the labelings of its covered nodes
-    are merged (leaf pair by leaf pair) and then extended to all of X, so
-    any two labelings of the family agree on the edges they share. Raises
-    NoLeafPairError only when the graph is not strongly chordal.
+    The restrictions of one label table to the nodes, so any two labelings
+    of the family agree on the edges they share. Raises NoLeafPairError
+    only when the graph is not strongly chordal.
     """
     if poset is None:
         poset = build_poset(g)
-    family: dict[frozenset, EdgeLabeling] = {}
-    for x in sorted(poset.nodes, key=lambda node: (poset.rank[node], sorted_key(node))):
-        base = _labeling_for_antichain(poset, family, poset.covers[x])
-        if base.graph.vertex_set != x:
-            base = extend_labeling_complete(
-                len(x), base.graph.vertex_set, base, vertices=x
-            )
-        family[x] = base
-    return family
+    labeling = EdgeLabeling(g, _label_table(poset))
+    return {x: labeling.restrict_vertices(x) for x in poset.nodes}
 
 
 def _reject_with_crown(g: Graph, poset: CliquePoset, stage: str) -> NoReturn:
@@ -192,12 +204,11 @@ def _reject_with_crown(g: Graph, poset: CliquePoset, stage: str) -> NoReturn:
 def construct_mat_labeling(g: Graph) -> EdgeLabeling:
     """A MAT-labeling of a strongly chordal graph.
 
-    The union of the node family's maximal-clique labelings, verified.
-    Non strongly chordal inputs are rejected with a structured witness:
-    a chordless cycle when the graph is not chordal, otherwise a crown of
-    the clique intersection poset, lifted from an induced sun when there is
-    no leaf pair, the union meets conflicting labels, or the verifier
-    rejects it.
+    The label table of the clique intersection poset, read as a labeling of
+    g and verified once. Non strongly chordal inputs are rejected with a
+    structured witness: a chordless cycle when the graph is not chordal,
+    otherwise a crown of the clique intersection poset, lifted from an
+    induced sun when there is no leaf pair or the verifier rejects the table.
     """
     try:
         poset = build_poset(g)
@@ -205,15 +216,9 @@ def construct_mat_labeling(g: Graph) -> EdgeLabeling:
         raise NotStronglyChordalError(
             "chordless-cycle", find_chordless_cycle(g)) from None
     try:
-        family = node_family(g, poset)
+        result = EdgeLabeling(g, _label_table(poset))
     except NoLeafPairError:
-        _reject_with_crown(g, poset, "node family")
-    labels: dict[tuple[int, int], int] = {}
-    for clique in sorted_sets(poset.maximal_nodes):
-        for e, k in family[clique].items():
-            if labels.setdefault(e, k) != k:
-                _reject_with_crown(g, poset, f"union (conflict at edge {e})")
-    result = EdgeLabeling(g, labels)
+        _reject_with_crown(g, poset, "leaf pair")
     if verify_mat_labeling(result) is not None:
         _reject_with_crown(g, poset, "verify")
     return result

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from .graph import Graph, _check_vertex_id, canonical_edge
+from .graph import Graph
 from .labeling import EdgeLabeling
 from .poset import CliquePoset
 
@@ -106,7 +106,11 @@ def labeling_to_json_dict(lab: EdgeLabeling) -> dict:
 
 
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
-    """Labeling from JSON; the edge set must match the graph exactly."""
+    """Labeling from JSON; the edge set must match the graph exactly.
+
+    Checks the JSON shape and repeated entries here; EdgeLabeling checks
+    the vertex ids, the labels and the edge set.
+    """
     data = _load_json(text, "labeling")
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise ValueError('labeling JSON needs an "edges" array')
@@ -115,7 +119,9 @@ def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
         if not isinstance(item, dict) or not {"u", "v", "label"} <= item.keys():
             raise ValueError(f'labeling JSON edges[{i}] must be an object with '
                              f'"u", "v" and "label", got {item!r}')
-        e = canonical_edge(_check_vertex_id(item["u"]), _check_vertex_id(item["v"]))
+        e = (item["u"], item["v"])
+        if any(isinstance(x, (list, dict)) for x in e):
+            raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")
         if e in labels:
             raise ValueError(f"duplicate labeling entry for edge {e}")
         labels[e] = item["label"]

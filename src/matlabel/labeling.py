@@ -21,7 +21,7 @@ from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from .chordal import _shortest_path
-from .graph import Graph, canonical_edge, peel
+from .graph import Graph, _check_vertex_id, canonical_edge, peel
 
 
 class EdgeLabeling:
@@ -32,7 +32,7 @@ class EdgeLabeling:
     def __init__(self, graph: Graph, labels: Mapping[tuple[int, int], int]):
         canon = {}
         for (u, v), k in labels.items():
-            e = canonical_edge(u, v)
+            e = canonical_edge(_check_vertex_id(u), _check_vertex_id(v))
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ValueError(f"label of {e} must be a positive integer, got {k!r}")
             if e in canon:

@@ -11,6 +11,7 @@ lifted from an induced sun, and the exhaustive crown search is an oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .chordal import find_peo
@@ -21,8 +22,10 @@ from .graph import Graph, sorted_sets
 def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
     """All maximal cliques of a chordal graph, canonically sorted.
 
-    Computed from a PEO: each vertex together with its earlier neighbors
-    is a clique, and every maximal clique arises this way. Raises
+    Computed from the MCS order that find_peo returns: each vertex together
+    with its earlier neighbors is a clique, every maximal clique arises this
+    way, and along an MCS order a candidate is maximal iff it is not a
+    proper subset of the next one (Blair & Peyton 1993). Raises
     NotChordalError on non-chordal input.
     """
     order = find_peo(g)
@@ -31,15 +34,10 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
     if g.n == 0:
         return (frozenset(),)
     position = {v: i for i, v in enumerate(order)}
-    candidates = []
-    for i, v in enumerate(order):
-        earlier = frozenset(u for u in g.neighborhood(v) if position[u] < i)
-        candidates.append(earlier | {v})
-    maximal = [
-        c for c in candidates
-        if not any(c < other for other in candidates)
-    ]
-    return sorted_sets(maximal)
+    candidates = [frozenset(u for u in g.neighborhood(v) if position[u] < i) | {v}
+                  for i, v in enumerate(order)]
+    return sorted_sets(c for c, after in zip(candidates, candidates[1:] + [frozenset()])
+                       if not c < after)
 
 
 class CliquePoset:
@@ -77,11 +75,7 @@ class CliquePoset:
         return len(self.nodes)
 
     def is_antichain(self, t: Iterable[frozenset[int]]) -> bool:
-        elems = sorted_sets(t)
-        return all(
-            not (a < b or b < a)
-            for i, a in enumerate(elems) for b in elems[i + 1:]
-        )
+        return all(not (a < b or b < a) for a, b in combinations(sorted_sets(t), 2))
 
 
 def build_poset(g: Graph) -> CliquePoset:
@@ -169,11 +163,11 @@ def leaf_pair(
     """Distinct X0, Y0 in t with X0 & Y0 containing X0 & Y for every Y in t.
 
     t must be an antichain of at least two poset nodes. Existence is
-    guaranteed when the underlying graph is strongly chordal; exhaustive
-    pair search with the containment verified against every Y keeps the
-    output independent of any structure theory. When no pair exists a
-    NoLeafPairError carrying the antichain is raised, which signals a
-    crown obstruction.
+    guaranteed when the underlying graph is strongly chordal. The pair is
+    the first X0, then the first Y0, whose meet is the union of X0's meets
+    with the other nodes, which is the containment for every Y. When no
+    pair exists a NoLeafPairError carrying the antichain is raised, which
+    signals a crown obstruction.
     """
     elems = sorted_sets(t)
     if len(elems) < 2 or len(set(elems)) != len(elems):
@@ -184,12 +178,11 @@ def leaf_pair(
     if not p.is_antichain(elems):
         raise ValueError("given nodes are not an antichain")
     for x0 in elems:
-        meets = {y: x0 & y for y in elems if y != x0}
-        for y0 in elems:
-            if y0 == x0:
-                continue
-            if all(meets[y] <= meets[y0] for y in meets):
-                return x0, y0
+        meets = [(y, x0 & y) for y in elems if y != x0]
+        union = frozenset().union(*(meet for _, meet in meets))
+        y0 = next((y for y, meet in meets if meet == union), None)
+        if y0 is not None:
+            return x0, y0
     raise NoLeafPairError(elems)
 
 

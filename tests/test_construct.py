@@ -238,13 +238,13 @@ def test_node_family_merges_as_the_recursive_peel(monkeypatch):
     import matlabel.construct as construct
 
     merged = []
-    real_merge = construct.merge_complete
+    real_merge = construct._merge_into
 
-    def recording(a, b, lab_a, lab_b):
+    def recording(table, a, b):
         merged.append((frozenset(a), frozenset(b)))
-        return real_merge(a, b, lab_a, lab_b)
+        return real_merge(table, a, b)
 
-    monkeypatch.setattr(construct, "merge_complete", recording)
+    monkeypatch.setattr(construct, "_merge_into", recording)
     rng = random.Random(55)
     for _ in range(15):
         g = random_strongly_chordal(rng.randint(6, 24), rng=rng, grow_bias=0.5)
@@ -389,3 +389,75 @@ def test_construct_top_block_counts_largest_cliques():
         assert lab.max_label == omega - 1
         largest = sum(1 for c in cliques if len(c) == omega)
         assert lab.block_sizes()[-1] == largest
+
+
+def _reference_labeling_for_antichain(poset, family, antichain):
+    """The former per-node merge: peel leaf-pair nodes, merge them back in
+    reverse order with the public, input-verifying merge_complete."""
+    elems = sorted_sets(antichain)
+    peeled = []
+    while len(elems) > 1:
+        x0, _ = leaf_pair(poset, elems)
+        peeled.append(x0)
+        elems = [x for x in elems if x != x0]
+    lab = family[elems[0]] if elems else EdgeLabeling(Graph(), {})
+    for x0 in reversed(peeled):
+        lab = merge_complete(lab.graph.vertex_set, x0, lab, family[x0])
+    return lab
+
+
+def _reference_node_family(poset):
+    family = {}
+    for x in sorted(poset.nodes, key=lambda node: (poset.rank[node], sorted_key(node))):
+        base = _reference_labeling_for_antichain(poset, family, poset.covers[x])
+        if base.graph.vertex_set != x:
+            base = extend_labeling_complete(len(x), base.graph.vertex_set, base,
+                                            vertices=x)
+        family[x] = base
+    return family
+
+
+def _reference_construct(g, poset, family):
+    """The former constructor: the union of the maximal-clique labelings,
+    with no conflict allowed, verified."""
+    labels = {}
+    for clique in sorted_sets(poset.maximal_nodes):
+        for e, k in family[clique].items():
+            assert labels.setdefault(e, k) == k, e
+    result = EdgeLabeling(g, labels)
+    assert verify_mat_labeling(result) is None
+    return result
+
+
+def _table_corpus():
+    rng = random.Random(83)
+    for i in range(210):
+        yield random_strongly_chordal(rng.randint(1, 40), rng=rng,
+                                      grow_bias=(0.3, 0.6, 0.9)[i % 3])
+    yield path_graph(300)
+    yield from (complete_graph(ell) for ell in range(2, 13))
+
+
+def test_label_table_matches_the_per_node_family(ui7):
+    checked = 0
+    for g in [ui7, *_table_corpus()]:
+        poset = build_poset(g)
+        expected = _reference_node_family(poset)
+        assert node_family(g, poset) == expected
+        assert construct_mat_labeling(g) == _reference_construct(g, poset, expected)
+        checked += 1
+    assert checked == 223
+
+
+def test_construct_verifies_once(ui7, monkeypatch):
+    calls = []
+
+    def counting(lab):
+        calls.append(lab.graph)
+        return verify_mat_labeling(lab)
+
+    monkeypatch.setattr("matlabel.construct.verify_mat_labeling", counting)
+    for g in [ui7, *_table_corpus()]:
+        calls.clear()
+        construct_mat_labeling(g)
+        assert calls == [g]

@@ -78,6 +78,20 @@ def test_labeling_json_domain_mismatch():
         parse_labeling_json(g, '{"nope": []}')
 
 
+@pytest.mark.parametrize("entries, message", [
+    ('{"u": [1], "v": 2, "label": 1}', "array or object endpoint"),
+    ('{"u": 1, "v": {}, "label": 1}', "array or object endpoint"),
+    ('{"u": true, "v": 2, "label": 1}', "vertex ids must be nonnegative integers"),
+    ('{"u": 1, "v": 2, "label": 1}, {"u": 1, "v": 2, "label": 1}', "duplicate labeling entry"),
+    ('{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 1, "label": 1}', "duplicate label entry"),
+])
+def test_labeling_json_bad_endpoints(entries, message):
+    # endpoints are checked once, by EdgeLabeling; the parser only keeps
+    # them hashable and catches repeated entries
+    with pytest.raises(ValueError, match=message):
+        parse_labeling_json(Graph.from_edges([(1, 2)]), f'{{"edges": [{entries}]}}')
+
+
 def test_labeling_dot_colors(ui7_labeling):
     dot = labeling_to_dot(ui7_labeling)
     assert "1 -- 2 [label=3, color=blue];" in dot

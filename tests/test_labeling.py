@@ -38,6 +38,14 @@ def test_labeling_validation():
         EdgeLabeling(g, {(1, 2): 1, (2, 1): 2, (2, 3): 1})  # duplicate edge
 
 
+@pytest.mark.parametrize("endpoint", [True, 2.0, -1, "1"])
+def test_labeling_rejects_non_integer_endpoints(endpoint):
+    # True == 1 and 2.0 == 2 hash alike, so they must not pass as vertex ids
+    g = Graph.from_edges([(1, 2)])
+    with pytest.raises(ValueError, match="vertex ids must be nonnegative integers"):
+        EdgeLabeling(g, {(endpoint, 2 if endpoint is True else 1): 1})
+
+
 def test_blocks_and_prefixes(ui7_labeling):
     blocks = ui7_labeling.blocks()
     assert ui7_labeling.block_sizes() == (6, 5, 2)

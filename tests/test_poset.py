@@ -11,19 +11,22 @@ from matlabel import (
     NotChordalError,
     build_poset,
     find_crown,
+    is_chordal,
     is_crown_free,
     is_strongly_chordal,
     leaf_pair,
     maximal_cliques,
 )
+from matlabel.chordal import random_peo
 from matlabel.families import (
     complete_graph,
     cycle_graph,
     n_sun,
+    path_graph,
     random_graph,
     random_strongly_chordal,
 )
-from matlabel.oracle import brute_minimal_separators
+from matlabel.oracle import brute_minimal_separators, enumerate_graphs
 
 from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
 
@@ -71,6 +74,37 @@ def test_maximal_cliques_brute_agreement():
             ):
                 expect.add(s)
         assert set(cliques) == expect
+
+
+def _maximal_cliques_pairwise(g, rng):
+    """Reference: candidates along any PEO, kept when no other contains them."""
+    order = random_peo(g, rng)
+    position = {v: i for i, v in enumerate(order)}
+    candidates = [frozenset(u for u in g.neighborhood(v) if position[u] < i) | {v}
+                  for i, v in enumerate(order)]
+    return {c for c in candidates if not any(c < other for other in candidates)}
+
+
+def _chordal_corpus(rng):
+    yield from (g for n in range(1, 6) for g in enumerate_graphs(n, is_chordal))
+    for i in range(120):
+        yield random_strongly_chordal(rng.randint(2, 120), rng=rng,
+                                      grow_bias=(0.3, 0.6, 0.9)[i % 3])
+    for _ in range(400):
+        n = rng.randint(4, 14)
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        if is_chordal(g):
+            yield g
+    yield path_graph(300)
+
+
+def test_maximal_cliques_match_the_pairwise_filter():
+    rng = random.Random(29)
+    checked = 0
+    for g in _chordal_corpus(rng):
+        assert set(maximal_cliques(g)) == _maximal_cliques_pairwise(g, rng), g.edges
+        checked += 1
+    assert checked > 900
 
 
 def test_build_poset_example(ui7):
@@ -229,6 +263,42 @@ def test_leaf_pair_fails_on_sun_ears():
     with pytest.raises(NoLeafPairError) as err:
         leaf_pair(p, ears)
     assert set(err.value.antichain) == set(ears)
+
+
+def _leaf_pair_all_pairs(elems):
+    """Reference: the first pair whose containment holds against every node."""
+    for x0 in elems:
+        meets = {y: x0 & y for y in elems if y != x0}
+        for y0 in elems:
+            if y0 != x0 and all(meets[y] <= meets[y0] for y in meets):
+                return x0, y0
+    return None
+
+
+def test_leaf_pair_matches_the_all_pairs_search():
+    rng = random.Random(47)
+    graphs = [n_sun(3), n_sun(4)] + [
+        g for n in range(5, 8) for g in
+        (random_graph(n, rng.randint(n, n * (n - 1) // 2), rng) for _ in range(150))
+        if is_chordal(g)]
+    graphs += [random_strongly_chordal(rng.randint(5, 40), rng=rng) for _ in range(60)]
+    checked = failed = 0
+    for g in graphs:
+        p = build_poset(g)
+        antichains = [p.covers[x] for x in p.nodes] + [p.maximal_nodes]
+        for t in antichains:
+            if len(t) < 2:
+                continue
+            elems = sorted(t, key=lambda s: (len(s), sorted(s)))
+            expected = _leaf_pair_all_pairs(elems)
+            if expected is None:
+                with pytest.raises(NoLeafPairError):
+                    leaf_pair(p, t)
+                failed += 1
+            else:
+                assert leaf_pair(p, t) == expected
+            checked += 1
+    assert checked > 300 and failed > 0
 
 
 def test_leaf_pair_validation(ui7):

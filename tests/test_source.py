@@ -116,3 +116,30 @@ def test_traced_benchmark_spans_resolve():
                if not callable(getattr(importlib.import_module(f"matlabel.{layer}"),
                                        name, None))]
     assert spans and missing == []
+
+
+def test_construct_verifies_only_inputs_and_the_result():
+    # the label table is verified once, as a whole; public merge and
+    # extension verify their inputs; nothing on the table build re-verifies
+    path = next(p for p in SOURCES if p.name == "construct.py")
+    calls: dict[str, set] = {}
+    for scope, name in _called_by_scope(ast.parse(path.read_text(), str(path))):
+        calls.setdefault(scope, set()).add(name)
+    direct = {scope for scope, names in calls.items() if "verify_mat_labeling" in names}
+    assert direct == {"construct_mat_labeling", "_require_valid_complete"}
+    reaching = set(direct)
+    while True:
+        more = {scope for scope, names in calls.items() if names & reaching} - reaching
+        if not more:
+            break
+        reaching |= more
+    assert reaching == direct | {"merge_complete", "extend_labeling_complete"}
+
+
+def _called_by_scope(tree):
+    """(top-level function or "<module>", called name) for every call."""
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield scope, _called_name(node.func)
