@@ -9,7 +9,6 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chordal import exponents_along, find_peo, minimal_separator_decomposition
@@ -18,17 +17,37 @@ from .graph import Graph
 from .labeling import EdgeLabeling, verify_mat_labeling
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Integer polynomial; coefficients lowest degree first, no trailing zeros."""
+    """Integer polynomial; coefficients lowest degree first, no trailing zeros.
 
-    coeffs: tuple[int, ...]
+    An immutable value: equal coefficients mean equal, equally hashed
+    polynomials.
+    """
 
-    def __post_init__(self):
-        trimmed = list(self.coeffs)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int]):
+        trimmed = list(coeffs)
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntPolynomial is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntPolynomial is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def one(cls) -> "IntPolynomial":

@@ -10,35 +10,10 @@ with a machine-checkable witness.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
-from . import families
-from .arrangement import (
-    IntPolynomial,
-    check_terao_factorization,
-    chromatic_polynomial,
-    dual_partition_exponents,
-)
-from .brute import brute_force_mat_labeling
-from .chordal import find_chordless_cycle, is_chordal, peo_exponents
-from .construct import construct_mat_labeling
-from .errors import NotChordalError, NotStronglyChordalError
-from .graph import Graph
-from .io import (
-    dump_json,
-    labeling_to_dot,
-    labeling_to_json_dict,
-    load_graph,
-    parse_labeling_json,
-    poset_to_dot,
-    poset_to_json_dict,
-)
-from .labeling import find_mat_peo, verify_mat_labeling
-from .poset import CrownWitness, build_poset, crown_from_sun
-from .strong_chordal import (SunWitness, find_sun, is_strongly_chordal,
-                             unit_interval_obstruction)
+from .io import dump_json, load_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -52,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _witness_json(witness) -> dict:
-    if isinstance(witness, (SunWitness, CrownWitness)):
+    if hasattr(witness, "as_json"):  # a SunWitness or a CrownWitness
         return witness.as_json()
     if isinstance(witness, tuple):
         return {"kind": "chordless-cycle", "vertices": list(witness)}
@@ -82,11 +57,13 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _load(args) -> Graph:
+def _load(args):
     return load_graph(args.graph, args.format)
 
 
 def cmd_classify(args) -> int:
+    from .strong_chordal import unit_interval_obstruction
+
     g = _load(args)
     kind, hit = unit_interval_obstruction(g) or (None, None)
     report = {
@@ -102,6 +79,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_label(args) -> int:
+    from .construct import construct_mat_labeling
+    from .errors import NotStronglyChordalError
+    from .io import labeling_to_dot, labeling_to_json_dict
+
     g = _load(args)
     try:
         lab = construct_mat_labeling(g)
@@ -110,14 +91,17 @@ def cmd_label(args) -> int:
                      "witness": _witness_json(exc.witness)})
         _say(args, f"{args.graph}: rejected ({exc.kind} witness)")
         return EXIT_REJECT
-    _emit(args, labeling_to_json_dict(lab))
-    if args.dot:
+    if args.dot:  # before the JSON, so that a failed write leaves stdout empty
         Path(args.dot).write_text(labeling_to_dot(lab))
+    _emit(args, labeling_to_json_dict(lab))
     _say(args, f"{args.graph}: labeled, block sizes {lab.block_sizes()}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from .io import parse_labeling_json
+    from .labeling import verify_mat_labeling
+
     g = _load(args)
     lab = parse_labeling_json(g, Path(args.labeling).read_text())
     violation = verify_mat_labeling(lab)
@@ -133,6 +117,10 @@ def cmd_verify(args) -> int:
 def cmd_exponents(args) -> int:
     g = _load(args)
     if args.labeling:
+        from .arrangement import check_terao_factorization, dual_partition_exponents
+        from .io import parse_labeling_json
+        from .labeling import verify_mat_labeling
+
         lab = parse_labeling_json(g, Path(args.labeling).read_text())
         violation = verify_mat_labeling(lab)
         if violation is not None:
@@ -142,6 +130,8 @@ def cmd_exponents(args) -> int:
         exps = dual_partition_exponents(lab)
         factors_check = check_terao_factorization(g, exps)
     else:
+        from .chordal import peo_exponents
+
         maybe = peo_exponents(g)
         if maybe is None:
             _emit(args, {"error": "graph is not chordal and no labeling given"})
@@ -160,6 +150,12 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .chordal import find_chordless_cycle
+    from .errors import NotChordalError
+    from .io import poset_to_dot, poset_to_json_dict
+    from .poset import build_poset, crown_from_sun
+    from .strong_chordal import find_sun
+
     g = _load(args)
     try:
         p = build_poset(g)
@@ -184,7 +180,18 @@ def cmd_poset(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    import random
+
+    from . import families
+    from .arrangement import (IntPolynomial, check_terao_factorization,
+                              chromatic_polynomial, dual_partition_exponents)
+    from .brute import brute_force_mat_labeling
+    from .chordal import is_chordal
+    from .construct import construct_mat_labeling
+    from .labeling import find_mat_peo, verify_mat_labeling
     from .oracle import detect_induced_sun, find_any_crown
+    from .poset import build_poset
+    from .strong_chordal import is_strongly_chordal
 
     rng = random.Random(args.seed)
     mismatches = []
@@ -296,3 +303,9 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
+
+# Each command imports the layers it runs when it is called, so `python -m
+# matlabel.cli` loads only those and exits above. A library import goes on
+# to load every layer: clibench/layers.py looks each one up in sys.modules
+# after `import matlabel.cli`, to wrap its functions for a traced run.
+from . import arrangement, chordal, construct, labeling, poset, strong_chordal  # noqa: E402,F401

@@ -53,9 +53,38 @@ def _require_valid_complete(lab: EdgeLabeling, what: str) -> None:
         raise ValueError(f"{what} is not a MAT-labeling: {violation.detail}")
 
 
+class _LabeledClique:
+    """The clique on vs labeled by table, as find_mat_peo reads a labeling.
+
+    It is its own graph: find_mat_peo asks a graph only for `vertices`,
+    `has_vertex` and `self[v]`, and `label` reads the table, so no Graph or
+    EdgeLabeling is built. `n` is the vertex count, as on a Graph.
+    """
+
+    __slots__ = ("vertices", "n", "_set", "_table")
+
+    def __init__(self, table, vs):
+        self.vertices = tuple(sorted(vs))
+        self.n = len(self.vertices)
+        self._set = frozenset(vs)
+        self._table = table
+
+    @property
+    def graph(self) -> "_LabeledClique":
+        return self
+
+    def __getitem__(self, v: int) -> frozenset[int]:
+        return self._set - {v}
+
+    def has_vertex(self, v: int) -> bool:
+        return v in self._set
+
+    def label(self, u: int, v: int) -> int:
+        return self._table[canonical_edge(u, v)]
+
+
 def _mat_peo(table, vs, prefix, stage: str) -> list[int]:
-    g = _complete(vs)
-    order = find_mat_peo(EdgeLabeling(g, {e: table[e] for e in g.edges}), prefix)
+    order = find_mat_peo(_LabeledClique(table, vs), prefix)
     if order is None:  # merges and extensions of MAT-labelings are MAT-labelings
         raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
     return order

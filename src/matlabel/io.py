@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .graph import Graph
-from .labeling import EdgeLabeling
-from .poset import CliquePoset
+
+if TYPE_CHECKING:  # each command loads only the layers it runs
+    from .labeling import EdgeLabeling
+    from .poset import CliquePoset
 
 # label colors cycle through 8 values; the first three follow the usual
 # black/red/blue drawing convention for labels 1, 2, 3
@@ -111,6 +114,8 @@ def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     Checks the JSON shape and repeated entries here; EdgeLabeling checks
     the vertex ids, the labels and the edge set.
     """
+    from .labeling import EdgeLabeling
+
     data = _load_json(text, "labeling")
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise ValueError('labeling JSON needs an "edges" array')

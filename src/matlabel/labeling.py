@@ -16,9 +16,8 @@ total function used to classify arbitrary labelings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .chordal import _shortest_path
 from .graph import Graph, _check_vertex_id, canonical_edge, peel
@@ -104,8 +103,7 @@ class EdgeLabeling:
         return f"EdgeLabeling({inner})"
 
 
-@dataclass(frozen=True)
-class LabelBlocks:
+class LabelBlocks(NamedTuple):
     """Blocks pi_k = labels^{-1}(k) and prefixes E_k = pi_1 + ... + pi_k."""
 
     blocks: dict[int, frozenset[tuple[int, int]]]
@@ -125,8 +123,7 @@ class LabelBlocks:
         return cls({k: frozenset(v) for k, v in blocks.items()}, prefixes)
 
 
-@dataclass(frozen=True)
-class MatViolation:
+class MatViolation(NamedTuple):
     """A checkable witness that a labeling or vertex fails one condition.
 
     kind is one of ML1-cycle, ML2-closure, ML3-triangle-count, MS1, MS2,
@@ -295,7 +292,8 @@ def find_mat_peo(lab: EdgeLabeling, prefix: Sequence[int] = ()) -> list[int] | N
     which starts the ordering as given: distinct vertices of lab's graph
     (else ValueError), not checked for MAT-simpliciality. Removing a
     MAT-simplicial vertex preserves validity and invalidity alike, so with
-    no prefix the search succeeds exactly when lab is a MAT-labeling.
+    no prefix the search succeeds exactly when lab is a MAT-labeling. Only
+    lab.label and lab.graph's vertices, has_vertex and g[v] are read.
     """
     prefix = list(prefix)
     if len(set(prefix)) != len(prefix) or not all(map(lab.graph.has_vertex, prefix)):

@@ -10,9 +10,8 @@ lifted from an induced sun, and the exhaustive crown search is an oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .chordal import find_peo
 from .errors import NoLeafPairError, NotChordalError
@@ -100,8 +99,7 @@ def build_poset(g: Graph) -> CliquePoset:
     return CliquePoset(nodes, cliques)
 
 
-@dataclass(frozen=True)
-class CrownWitness:
+class CrownWitness(NamedTuple):
     """An induced k-crown: lower[i] < upper[i] and lower[i] < upper[i+1]
     (cyclically) are the only comparabilities."""
 

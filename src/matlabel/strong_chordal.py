@@ -9,8 +9,8 @@ exhaustive sun search is an oracle (matlabel.oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .chordal import find_chordless_cycle, find_peo
 from .graph import Graph, find_embedding, peel
@@ -50,8 +50,7 @@ def is_strongly_chordal(g: Graph) -> bool:
     return find_simple_elimination_ordering(g) is not None
 
 
-@dataclass(frozen=True)
-class SunWitness:
+class SunWitness(NamedTuple):
     """An induced n-sun: `inner` is the central clique in cyclic order and
     outer[i] is adjacent to exactly inner[i] and inner[(i+1) % n]."""
 

@@ -203,6 +203,13 @@ def test_label_and_verify_round_trip(capsys, ui7_file, tmp_path):
     assert code == 0 and report == {"ok": True}
 
 
+def test_label_dot_to_an_unwritable_path_prints_no_json(capsys, ui7_file, tmp_path):
+    code = main(["label", str(ui7_file), "--dot", str(tmp_path / "missing" / "x.dot")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("matlabel: error: ") and captured.err.count("\n") == 1
+
+
 def test_label_tree_all_ones(capsys, tmp_path):
     path = tmp_path / "tree.txt"
     path.write_text("1 2\n2 3\n3 4\n")
@@ -286,7 +293,7 @@ def test_exponents_with_labeling_verifies_once(capsys, ui7_file, tmp_path,
         calls.append(labeling)
         return verify_mat_labeling(labeling)
 
-    for module in ("matlabel.cli", "matlabel.arrangement"):
+    for module in ("matlabel.labeling", "matlabel.arrangement"):
         monkeypatch.setattr(f"{module}.verify_mat_labeling", counting)
     code, report = run_cli(capsys, "exponents", str(ui7_file), str(lab))
     assert code == 0 and report["exponents"] == [0, 1, 2, 2, 2, 3, 3]
@@ -340,7 +347,7 @@ def test_poset_answers_strongly_chordal_input_without_search(
     # the poset of a strongly chordal graph is crown-free, so no crown is
     # built; test_poset_json_and_crown_flag shows the 3-sun still gets one
     _forbid_oracles(monkeypatch)
-    _forbid(monkeypatch, "matlabel.cli.crown_from_sun")
+    _forbid(monkeypatch, "matlabel.poset.crown_from_sun")
     code, report = run_cli(capsys, "poset", str(ui7_file))
     assert code == 0
     assert report["crown_free"] is True and report["crown"] is None
@@ -349,7 +356,7 @@ def test_poset_answers_strongly_chordal_input_without_search(
 def test_poset_internal_error_is_one_line(capsys, c4_file, monkeypatch):
     # find_sun's read-off finds no sun on a chordless cycle; were poset to
     # pass it one, the broken invariant is one stderr line and exit 1
-    monkeypatch.setattr("matlabel.cli.build_poset", lambda g: build_poset(Graph([1])))
+    monkeypatch.setattr("matlabel.poset.build_poset", lambda g: build_poset(Graph([1])))
     code = main(["poset", str(c4_file)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -506,9 +513,9 @@ def test_selftest(capsys):
 
 def test_selftest_cross_checks_the_factorization_shortcut(capsys, monkeypatch):
     # a shortcut that accepts wrong exponents is caught by the expanded identity
-    monkeypatch.setattr("matlabel.cli.check_terao_factorization",
+    monkeypatch.setattr("matlabel.arrangement.check_terao_factorization",
                         lambda g, exponents: True)
-    monkeypatch.setattr("matlabel.cli.dual_partition_exponents",
+    monkeypatch.setattr("matlabel.arrangement.dual_partition_exponents",
                         lambda lab: (0,) * lab.graph.n)
     code, report = run_cli(capsys, "selftest", "--seed", "5")
     assert code == 2 and report["mismatches"]
@@ -520,7 +527,7 @@ def test_selftest_cross_check_does_not_read_a_peo(capsys, monkeypatch):
     # caught: deletion-contraction never reads a PEO
     monkeypatch.setattr("matlabel.arrangement.exponents_along",
                         lambda g, order: (0,) * g.n)
-    monkeypatch.setattr("matlabel.cli.dual_partition_exponents",
+    monkeypatch.setattr("matlabel.arrangement.dual_partition_exponents",
                         lambda lab: (0,) * lab.graph.n)
     code, report = run_cli(capsys, "selftest", "--seed", "5")
     assert code == 2 and report["mismatches"]

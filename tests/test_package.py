@@ -1,0 +1,81 @@
+"""The lazily loaded package namespace, and the immutable result values."""
+
+import sys
+
+import pytest
+
+import matlabel
+from matlabel import (CrownWitness, EdgeLabeling, Graph, IntPolynomial, LabelBlocks,
+                      MatViolation, SunWitness)
+
+
+@pytest.mark.parametrize("name", matlabel.__all__)
+def test_exported_name_is_its_home_modules_object(name):
+    value = getattr(matlabel, name)
+    home = sys.modules[value.__module__]
+    assert home.__name__.startswith("matlabel.") and getattr(home, name) is value
+    assert name in dir(matlabel)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from matlabel import *", namespace)
+    for name in matlabel.__all__:
+        assert namespace[name] is getattr(matlabel, name)
+    assert len(set(matlabel.__all__)) == len(matlabel.__all__) == 50
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        matlabel.frobnicate  # noqa: B018
+    assert "frobnicate" not in dir(matlabel)
+
+
+def _refuses_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+
+
+@pytest.mark.parametrize("make, other, as_json", [
+    (lambda: SunWitness(3, (1, 2, 3), (4, 5, 6)), SunWitness(3, (1, 2, 3), (4, 6, 5)),
+     {"kind": "sun", "n": 3, "inner": [1, 2, 3], "outer": [4, 5, 6]}),
+    (lambda: CrownWitness(2, (frozenset({2}), frozenset({1})),
+                          (frozenset({1, 2, 3}), frozenset({1, 2, 4}))),
+     CrownWitness(2, (frozenset({1}), frozenset({2})),
+                  (frozenset({1, 2, 3}), frozenset({1, 2, 4}))),
+     {"kind": "crown", "k": 2, "lower": [[2], [1]], "upper": [[1, 2, 3], [1, 2, 4]]}),
+    (lambda: MatViolation("MS1", 0, vertices=(4, 1, 2), detail="nonadjacent"),
+     MatViolation("MS1", 0, vertices=(4, 1, 2)),
+     {"kind": "MS1", "level": 0, "edges": [], "vertices": [4, 1, 2],
+      "detail": "nonadjacent"}),
+], ids=["sun", "crown", "violation"])
+def test_witness_values(make, other, as_json):
+    value = make()
+    assert value.as_json() == as_json
+    assert value == make() and hash(value) == hash(make()) and value != other
+    for field in as_json.keys() - {"kind"}:
+        _refuses_assignment(value, field)
+
+
+def test_label_blocks_value():
+    lab = EdgeLabeling(Graph.from_edges([(1, 2), (2, 3), (1, 3)]),
+                       {(1, 2): 1, (2, 3): 1, (1, 3): 2})
+    blocks = LabelBlocks.from_labeling(lab)
+    assert blocks.blocks == {1: frozenset({(1, 2), (2, 3)}), 2: frozenset({(1, 3)})}
+    assert blocks.prefixes[2] == frozenset(lab.graph.edges)
+    assert blocks == lab.blocks()
+    _refuses_assignment(blocks, "blocks")
+
+
+def test_int_polynomial_value():
+    p = IntPolynomial((1, 0, 0))
+    assert p == IntPolynomial((1,)) and hash(p) == hash(IntPolynomial([1]))
+    assert p.coeffs == (1,) and repr(p) == "IntPolynomial(coeffs=(1,))"
+    assert IntPolynomial((0, 0)) == IntPolynomial(()) and IntPolynomial(()).degree == -1
+    assert p != IntPolynomial((1, 1)) and p != (1,)
+    assert len({IntPolynomial((2, 1)), IntPolynomial((2, 1, 0)), p}) == 2
+    _refuses_assignment(p, "coeffs")
+    with pytest.raises(AttributeError):
+        del p.coeffs

@@ -9,7 +9,9 @@ import pytest
 from matlabel import (EdgeLabeling, Graph, construct_mat_labeling, find_mat_peo,
                       height_labeling_complete, is_mat_peo, is_mat_simplicial,
                       is_simple_vertex)
+from matlabel.construct import _label_table, _mat_peo
 from matlabel.families import n_sun, random_graph, random_strongly_chordal
+from matlabel.poset import build_poset
 from matlabel.strong_chordal import find_sun, simple_elimination
 
 
@@ -189,3 +191,22 @@ def test_mat_peo_peels_build_no_labeling(built):
     assert find_mat_peo(lab, order[:5]) is not None
     assert find_mat_peo(mutant) is None and not is_mat_peo(mutant, order)
     assert built == {"Graph": 0, "EdgeLabeling": 0}
+
+
+def test_construct_mat_peos_build_no_graph_or_labeling(built):
+    # construct's MAT-PEOs peel each clique straight off the label table
+    lab = height_labeling_complete(9, range(10, 19))
+    table, whole, part = lab.labels, lab.graph.vertex_set, frozenset(range(13, 17))
+    built.update(Graph=0, EdgeLabeling=0)
+    part_order = _mat_peo(table, part, (), "merge")
+    orders = [_mat_peo(table, whole, (), "extension"), _mat_peo(table, {18}, (), "merge"),
+              _mat_peo(table, whole, part_order, "merge")]
+    assert built == {"Graph": 0, "EdgeLabeling": 0}
+    g = random_strongly_chordal(60, seed=6, grow_bias=0.9)
+    poset = build_poset(g)
+    built["Graph"] = 0
+    table = _label_table(poset)
+    assert built == {"Graph": 0, "EdgeLabeling": 0}
+    assert part_order == find_mat_peo(lab.restrict_vertices(part))
+    assert orders == [find_mat_peo(lab), [18], find_mat_peo(lab, part_order)]
+    assert EdgeLabeling(g, table) == construct_mat_labeling(g)

@@ -102,20 +102,40 @@ def test_exhaustive_searches_stay_in_the_oracles():
     assert "cli.py:cmd_selftest" in found  # the check still sees the cross-check
 
 
+def _benchmark_spans() -> dict[str, list[str]]:
+    """clibench/layers.py's SPANS: layer module -> the functions it wraps."""
+    layers = Path(__file__).resolve().parents[1] / "clibench" / "layers.py"
+    tree = ast.parse(layers.read_text(), str(layers))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+
+
 def test_traced_benchmark_spans_resolve():
     # clibench/layers.py wraps matlabel.<layer>.<name> for its traced runs;
     # a renamed or moved function would break `run.py --trace 1`
     import importlib
 
-    layers = Path(__file__).resolve().parents[1] / "clibench" / "layers.py"
-    tree = ast.parse(layers.read_text(), str(layers))
-    spans = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    spans = _benchmark_spans()
     missing = [f"{layer}.{name}" for layer, names in spans.items() for name in names
                if not callable(getattr(importlib.import_module(f"matlabel.{layer}"),
                                        name, None))]
     assert spans and missing == []
+
+
+def test_library_import_of_the_cli_loads_every_spanned_layer():
+    # layers.py finds each layer in sys.modules after `import matlabel.cli`;
+    # the commands import their layers lazily, so the module loads them all
+    import subprocess
+    import sys
+
+    src = str(Path(matlabel.__file__).resolve().parents[1])
+    code = ("import sys, matlabel.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('matlabel.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60, cwd=src)
+    loaded = set(done.stdout.split())
+    assert {f"matlabel.{layer}" for layer in _benchmark_spans()} - loaded == set()
 
 
 def test_construct_verifies_only_inputs_and_the_result():

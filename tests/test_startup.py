@@ -1,0 +1,75 @@
+"""Start-up cost: each CLI command imports only the layers it runs."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import matlabel
+
+from .conftest import UI7_EDGES, UI7_LABELS
+
+SRC = str(Path(matlabel.__file__).resolve().parents[1])
+
+# test-only oracles, and the stdlib module that pulls in inspect, ast and dis
+NEVER_ON_A_COMMAND = {"dataclasses", "matlabel.brute", "matlabel.oracle",
+                      "matlabel.families"}
+
+
+def imported_by(*argv) -> set[str]:
+    """The modules `python -X importtime -m matlabel.cli *argv` imports."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "matlabel.cli",
+                           *map(str, argv)],
+                          capture_output=True, text=True, cwd=SRC, timeout=120)
+    assert done.returncode in (0, 2), done.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line} - {"imported package"}
+
+
+def _layers(modules: set[str]) -> set[str]:
+    return {m.split(".", 1)[1] for m in modules if m.startswith("matlabel.")}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    graph = root / "ui7.txt"
+    graph.write_text("".join(f"{u} {v}\n" for u, v in UI7_EDGES))
+    labeling = root / "ui7-lab.json"
+    labeling.write_text(json.dumps(
+        {"edges": [{"u": u, "v": v, "label": k} for (u, v), k in UI7_LABELS.items()]}))
+    one_vertex = root / "one.txt"
+    one_vertex.write_text("vertices: 1\n")
+    return {"graph": graph, "labeling": labeling, "one": one_vertex}
+
+
+@pytest.mark.parametrize("argv, forbidden", [
+    (("classify", "graph"), {"construct", "poset", "labeling", "arrangement"}),
+    (("label", "graph"), {"arrangement"}),
+    (("verify", "graph", "labeling"), {"construct", "poset", "strong_chordal"}),
+    (("exponents", "graph"),
+     {"construct", "poset", "strong_chordal", "labeling", "arrangement"}),
+    (("exponents", "graph", "labeling"), {"construct", "poset", "strong_chordal"}),
+    (("poset", "graph"), {"construct", "labeling", "arrangement"}),
+], ids=["classify", "label", "verify", "exponents", "exponents-labeling", "poset"])
+def test_command_imports_only_its_layers(files, argv, forbidden):
+    modules = imported_by(*(files.get(arg, arg) for arg in argv))
+    assert "matlabel.io" in modules  # the listing is read
+    assert modules & NEVER_ON_A_COMMAND == set()
+    assert _layers(modules) & forbidden == set()
+
+
+def test_classify_of_one_vertex_loads_four_layers_and_errors(files):
+    modules = imported_by("classify", files["one"])
+    assert _layers(modules) <= {"graph", "io", "chordal", "strong_chordal", "errors"}
+    assert "dataclasses" not in modules
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = ("import sys, matlabel; "
+            "print(sorted(m for m in sys.modules if m.startswith('matlabel.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=SRC, check=True, timeout=60)
+    assert done.stdout == "[]\n"
