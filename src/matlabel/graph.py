@@ -14,6 +14,8 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def _check_vertex_id(v) -> int:
+    if type(v) is int and v >= 0:
+        return v
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ValueError(f"vertex ids must be nonnegative integers, got {v!r}")
     return v
@@ -33,11 +35,14 @@ class Graph:
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {_check_vertex_id(v): set() for v in vertices}
         for u, v in edges:
-            u, v = canonical_edge(_check_vertex_id(u), _check_vertex_id(v))
-            adj.setdefault(u, set())
-            adj.setdefault(v, set())
-            adj[u].add(v)
-            adj[v].add(u)
+            if type(u) is not int or u < 0:  # the full check only off the fast path
+                _check_vertex_id(u)
+            if type(v) is not int or v < 0:
+                _check_vertex_id(v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
         self._vertices: tuple[int, ...] = tuple(sorted(adj))
         self._adj: dict[int, frozenset[int]] = {v: frozenset(adj[v]) for v in self._vertices}
         self._hash: int | None = None

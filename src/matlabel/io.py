@@ -39,7 +39,10 @@ def parse_graph_text(text: str) -> Graph:
                                 for tok in line[len("vertices:"):].split())
             else:
                 u, v = line.split()
-                edges.append((_vertex_token(u), _vertex_token(v)))
+                if u.isascii() and u.isdigit() and v.isascii() and v.isdigit():
+                    edges.append((int(u), int(v)))
+                else:
+                    edges.append((_vertex_token(u), _vertex_token(v)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
     return Graph(vertices, edges)
@@ -108,6 +111,9 @@ def labeling_to_json_dict(lab: EdgeLabeling) -> dict:
     }
 
 
+_ENTRY_KEYS = frozenset(("u", "v", "label"))
+
+
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     """Labeling from JSON; the edge set must match the graph exactly.
 
@@ -121,11 +127,11 @@ def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
         raise ValueError('labeling JSON needs an "edges" array')
     labels = {}
     for i, item in enumerate(data["edges"]):
-        if not isinstance(item, dict) or not {"u", "v", "label"} <= item.keys():
+        if not isinstance(item, dict) or not item.keys() >= _ENTRY_KEYS:
             raise ValueError(f'labeling JSON edges[{i}] must be an object with '
                              f'"u", "v" and "label", got {item!r}')
-        e = (item["u"], item["v"])
-        if any(isinstance(x, (list, dict)) for x in e):
+        u, v = e = item["u"], item["v"]
+        if isinstance(u, (list, dict)) or isinstance(v, (list, dict)):
             raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")
         if e in labels:
             raise ValueError(f"duplicate labeling entry for edge {e}")

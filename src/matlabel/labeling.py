@@ -19,7 +19,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .chordal import _shortest_path
 from .graph import Graph, _check_vertex_id, canonical_edge, peel
 
 
@@ -29,7 +28,9 @@ class EdgeLabeling:
     __slots__ = ("graph", "_labels")
 
     def __init__(self, graph: Graph, labels: Mapping[tuple[int, int], int]):
+        adj = graph._adj
         canon = {}
+        known = True  # every entry so far is an edge of graph
         for (u, v), k in labels.items():
             e = canonical_edge(_check_vertex_id(u), _check_vertex_id(v))
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -37,10 +38,12 @@ class EdgeLabeling:
             if e in canon:
                 raise ValueError(f"duplicate label entry for edge {e}")
             canon[e] = k
-        edges = set(graph.edges)
-        missing = edges.difference(canon)
-        extra = canon.keys() - edges
-        if missing or extra:
+            if v not in adj.get(u, ()):
+                known = False
+        if not known or len(canon) != graph.m:
+            edges = set(graph.edges)
+            missing = edges.difference(canon)
+            extra = canon.keys() - edges
             raise ValueError(
                 f"label domain must equal the edge set "
                 f"(missing {sorted(missing)}, extra {sorted(extra)})"
@@ -67,8 +70,10 @@ class EdgeLabeling:
 
     def block_sizes(self) -> tuple[int, ...]:
         """(|pi_1|, ..., |pi_max|)."""
-        blocks = self.blocks().blocks
-        return tuple(len(blocks[k]) for k in range(1, self.max_label + 1))
+        sizes = [0] * self.max_label
+        for k in self._labels.values():
+            sizes[k - 1] += 1
+        return tuple(sizes)
 
     def restrict_vertices(self, s: Iterable[int]) -> "EdgeLabeling":
         """Restriction to the induced subgraph on s."""
@@ -172,8 +177,12 @@ def _forest_roots(edges):
     return {x: find(x) for x in parent}, cycle_edge
 
 
-def _path_edges(path):
-    return tuple(canonical_edge(a, b) for a, b in zip(path, path[1:]))
+def _path_edges(edges, a, b):
+    """The edges of a shortest a-b path in the graph of `edges`."""
+    from .chordal import _shortest_path  # only a violation's witness needs it
+
+    path = _shortest_path(Graph.from_edges(edges), a, b, ())
+    return tuple(canonical_edge(x, y) for x, y in zip(path, path[1:]))
 
 
 def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
@@ -185,56 +194,60 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
     checked before ML2 and ML2 before ML3, and the first violation found
     is returned.
 
-    One vertex -> neighbour -> label table and the sorted edge list of
-    every level are built once. ML3 counts the triangles of an edge from
-    the table. ML2 reports the least edge f = (x, y) of E_{k-1} whose ends
-    are joined in the forest pi_k. Ends joined by a path of pi_k are both
-    vertices of pi_k, so such an f runs between two vertices of the forest
-    with the same root: only the earlier edges at the forest's vertices
-    are scanned, and the least hit among them is the first hit of a scan
-    of all of E_{k-1} in sorted order.
+    The vertices are numbered once, in ascending id order, and the sorted
+    edge list of every level is built once. Walking the levels upward, an
+    int bitset below[v] holds the neighbours joined to v by a label below
+    k. ML3 counts the triangles of an edge (u, v) of pi_k as the set bits
+    of below[u] & below[v]. ML2 reports the least edge f = (x, y) of
+    E_{k-1} whose ends are joined in the forest pi_k. Both ends are then
+    vertices of the forest with the same root, so with one bitset per
+    component of the forest, f comes from the first forest vertex x, in
+    ascending order, whose below[x] meets its component above x, and y is
+    the least vertex of that meet.
     """
-    table: dict[int, dict[int, int]] = {v: {} for v in lab.graph.vertices}
+    vertices = lab.graph.vertices
+    index = {v: i for i, v in enumerate(vertices)}
     levels: list[list[tuple[int, int]]] = [[] for _ in range(lab.max_label + 1)]
-    for (u, v), k in lab.items():
-        table[u][v] = k
-        table[v][u] = k
-        levels[k].append((u, v))
+    for e, k in lab.items():
+        levels[k].append(e)
+    below = [0] * len(vertices)
     for k in range(1, lab.max_label + 1):
         pi_k = levels[k]
         root, cycle_edge = _forest_roots(pi_k)
         if cycle_edge is not None:
             u, v = cycle_edge
-            path = _shortest_path(Graph.from_edges(set(pi_k) - {cycle_edge}), u, v, ())
             return MatViolation(
-                "ML1-cycle", k, edges=_path_edges(path) + (cycle_edge,),
+                "ML1-cycle", k,
+                edges=_path_edges(set(pi_k) - {cycle_edge}, u, v) + (cycle_edge,),
                 detail=f"edges labeled {k} contain a cycle",
             )
-        closing = min(
-            ((x, y) for x, r in root.items() for y, j in table[x].items()
-             if j < k and x < y and root.get(y) == r),
-            default=None,
-        )
-        if closing is not None:
-            x, y = closing
-            return MatViolation(
-                "ML2-closure", k,
-                edges=(closing,) + _path_edges(
-                    _shortest_path(Graph.from_edges(pi_k), x, y, ())),
-                detail=f"edge {closing} labeled {table[x][y]} is spanned by "
-                       f"edges labeled {k}",
-            )
+        comp: dict[int, int] = {}
+        for x, r in root.items():
+            comp[r] = comp.get(r, 0) | 1 << index[x]
+        for x in sorted(root):
+            i = index[x]
+            hits = (below[i] & comp[root[x]]) >> (i + 1)
+            if hits:
+                y = vertices[i + (hits & -hits).bit_length()]
+                closing = (x, y)
+                return MatViolation(
+                    "ML2-closure", k, edges=(closing,) + _path_edges(pi_k, x, y),
+                    detail=f"edge {closing} labeled {lab.label(x, y)} is spanned by "
+                           f"edges labeled {k}",
+                )
         for e in pi_k:
-            near, far = (table[v] for v in e)
-            if len(near) > len(far):
-                near, far = far, near
-            count = sum(1 for w, j in near.items() if j < k and far.get(w, k) < k)
+            u, v = e
+            count = (below[index[u]] & below[index[v]]).bit_count()
             if count != k - 1:
                 return MatViolation(
                     "ML3-triangle-count", k, edges=(e,),
                     detail=f"edge {e} labeled {k} closes {count} triangles "
                            f"with earlier labels, needs {k - 1}",
                 )
+        for u, v in pi_k:
+            i, j = index[u], index[v]
+            below[i] |= 1 << j
+            below[j] |= 1 << i
     return None
 
 

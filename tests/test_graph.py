@@ -1,5 +1,7 @@
 """Graph value semantics and primitive operations."""
 
+from enum import IntEnum
+
 import pytest
 
 from matlabel import Graph, canonical_edge, is_strongly_chordal
@@ -26,6 +28,25 @@ def test_vertex_id_validation():
         Graph([-1])
     with pytest.raises(ValueError):
         Graph(["a"])
+
+
+class Id(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("endpoint, ok", [(True, False), (-1, False), (Id.THREE, True)])
+def test_vertex_ids_off_the_fast_path(endpoint, ok):
+    # bools and negative ids are rejected, int subclasses other than bool
+    # are kept as they are
+    for make in (lambda: Graph([endpoint]), lambda: Graph.from_edges([(endpoint, 7)]),
+                 lambda: Graph.from_edges([(7, endpoint)])):
+        if ok:
+            assert endpoint in make().vertices
+        else:
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == (
+                f"vertex ids must be nonnegative integers, got {endpoint!r}")
 
 
 def test_induced_subgraph_triangle():

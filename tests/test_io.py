@@ -41,6 +41,16 @@ def test_parse_edge_list_errors():
         parse_graph_text("1 x\n")
 
 
+@pytest.mark.parametrize("token", ["+3", "1_0", "\u00b2", "\u0663"])
+def test_parse_edge_list_takes_ascii_digits_only(token):
+    # int() would read each of these, or fail on them with another message
+    for text, line in ((f"{token} 2\n", 1), (f"1 2\n2 {token}\n", 2),
+                       (f"vertices: {token}\n", 1)):
+        with pytest.raises(ValueError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == f"line {line}: cannot parse {text.splitlines()[-1]!r}"
+
+
 def test_graph_json_round_trip():
     g = Graph([5, 1, 2], [(1, 2)])
     data = graph_to_json_dict(g)

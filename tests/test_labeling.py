@@ -1,6 +1,7 @@
 """The labeling verifier, MAT-simplicial vertices, MAT-PEOs."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from matlabel import (
 )
 from matlabel.families import complete_graph, path_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge
+from matlabel.labeling import LabelBlocks, _forest_roots, _path_edges
 
 
 def all_ones(g):
@@ -38,6 +40,19 @@ def test_labeling_validation():
         EdgeLabeling(g, {(1, 2): 1, (2, 1): 2, (2, 3): 1})  # duplicate edge
 
 
+def test_labeling_rejects_a_non_edge_in_place_of_an_edge():
+    # m entries, all distinct, one of them no edge: the count alone passes
+    g = path_graph(4)
+    with pytest.raises(ValueError) as err:
+        EdgeLabeling(g, {(1, 2): 1, (1, 3): 1, (3, 4): 1})
+    assert str(err.value) == ("label domain must equal the edge set "
+                              "(missing [(2, 3)], extra [(1, 3)])")
+    with pytest.raises(ValueError) as err:
+        EdgeLabeling(g, {(1, 2): 1, (2, 3): 1, (4, 9): 1})
+    assert str(err.value) == ("label domain must equal the edge set "
+                              "(missing [(3, 4)], extra [(4, 9)])")
+
+
 @pytest.mark.parametrize("endpoint", [True, 2.0, -1, "1"])
 def test_labeling_rejects_non_integer_endpoints(endpoint):
     # True == 1 and 2.0 == 2 hash alike, so they must not pass as vertex ids
@@ -52,6 +67,24 @@ def test_blocks_and_prefixes(ui7_labeling):
     assert blocks.prefixes[0] == frozenset()
     assert blocks.prefixes[3] == frozenset(ui7_labeling.graph.edges)
     assert blocks.blocks[3] == {(1, 2), (2, 5)}
+
+
+def test_block_sizes_equal_the_blocks():
+    for lab in _labelings_to_verify(random.Random(67)):
+        blocks = LabelBlocks.from_labeling(lab).blocks
+        assert lab.block_sizes() == tuple(len(blocks[k]) for k in sorted(blocks))
+
+
+def test_block_sizes_build_no_prefixes():
+    lab = height_labeling_complete(240)
+    tracemalloc.start()
+    try:
+        sizes = lab.block_sizes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == tuple(range(239, 0, -1))
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_verify_reference_labeling(ui7_labeling):
@@ -351,3 +384,74 @@ def test_verifier_matches_the_sorted_scan():
         kinds[None if got is None else got.kind] += 1
     assert min(kinds[kind] for kind in (None, "ML1-cycle", "ML2-closure",
                                          "ML3-triangle-count")) >= 50, kinds
+
+
+def _verify_by_table(lab):
+    """Reference verifier: one vertex -> neighbour -> label table; ML2 takes
+    the least earlier edge at a forest vertex whose ends share a root, and
+    ML3 counts triangles from the table."""
+    table = {v: {} for v in lab.graph.vertices}
+    levels = [[] for _ in range(lab.max_label + 1)]
+    for (u, v), k in lab.items():
+        table[u][v] = k
+        table[v][u] = k
+        levels[k].append((u, v))
+    for k in range(1, lab.max_label + 1):
+        pi_k = levels[k]
+        root, cycle_edge = _forest_roots(pi_k)
+        if cycle_edge is not None:
+            u, v = cycle_edge
+            return MatViolation(
+                "ML1-cycle", k,
+                edges=_path_edges(set(pi_k) - {cycle_edge}, u, v) + (cycle_edge,),
+                detail=f"edges labeled {k} contain a cycle")
+        closing = min(
+            ((x, y) for x, r in root.items() for y, j in table[x].items()
+             if j < k and x < y and root.get(y) == r),
+            default=None,
+        )
+        if closing is not None:
+            x, y = closing
+            return MatViolation(
+                "ML2-closure", k, edges=(closing,) + _path_edges(pi_k, x, y),
+                detail=f"edge {closing} labeled {table[x][y]} is spanned by "
+                       f"edges labeled {k}")
+        for e in pi_k:
+            near, far = (table[v] for v in e)
+            if len(near) > len(far):
+                near, far = far, near
+            count = sum(1 for w, j in near.items() if j < k and far.get(w, k) < k)
+            if count != k - 1:
+                return MatViolation(
+                    "ML3-triangle-count", k, edges=(e,),
+                    detail=f"edge {e} labeled {k} closes {count} triangles "
+                           f"with earlier labels, needs {k - 1}")
+    return None
+
+
+def _large_labelings_to_verify(rng):
+    """Valid labelings of seeded SC graphs on 60-200 vertices (bitsets of one
+    to four machine words), half with scattered ids, and their one-edge
+    mutations."""
+    for i in range(24):
+        g = random_strongly_chordal(rng.randint(60, 200), rng=rng,
+                                    grow_bias=rng.choice((0.6, 0.9)))
+        if i % 2:
+            ids = rng.sample(range(10 * g.n), g.n)
+            to = dict(zip(g.vertices, ids))
+            g = Graph(ids, [(to[u], to[v]) for u, v in g.edges])
+        lab = construct_mat_labeling(g)
+        yield lab
+        edges = list(g.edges)
+        for _ in range(20):
+            yield lab.with_label(*rng.choice(edges), rng.randint(1, lab.max_label + 1))
+
+
+def test_verifier_matches_the_table_verifier_at_scale():
+    kinds = Counter()
+    for lab in _large_labelings_to_verify(random.Random(12)):
+        got = verify_mat_labeling(lab)
+        expected = _verify_by_table(lab)
+        assert (got and got.as_json()) == (expected and expected.as_json())
+        kinds[None if got is None else got.kind] += 1
+    assert min(kinds[kind] for kind in ("ML1-cycle", "ML2-closure")) >= 30, kinds

@@ -48,7 +48,8 @@ def files(tmp_path_factory):
 @pytest.mark.parametrize("argv, forbidden", [
     (("classify", "graph"), {"construct", "poset", "labeling", "arrangement"}),
     (("label", "graph"), {"arrangement"}),
-    (("verify", "graph", "labeling"), {"construct", "poset", "strong_chordal"}),
+    (("verify", "graph", "labeling"),
+     {"construct", "poset", "strong_chordal", "chordal"}),
     (("exponents", "graph"),
      {"construct", "poset", "strong_chordal", "labeling", "arrangement"}),
     (("exponents", "graph", "labeling"), {"construct", "poset", "strong_chordal"}),
