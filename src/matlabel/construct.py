@@ -1,7 +1,7 @@
 """Constructing MAT-labelings of strongly chordal graphs.
 
 Complete graphs are labeled directly (height labeling, or one-vertex-at-a-
-time extension along a greedy MAT-PEO computed once per clique). Two
+time extension along a greedy MAT-PEO read off the clique's top edges). Two
 compatibly labeled cliques merge into a labeling of their union clique. A
 strongly chordal graph is then labeled by one edge -> label table, filled
 bottom-up in rank over its clique intersection poset by merging each
@@ -20,7 +20,7 @@ from typing import NoReturn
 from .chordal import find_chordless_cycle
 from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
 from .graph import Graph, canonical_edge, sorted_key
-from .labeling import EdgeLabeling, find_mat_peo, verify_mat_labeling
+from .labeling import EdgeLabeling, verify_mat_labeling
 from .poset import CliquePoset, build_poset, crown_from_sun, leaf_pair
 from .strong_chordal import find_sun
 
@@ -53,41 +53,42 @@ def _require_valid_complete(lab: EdgeLabeling, what: str) -> None:
         raise ValueError(f"{what} is not a MAT-labeling: {violation.detail}")
 
 
-class _LabeledClique:
-    """The clique on vs labeled by table, as find_mat_peo reads a labeling.
-
-    It is its own graph: find_mat_peo asks a graph only for `vertices`,
-    `has_vertex` and `self[v]`, and `label` reads the table, so no Graph or
-    EdgeLabeling is built. `n` is the vertex count, as on a Graph.
-    """
-
-    __slots__ = ("vertices", "n", "_set", "_table")
-
-    def __init__(self, table, vs):
-        self.vertices = tuple(sorted(vs))
-        self.n = len(self.vertices)
-        self._set = frozenset(vs)
-        self._table = table
-
-    @property
-    def graph(self) -> "_LabeledClique":
-        return self
-
-    def __getitem__(self, v: int) -> frozenset[int]:
-        return self._set - {v}
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._set
-
-    def label(self, u: int, v: int) -> int:
-        return self._table[canonical_edge(u, v)]
-
-
 def _mat_peo(table, vs, prefix, stage: str) -> list[int]:
-    order = find_mat_peo(_LabeledClique(table, vs), prefix)
-    if order is None:  # merges and extensions of MAT-labelings are MAT-labelings
-        raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
-    return order
+    """The greedy MAT-PEO from `prefix` of the clique on vs labeled by table.
+
+    Lemma: in a MAT-labeled clique K on r >= 2 vertices, (a) along a
+    MAT-PEO v_1..v_r the labels from v_i back are 1..i-1, so one edge, the
+    top edge, has label r - 1; (b) MS2 puts each MAT-simplicial vertex on
+    it; (c) both its ends are MAT-simplicial. Proof of (c) by induction on
+    r, r = 2 being clear: v_r is one end, u the other. Let pq be the top
+    edge of K - v_r and w v_r the other edge labeled r - 2. ML3 at pq needs
+    exactly r - 3 triangles with both other labels below r - 2; the r - 3
+    in K - v_r have them, so p v_r or q v_r is labeled >= r - 2 and {p, q}
+    meets {u, w}. If u is not in {p, q}, say w = p, then ML2 on pq and
+    p v_r in pi_(r-2) forces label(q, v_r) >= r - 2, so = r - 1 and q = u.
+    So u is MAT-simplicial in K - v_r, and adding v_r adds label r - 1 at
+    u (MS2) and pairs {a, v_r} labeled <= r - 2 < r - 1 (MS3).
+
+    Removing a MAT-simplicial vertex leaves a MAT-labeling, so the greedy
+    peels the smaller end outside `prefix` of the top edge of the vertices
+    left: the first edge, in descending label order, with both ends left.
+    If it is not labeled (vertices left - 1), or both its ends are in the
+    prefix, no MAT-PEO starts with the prefix.
+    """
+    left, kept = set(vs), set(prefix)
+    top = iter(sorted(combinations(sorted(vs), 2), key=table.__getitem__, reverse=True))
+    removal = []
+    while len(left) > len(kept):
+        if len(left) > 1:
+            u, v = next(e for e in top if e[0] in left and e[1] in left)
+            if table[u, v] != len(left) - 1 or (u in kept and v in kept):
+                raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
+            peeled = v if u in kept else u
+            left.remove(peeled)
+            removal.append(peeled)
+        else:
+            removal.append(left.pop())
+    return list(prefix) + removal[::-1]
 
 
 def _extend_into(table, w, vs) -> None:
@@ -122,10 +123,10 @@ def extend_labeling_complete(
 
     The order is computed once, for lab_w: that of C + v is (o_1, ..., o_m)
     with v inserted right after the last o_i greater than v, or in front.
-    Proof: a MAT-labeling of K_m has labels <= m - 1, so after the join
-    only v and o_m have incident labels {1..m}, and both are MAT-simplicial.
-    The greedy removes the smaller; removing o_m leaves the same situation
-    on C - o_m, whose greedy MAT-PEO is (o_1, ..., o_(m-1)).
+    Proof: after the join the top edge of C + v is {o_m, v}, labeled m, so
+    by the lemma of `_mat_peo` the greedy removes the smaller of its ends;
+    removing o_m leaves the same situation on C - o_m, whose greedy MAT-PEO
+    is (o_1, ..., o_(m-1)).
     """
     w = frozenset(w)
     if vertices is None:

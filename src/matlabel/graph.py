@@ -208,20 +208,19 @@ def sorted_sets(sets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     return tuple(sorted((frozenset(s) for s in sets), key=sorted_key))
 
 
-def peel(g: Graph, removable: Callable[[dict[int, set[int]], int], bool],
-         kept: Iterable[int] = ()) -> tuple[list[int], list[int]]:
+def peel(g: Graph, removable: Callable[[dict[int, set[int]], int], bool]
+         ) -> tuple[list[int], list[int]]:
     """Greedy elimination: (the removed vertices in order, the vertices left).
 
     Copies the adjacency of g once into a mutable {vertex: neighbours} dict
-    and keeps removing the smallest vertex v outside `kept` for which
-    `removable(adj, v)` holds, until none does. The predicate sees the
-    vertices left and their neighbours among them, and must not change adj.
+    and keeps removing the smallest vertex v for which `removable(adj, v)`
+    holds, until none does. The predicate sees the vertices left and their
+    neighbours among them, and must not change adj.
     """
     adj = {v: set(g[v]) for v in g.vertices}  # ascending, also after deletions
-    kept = frozenset(kept)
     removed: list[int] = []
     while True:
-        v = next((v for v in adj if v not in kept and removable(adj, v)), None)
+        v = next((v for v in adj if removable(adj, v)), None)
         if v is None:
             return removed, list(adj)
         removed.append(v)

@@ -17,7 +17,7 @@ total function used to classify arbitrary labelings.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .graph import Graph, _check_vertex_id, canonical_edge, peel
 
@@ -188,11 +188,11 @@ def _path_edges(edges, a, b):
 def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
     """None iff lab satisfies ML1, ML2 and ML3 for every level.
 
-    Levels run from 1 to the maximum label; blocks that are empty in
-    between are allowed structurally and surface, when illegal, as a
-    triangle-count violation on some later edge. Within a level, ML1 is
-    checked before ML2 and ML2 before ML3, and the first violation found
-    is returned.
+    Only the non-empty levels are walked, in ascending order, so the time
+    does not grow with the labels: an empty level changes nothing and makes
+    ML1 and ML2 vacuous, and an illegal gap surfaces as a triangle-count
+    violation on some later edge. Within a level, ML1 is checked before ML2
+    and ML2 before ML3, and the first violation found is returned.
 
     The vertices are numbered once, in ascending id order, and the sorted
     edge list of every level is built once. Walking the levels upward, an
@@ -207,11 +207,11 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
     """
     vertices = lab.graph.vertices
     index = {v: i for i, v in enumerate(vertices)}
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(lab.max_label + 1)]
+    levels: dict[int, list[tuple[int, int]]] = {}
     for e, k in lab.items():
-        levels[k].append(e)
+        levels.setdefault(k, []).append(e)
     below = [0] * len(vertices)
-    for k in range(1, lab.max_label + 1):
+    for k in sorted(levels):
         pi_k = levels[k]
         root, cycle_edge = _forest_roots(pi_k)
         if cycle_edge is not None:
@@ -256,8 +256,9 @@ def mat_simplicial_violation(lab: EdgeLabeling, v: int) -> MatViolation | None:
 
     MS1: v is simplicial. MS2: the labels incident to v are exactly
     1..deg(v). MS3: every edge inside N(v) is labeled strictly below the
-    larger of its endpoints' labels toward v. lab.graph may also be the
-    {vertex: neighbours} dict of graph.peel.
+    larger of its endpoints' labels toward v. Only lab.label and lab.graph[x]
+    are read, so find_mat_peo and is_mat_peo pass a namespace whose graph
+    is the {vertex: neighbours} dict of graph.peel.
     """
     g = lab.graph
     nbrs = sorted(g[v])
@@ -298,21 +299,16 @@ def _mat_simplicial_left(lab: EdgeLabeling):
         SimpleNamespace(graph=adj, label=lab.label), v) is None
 
 
-def find_mat_peo(lab: EdgeLabeling, prefix: Sequence[int] = ()) -> list[int] | None:
-    """Ordering with every prefix vertex MAT-simplicial, or None.
+def find_mat_peo(lab: EdgeLabeling) -> list[int] | None:
+    """The greedy MAT-PEO of lab, or None.
 
-    graph.peel removes the smallest MAT-simplicial vertex not in `prefix`,
-    which starts the ordering as given: distinct vertices of lab's graph
-    (else ValueError), not checked for MAT-simpliciality. Removing a
-    MAT-simplicial vertex preserves validity and invalidity alike, so with
-    no prefix the search succeeds exactly when lab is a MAT-labeling. Only
-    lab.label and lab.graph's vertices, has_vertex and g[v] are read.
+    graph.peel removes the smallest MAT-simplicial vertex of the vertices
+    left while there is one; the ordering is the removal reversed. Removing
+    a MAT-simplicial vertex preserves validity and invalidity alike, so the
+    search succeeds exactly when lab is a MAT-labeling.
     """
-    prefix = list(prefix)
-    if len(set(prefix)) != len(prefix) or not all(map(lab.graph.has_vertex, prefix)):
-        raise ValueError(f"prefix must list distinct vertices of the graph, got {prefix}")
-    removal, left = peel(lab.graph, _mat_simplicial_left(lab), prefix)
-    return prefix + removal[::-1] if len(left) == len(prefix) else None
+    removal, left = peel(lab.graph, _mat_simplicial_left(lab))
+    return None if left else removal[::-1]
 
 
 def is_mat_peo(lab: EdgeLabeling, order) -> bool:

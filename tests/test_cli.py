@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -330,6 +331,30 @@ def test_exponents_computes_one_peo(capsys, ui7_file, tmp_path, monkeypatch):
     code, report = run_cli(capsys, "exponents", str(ui7_file), str(bad))
     assert code == 2 and report["error"] == "labeling is not a MAT-labeling"
     assert calls == []
+
+
+def test_verify_time_does_not_grow_with_the_labels(tmp_path):
+    # only the non-empty levels are walked: a walk up to the largest label
+    # took seconds at 10**6 and allocates without bound at 10**18, so the
+    # calls run with their address space capped
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    graph, lab = tmp_path / "p3.json", tmp_path / "huge.json"
+    graph.write_text(json.dumps({"edges": [[1, 2], [2, 3]]}))
+    lab.write_text(json.dumps({"edges": [{"u": 1, "v": 2, "label": 1},
+                                         {"u": 2, "v": 3, "label": 10 ** 18}]}))
+    for command in ("verify", "exponents"):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "matlabel.cli", command, str(graph),
+                               str(lab)], capture_output=True, timeout=60, preexec_fn=cap)
+        took = time.perf_counter() - start
+        assert done.returncode == 2, done.stderr
+        assert took < 1
+        violation = json.loads(done.stdout)["violation"]
+        assert violation["kind"] == "ML3-triangle-count" and violation["level"] == 10 ** 18
 
 
 def test_poset_json_and_crown_flag(capsys, ui7_file, sun3_file):

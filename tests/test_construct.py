@@ -14,7 +14,6 @@ from matlabel import (
     construct_mat_labeling,
     exponents_from_labeling,
     extend_labeling_complete,
-    find_mat_peo,
     height_labeling_complete,
     is_chordal,
     is_mat_simplicial,
@@ -24,6 +23,7 @@ from matlabel import (
     node_family,
     verify_mat_labeling,
 )
+from matlabel.construct import _mat_peo
 from matlabel.families import (
     complete_graph,
     cycle_graph,
@@ -128,24 +128,26 @@ def test_extend_from_empty_is_height_labeling():
 def test_extend_peels_one_mat_peo(monkeypatch):
     seen = []
 
-    def counting(lab, prefix=()):
-        seen.append((lab.graph.n, tuple(prefix)))
-        return find_mat_peo(lab, prefix)
+    def counting(table, vs, prefix, stage):
+        seen.append((set(vs), tuple(prefix), stage))
+        return _mat_peo(table, vs, prefix, stage)
 
-    monkeypatch.setattr("matlabel.construct.find_mat_peo", counting)
+    monkeypatch.setattr("matlabel.construct._mat_peo", counting)
     lab = extend_labeling_complete(12, {3, 7}, height_labeling_complete(2, [3, 7]))
-    assert seen == [(2, ())]
+    assert seen == [({3, 7}, (), "extension")]
     assert lab == _extend_by_repeel({3, 7}, height_labeling_complete(2, [3, 7]),
                                     range(1, 13))
 
 
-def test_failed_mat_peo_of_a_verified_clique_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr("matlabel.construct.find_mat_peo", lambda lab, prefix=(): None)
+def test_failed_mat_peo_of_a_verified_clique_is_an_internal_error():
+    # merges and extensions only meet MAT-labeled cliques; a clique without
+    # a MAT-PEO from its prefix is a bug, reported with the stage
+    ones = dict.fromkeys(combinations((1, 2, 3), 2), 1)
     with pytest.raises(RuntimeError, match="extension: no MAT-PEO of a clique of size 3"):
-        extend_labeling_complete(5, {1, 2, 3}, height_labeling_complete(3))
-    with pytest.raises(RuntimeError, match="merge: no MAT-PEO of a clique of size 1"):
-        merge_complete({1, 2, 3}, {3, 4, 5}, height_labeling_complete(3),
-                       height_labeling_complete(3, vertices=[3, 4, 5]))
+        _mat_peo(ones, {1, 2, 3}, (), "extension")
+    height = height_labeling_complete(3, vertices=[3, 4, 5]).labels
+    with pytest.raises(RuntimeError, match="merge: no MAT-PEO of a clique of size 3"):
+        _mat_peo(height, {3, 4, 5}, [3, 5], "merge")
 
 
 def test_extend_validation():

@@ -19,6 +19,7 @@ from matlabel import (
     mat_simplicial_violation,
     verify_mat_labeling,
 )
+from matlabel.construct import _mat_peo
 from matlabel.families import complete_graph, path_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge
 from matlabel.labeling import LabelBlocks, _forest_roots, _path_edges
@@ -192,13 +193,16 @@ def test_find_mat_peo_rejects_invalid():
 def test_find_mat_peo_with_prefix(ui7_labeling):
     clique = ui7_labeling.restrict_vertices({2, 3, 4, 5})
     assert find_mat_peo(clique) == [5, 4, 3, 2]
-    # the smallest MAT-simplicial vertex outside the prefix goes first
-    assert find_mat_peo(clique, [2]) == [2, 4, 3, 5]
-    assert find_mat_peo(clique, (4, 5)) == [4, 5, 3, 2]
-    assert find_mat_peo(clique, [5, 4, 3, 2]) == [5, 4, 3, 2]
+    # the constructor's greedy from a prefix: the smaller end outside the
+    # prefix of the top edge goes first
+    table, vs = clique.labels, clique.graph.vertex_set
+    assert _mat_peo(table, vs, [2], "merge") == [2, 4, 3, 5]
+    assert _mat_peo(table, vs, (4, 5), "merge") == [4, 5, 3, 2]
+    assert _mat_peo(table, vs, [5, 4, 3, 2], "merge") == [5, 4, 3, 2]
     assert is_mat_peo(clique, [2, 4, 3, 5])
     # edge 2-3 is labeled 2, so the prefix (2, 3) is no MAT-PEO and stays stuck
-    assert find_mat_peo(clique, [2, 3]) is None
+    with pytest.raises(RuntimeError, match="merge: no MAT-PEO of a clique of size 4"):
+        _mat_peo(table, vs, [2, 3], "merge")
 
 
 def test_find_mat_peo_single_vertex():

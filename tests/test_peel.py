@@ -1,8 +1,11 @@
 """graph.peel, the one greedy elimination loop: simple elimination and the
 greedy MAT-PEO against the loops that rebuilt a Graph or an EdgeLabeling
-for every removed vertex, and counts of the values built."""
+for every removed vertex, the constructor's MAT-PEOs read off the top
+edge against the same loop, and counts of the values built."""
 
 import random
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,6 +14,7 @@ from matlabel import (EdgeLabeling, Graph, construct_mat_labeling, find_mat_peo,
                       is_simple_vertex)
 from matlabel.construct import _label_table, _mat_peo
 from matlabel.families import n_sun, random_graph, random_strongly_chordal
+from matlabel.graph import canonical_edge
 from matlabel.poset import build_poset
 from matlabel.strong_chordal import find_sun, simple_elimination
 
@@ -112,17 +116,54 @@ def labelings(seed: int, count: int):
 
 
 def test_find_mat_peo_matches_the_rebuild_loop():
-    rng = random.Random(92)
     found = failed = 0
     for lab in labelings(93, 120):
         order = find_mat_peo(lab)
         assert order == rebuild_find_mat_peo(lab)
         found += order is not None
         failed += order is None
-        for _ in range(3):
-            prefix = rng.sample(lab.graph.vertices, rng.randint(0, lab.graph.n))
-            assert find_mat_peo(lab, prefix) == rebuild_find_mat_peo(lab, prefix)
     assert found >= 120 and failed >= 20
+
+
+def mat_labelings_of_cliques(top: int):
+    """(m, table) for every MAT-labeling of K_m on 1..m, m = 1..top, along
+    which 1..m is a MAT-PEO: each new vertex joins the earlier ones by a
+    bijection onto the labels 1..i-1 that passes MS3 at it."""
+    layer = [{}]
+    for m in range(1, top + 1):
+        yield from ((m, table) for table in layer)
+        if m == top:
+            return
+        earlier = range(1, m + 1)
+        layer = [{**table, **{(a, m + 1): k for a, k in zip(earlier, labels)}}
+                 for table in layer for labels in permutations(earlier)
+                 if all(table[a, b] < max(labels[a - 1], labels[b - 1])
+                        for a, b in combinations(earlier, 2))]
+
+
+def test_construct_mat_peo_matches_the_rebuild_loop_on_every_small_clique():
+    # the top-edge lemma of construct._mat_peo against the search it replaced
+    rng = random.Random(97)
+    counts, stuck = Counter(), 0
+    for m, table in mat_labelings_of_cliques(6):
+        counts[m] += 1
+        to = dict(zip(range(1, m + 1), rng.sample(range(40), m)))
+        labels = {canonical_edge(to[a], to[b]): k for (a, b), k in table.items()}
+        vs = set(to.values())
+        lab = EdgeLabeling(Graph(vs, labels), labels)
+        for _ in range(4):
+            prefix = rng.sample(sorted(vs), rng.randint(0, m))
+            expected = rebuild_find_mat_peo(lab, prefix)
+            if expected is None:
+                stuck += 1
+                with pytest.raises(RuntimeError, match=f"merge: no MAT-PEO of a clique "
+                                                       f"of size {m}$"):
+                    _mat_peo(labels, vs, prefix, "merge")
+            else:
+                assert _mat_peo(labels, vs, prefix, "merge") == expected
+    # 2^((m-1)(m-2)/2) MAT-labelings of K_m along 1..m, 1100 in all
+    assert counts == {m: 2 ** ((m - 1) * (m - 2) // 2) for m in range(1, 7)}
+    assert stuck >= 1000
 
 
 def test_is_mat_peo_matches_the_rebuild_loop():
@@ -138,14 +179,6 @@ def test_is_mat_peo_matches_the_rebuild_loop():
             assert verdict == rebuild_is_mat_peo(lab, order)
             verdicts.add(verdict)
     assert verdicts == {True, False}
-
-
-def test_find_mat_peo_rejects_a_foreign_or_repeated_prefix():
-    lab = height_labeling_complete(3)
-    for prefix in ([99], [1, 1], [1, 4], [3, 2, 1, 1]):
-        with pytest.raises(ValueError, match="prefix must list distinct vertices"):
-            find_mat_peo(lab, prefix)
-    assert find_mat_peo(lab, [2]) == rebuild_find_mat_peo(lab, [2])
 
 
 @pytest.fixture
@@ -188,7 +221,6 @@ def test_mat_peo_peels_build_no_labeling(built):
     built.update(Graph=0, EdgeLabeling=0)
     order = find_mat_peo(lab)
     assert order is not None and is_mat_peo(lab, order)
-    assert find_mat_peo(lab, order[:5]) is not None
     assert find_mat_peo(mutant) is None and not is_mat_peo(mutant, order)
     assert built == {"Graph": 0, "EdgeLabeling": 0}
 
@@ -208,5 +240,5 @@ def test_construct_mat_peos_build_no_graph_or_labeling(built):
     table = _label_table(poset)
     assert built == {"Graph": 0, "EdgeLabeling": 0}
     assert part_order == find_mat_peo(lab.restrict_vertices(part))
-    assert orders == [find_mat_peo(lab), [18], find_mat_peo(lab, part_order)]
+    assert orders == [find_mat_peo(lab), [18], rebuild_find_mat_peo(lab, part_order)]
     assert EdgeLabeling(g, table) == construct_mat_labeling(g)

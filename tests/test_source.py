@@ -102,6 +102,16 @@ def test_exhaustive_searches_stay_in_the_oracles():
     assert "cli.py:cmd_selftest" in found  # the check still sees the cross-check
 
 
+def test_construct_reads_mat_peos_off_the_top_edge():
+    # a MAT-labeled clique's greedy MAT-PEO peels the ends of its top edges
+    # (the lemma of construct._mat_peo), so the constructor needs no search
+    # for MAT-simplicial vertices
+    path = next(p for p in SOURCES if p.name == "construct.py")
+    names = {name for _, name in _names_by_scope(ast.parse(path.read_text(), str(path)))}
+    assert names & {"find_mat_peo", "peel"} == set()
+    assert "_mat_peo" in names  # the check still sees the constructor's MAT-PEOs
+
+
 def _benchmark_spans() -> dict[str, list[str]]:
     """clibench/layers.py's SPANS: layer module -> the functions it wraps."""
     layers = Path(__file__).resolve().parents[1] / "clibench" / "layers.py"
