@@ -9,21 +9,15 @@ with a machine-checkable witness.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .io import dump_json, load_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_REJECT = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors are input errors: exit 1
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _witness_json(witness) -> dict:
@@ -240,57 +234,153 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not mismatches else EXIT_REJECT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="matlabel",
-                     description="Strongly chordal graphs and MAT-labelings")
-    sub = parser.add_subparsers(dest="command", required=True)
+# option -> (attribute, default, what its value is: None for a flag, a tuple
+# of the allowed values, or a function that converts the text; help)
+_OPTIONS = {
+    "--format": ("format", None, ("edgelist", "json"), "override input format detection"),
+    "--out": ("out", None, str, "write JSON here instead of stdout"),
+    "--dot": ("dot", None, str, "also write a DOT rendering here"),
+    "--seed": ("seed", 0, int, "seed of the sampled checks"),
+    "--max-brute-edges": ("max_brute_edges", 18, int,
+                          "edge bound of the exhaustive existence search"),
+    "--verbose": ("verbose", False, None, "human-readable summary on stderr"),
+}
 
-    def common(p, labeling=False, out=True, dot=False):
-        p.add_argument("graph", help="graph file (.txt edge list or .json)")
-        if labeling:
-            p.add_argument("labeling", nargs="?" if labeling == "optional" else None,
-                           default=None, help="labeling JSON file")
-        p.add_argument("--format", choices=["edgelist", "json"], default=None,
-                       help="override input format detection")
-        if out:
-            p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        if dot:
-            p.add_argument("--dot", default=None, help="also write a DOT rendering here")
-        p.add_argument("--verbose", action="store_true",
-                       help="human-readable summary on stderr")
+_INPUT_OPTIONS = ("--format", "--out", "--verbose")
 
-    p = sub.add_parser("classify", help="chordal / strongly chordal / unit interval")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+# command -> (handler, positionals, options, help); a positional in brackets
+# may be left out
+_COMMANDS = {
+    "classify": (cmd_classify, ("graph",), _INPUT_OPTIONS,
+                 "chordal / strongly chordal / unit interval"),
+    "label": (cmd_label, ("graph",), ("--format", "--out", "--dot", "--verbose"),
+              "construct a MAT-labeling"),
+    "verify": (cmd_verify, ("graph", "labeling"), _INPUT_OPTIONS,
+               "check a labeling against the three conditions"),
+    "exponents": (cmd_exponents, ("graph", "[labeling]"), _INPUT_OPTIONS,
+                  "arrangement exponents and factorization check"),
+    "poset": (cmd_poset, ("graph",), _INPUT_OPTIONS,
+              "clique intersection poset (JSON, or DOT via --out x.dot)"),
+    "selftest": (cmd_selftest, (), ("--seed", "--max-brute-edges", "--out", "--verbose"),
+                 "sampled cross-checks of the recognizers"),
+}
 
-    p = sub.add_parser("label", help="construct a MAT-labeling")
-    common(p, dot=True)
-    p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("verify", help="check a labeling against the three conditions")
-    common(p, labeling=True)
-    p.set_defaults(func=cmd_verify)
+class _UsageError(Exception):
+    """A command line that names no command, or that its command rejects."""
 
-    p = sub.add_parser("exponents", help="arrangement exponents and factorization check")
-    common(p, labeling="optional")
-    p.set_defaults(func=cmd_exponents)
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
 
-    p = sub.add_parser("poset", help="clique intersection poset (JSON, or DOT via --out x.dot)")
-    common(p)
-    p.set_defaults(func=cmd_poset)
 
-    p = sub.add_parser("selftest", help="sampled cross-checks of the recognizers")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-brute-edges", type=int, default=18)
-    p.add_argument("--out", default=None)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_selftest)
-    return parser
+def _metavar(option: str) -> str:
+    kind = _OPTIONS[option][2]
+    if kind is None:
+        return option
+    if isinstance(kind, tuple):
+        return f"{option} {{{','.join(kind)}}}"
+    return f"{option} {'INT' if kind is int else option[2:].upper()}"
+
+
+def _usage(command: str | None = None) -> str:
+    if command is None:
+        return f"usage: matlabel {{{','.join(_COMMANDS)}}} ..."
+    _, positionals, options, _ = _COMMANDS[command]
+    words = [p.upper() for p in positionals] + [f"[{_metavar(o)}]" for o in options]
+    return " ".join(["usage: matlabel", command] + words)
+
+
+def _help(command: str | None) -> str:
+    names = [command] if command else list(_COMMANDS)
+    options = [o for o in _OPTIONS if any(o in _COMMANDS[name][2] for name in names)]
+    lines = [_usage(command), "", "Strongly chordal graphs and MAT-labelings", "",
+             "commands:"]
+    for name in names:
+        lines += [f"  {_usage(name)[len('usage: matlabel '):]}", f"      {_COMMANDS[name][3]}"]
+    lines += ["", "GRAPH is an edge list (.txt) or a JSON graph (.json); LABELING is a "
+                  "labeling JSON file.", "", "options:"]
+    lines += [f"  {_metavar(o):27} {_OPTIONS[o][3]}" for o in options]
+    lines += [f"  {'-h, --help':27} show this help and exit", "",
+              "Exit codes: 0 success, 1 input or usage error, 2 rejection with a witness."]
+    return "\n".join(lines) + "\n"
+
+
+def _is_option(word: str) -> bool:
+    """A word that names an option; `-` and negative numbers are values."""
+    return word.startswith("-") and word != "-" and not word[1:].isdigit()
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command, its handler (func) and its arguments, or None after
+    printing the help that -h or --help asks for. Options go before or
+    after the positionals, as `--opt value` or `--opt=value`, and are
+    named in full; `--` ends them.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        return None
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r}" if argv else "no command given")
+    func, positionals, options, _ = _COMMANDS[command]
+    args = {"command": command, "func": func}
+    args.update((_OPTIONS[o][0], _OPTIONS[o][1]) for o in options)
+    given = []
+    rest = iter(argv[1:])
+    for word in rest:
+        if word == "--":
+            given.extend(rest)
+        elif word in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        elif _is_option(word):
+            name, eq, value = word.partition("=")
+            if name not in options:
+                raise _UsageError(f"unrecognized option {name!r}", command)
+            attr, _, kind, _ = _OPTIONS[name]
+            if kind is None:
+                if eq:
+                    raise _UsageError(f"option {name} takes no value", command)
+                args[attr] = True
+                continue
+            if not eq:
+                value = next(rest, None)
+                if value is None or _is_option(value):
+                    raise _UsageError(f"option {name} expects a value", command)
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    raise _UsageError(f"option {name}: invalid choice {value!r} "
+                                     f"(choose from {', '.join(kind)})", command)
+            else:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    raise _UsageError(f"option {name}: invalid int value {value!r}",
+                                     command) from None
+            args[attr] = value
+        else:
+            given.append(word)
+    required = [p for p in positionals if not p.startswith("[")]
+    if len(given) < len(required):
+        missing = " ".join(p.upper() for p in required[len(given):])
+        raise _UsageError(f"missing {missing}", command)
+    if len(given) > len(positionals):
+        raise _UsageError(f"unexpected argument {given[len(positionals)]!r}", command)
+    for name, value in zip(positionals, given + [None] * len(positionals)):
+        args[name.strip("[]")] = value
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:  # usage errors are input errors: exit 1
+        print(_usage(exc.command), file=sys.stderr)
+        print(f"matlabel: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args is None:
+        return EXIT_OK
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

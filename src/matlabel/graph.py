@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -33,7 +34,9 @@ class Graph:
     __slots__ = ("_vertices", "_adj", "_hash", "_mcs")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        adj: dict[int, set[int]] = {_check_vertex_id(v): set() for v in vertices}
+        adj: defaultdict[int, set[int]] = defaultdict(set)
+        for v in vertices:
+            adj[_check_vertex_id(v)]  # a listed vertex gets its set, maybe empty
         for u, v in edges:
             if type(u) is not int or u < 0:  # the full check only off the fast path
                 _check_vertex_id(u)
@@ -41,8 +44,8 @@ class Graph:
                 _check_vertex_id(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            adj[u].add(v)
+            adj[v].add(u)
         self._vertices: tuple[int, ...] = tuple(sorted(adj))
         self._adj: dict[int, frozenset[int]] = {v: frozenset(adj[v]) for v in self._vertices}
         self._hash: int | None = None
@@ -70,7 +73,7 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

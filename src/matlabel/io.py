@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .graph import Graph
+from .graph import Graph, canonical_edge
 
 if TYPE_CHECKING:  # each command loads only the layers it runs
     from .labeling import EdgeLabeling
@@ -30,6 +30,10 @@ def parse_graph_text(text: str) -> Graph:
     vertices: list[int] = []
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        u, _, v = raw.partition(" ")
+        if u.isdigit() and v.isdigit() and raw.isascii():  # a plain `u v` line
+            edges.append((int(u), int(v)))
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -39,10 +43,7 @@ def parse_graph_text(text: str) -> Graph:
                                 for tok in line[len("vertices:"):].split())
             else:
                 u, v = line.split()
-                if u.isascii() and u.isdigit() and v.isascii() and v.isdigit():
-                    edges.append((int(u), int(v)))
-                else:
-                    edges.append((_vertex_token(u), _vertex_token(v)))
+                edges.append((_vertex_token(u), _vertex_token(v)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
     return Graph(vertices, edges)
@@ -56,9 +57,14 @@ def _vertex_token(tok: str) -> int:
     return int(tok)
 
 
-def _load_json(text: str, what: str):
+def _load_json(text: str, what: str, pairs: bool = False):
     """json.loads, with a repeated object key or decoder recursion on deep
-    nesting as a ValueError."""
+    nesting as a ValueError.
+
+    With pairs, every object is decoded as a tuple of its (key, value)
+    pairs, by a hook that makes no Python call, and the caller checks the
+    keys of the objects it reads.
+    """
 
     def unique_keys(pairs):
         obj = dict(pairs)
@@ -68,7 +74,7 @@ def _load_json(text: str, what: str):
         return obj
 
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=tuple if pairs else unique_keys)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
 
@@ -117,26 +123,75 @@ _ENTRY_KEYS = frozenset(("u", "v", "label"))
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     """Labeling from JSON; the edge set must match the graph exactly.
 
-    Checks the JSON shape and repeated entries here; EdgeLabeling checks
-    the vertex ids, the labels and the edge set.
+    One loop over the entries makes the checks of the JSON shape and those
+    of EdgeLabeling, and writes the canonical {edge: label} table that the
+    labeling then takes as it is. An entry is read off the (key, value)
+    pairs of its object in any key order, and a repeated key shows as a
+    dict shorter than the pairs. The wording of an error is worked out only
+    once a fault is found, by _labeling_fault.
     """
-    from .labeling import EdgeLabeling
+    from .labeling import EdgeLabeling, _domain_error
+
+    data = _load_json(text, "labeling", pairs=True)
+    top = dict(data) if type(data) is tuple else {}
+    edges = top.get("edges")
+    if type(edges) is not list or len(top) != len(data):
+        raise _labeling_fault(text)
+    adj = g._adj
+    table = {}
+    known = True  # every entry so far is an edge of g
+    extra = len(top) > 1  # keys whose values are not read: check them at the end
+    for i, item in enumerate(edges):
+        entry = dict(item) if type(item) is tuple else {}
+        u, v, k = entry.get("u"), entry.get("v"), entry.get("label")
+        if not (type(u) is int and type(v) is int and type(k) is int
+                and u >= 0 and v >= 0 and u != v and k > 0 and len(entry) == len(item)):
+            raise _labeling_fault(text, i)
+        if len(entry) > 3:
+            extra = True
+        e = (u, v) if u < v else (v, u)
+        if e in table:
+            raise _labeling_fault(text, i)
+        table[e] = k
+        if v not in adj.get(u, ()):
+            known = False
+    if extra:
+        _load_json(text, "labeling")  # a repeated key in a value not read
+    if not known or len(table) != g.m:
+        raise _domain_error(g, table)
+    return EdgeLabeling._from_table(g, table)
+
+
+def _labeling_fault(text: str, i: int | None = None) -> ValueError:
+    """The error for labeling JSON whose top level (i None) or entry i
+    fails parse_labeling_json's checks.
+
+    The error names the fault that comes first in the order of the checks:
+    a repeated key anywhere (the text is decoded again, into dicts), the
+    top level, then the shape of every entry, its endpoints and an earlier
+    entry with the same (u, v), and only then the ids and label of entry i
+    and an earlier entry for the same edge. The entries before i passed
+    every check.
+    """
+    from .labeling import _check_entry
 
     data = _load_json(text, "labeling")
-    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
-        raise ValueError('labeling JSON needs an "edges" array')
-    labels = {}
-    for i, item in enumerate(data["edges"]):
+    if i is None:
+        return ValueError('labeling JSON needs an "edges" array')
+    seen = set()
+    for j, item in enumerate(data["edges"]):
         if not isinstance(item, dict) or not item.keys() >= _ENTRY_KEYS:
-            raise ValueError(f'labeling JSON edges[{i}] must be an object with '
-                             f'"u", "v" and "label", got {item!r}')
+            return ValueError(f'labeling JSON edges[{j}] must be an object with '
+                              f'"u", "v" and "label", got {item!r}')
         u, v = e = item["u"], item["v"]
         if isinstance(u, (list, dict)) or isinstance(v, (list, dict)):
-            raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")
-        if e in labels:
-            raise ValueError(f"duplicate labeling entry for edge {e}")
-        labels[e] = item["label"]
-    return EdgeLabeling(g, labels)
+            return ValueError(f"labeling JSON edges[{j}] has an array or object endpoint")
+        if e in seen:
+            return ValueError(f"duplicate labeling entry for edge {e}")
+        seen.add(e)
+    item = data["edges"][i]
+    _check_entry(item["u"], item["v"], item["label"])
+    return ValueError(f"duplicate label entry for edge {canonical_edge(item['u'], item['v'])}")
 
 
 def labeling_to_dot(lab: EdgeLabeling, name: str = "labeled") -> str:

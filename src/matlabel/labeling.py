@@ -29,27 +29,31 @@ class EdgeLabeling:
 
     def __init__(self, graph: Graph, labels: Mapping[tuple[int, int], int]):
         adj = graph._adj
-        canon = {}
+        table = {}
         known = True  # every entry so far is an edge of graph
         for (u, v), k in labels.items():
-            e = canonical_edge(_check_vertex_id(u), _check_vertex_id(v))
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise ValueError(f"label of {e} must be a positive integer, got {k!r}")
-            if e in canon:
+            if not (type(u) is int and type(v) is int and type(k) is int
+                    and u >= 0 and v >= 0 and u != v and k > 0):
+                _check_entry(u, v, k)
+            e = (u, v) if u < v else (v, u)
+            if e in table:
                 raise ValueError(f"duplicate label entry for edge {e}")
-            canon[e] = k
+            table[e] = k
             if v not in adj.get(u, ()):
                 known = False
-        if not known or len(canon) != graph.m:
-            edges = set(graph.edges)
-            missing = edges.difference(canon)
-            extra = canon.keys() - edges
-            raise ValueError(
-                f"label domain must equal the edge set "
-                f"(missing {sorted(missing)}, extra {sorted(extra)})"
-            )
+        if not known or len(table) != graph.m:
+            raise _domain_error(graph, table)
         self.graph = graph
-        self._labels = canon
+        self._labels = table
+
+    @classmethod
+    def _from_table(cls, graph: Graph, table: dict[tuple[int, int], int]) -> "EdgeLabeling":
+        """A labeling of graph by a canonical {edge: label} table that has
+        passed the checks of __init__ (io.parse_labeling_json makes them)."""
+        lab = object.__new__(cls)
+        lab.graph = graph
+        lab._labels = table
+        return lab
 
     def label(self, u: int, v: int) -> int:
         return self._labels[canonical_edge(u, v)]
@@ -108,6 +112,26 @@ class EdgeLabeling:
         return f"EdgeLabeling({inner})"
 
 
+def _check_entry(u, v, k) -> None:
+    """Raise the error for an entry (u, v) -> k that fails the fast check of
+    EdgeLabeling or io.parse_labeling_json: an id that is no nonnegative
+    int, a self-loop, or a label that is no positive int. Ids and labels of
+    an int subclass other than bool pass, and then it returns.
+    """
+    e = canonical_edge(_check_vertex_id(u), _check_vertex_id(v))
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"label of {e} must be a positive integer, got {k!r}")
+
+
+def _domain_error(graph: Graph, table: Mapping[tuple[int, int], int]) -> ValueError:
+    """The error for a canonical label table whose edges are not those of graph."""
+    edges = set(graph.edges)
+    return ValueError(
+        f"label domain must equal the edge set "
+        f"(missing {sorted(edges.difference(table))}, extra {sorted(table.keys() - edges)})"
+    )
+
+
 class LabelBlocks(NamedTuple):
     """Blocks pi_k = labels^{-1}(k) and prefixes E_k = pi_1 + ... + pi_k."""
 
@@ -116,16 +140,23 @@ class LabelBlocks(NamedTuple):
 
     @classmethod
     def from_labeling(cls, lab: EdgeLabeling) -> "LabelBlocks":
-        top = lab.max_label
-        blocks = {k: set() for k in range(1, top + 1)}
-        for e, k in lab.items():
-            blocks[k].add(e)
-        prefixes: dict[int, frozenset] = {0: frozenset()}
+        grouped: dict[int, set] = {}
+        for e, k in lab._labels.items():
+            grouped.setdefault(k, set()).add(e)
+        # an empty level shares the empty block and the prefix before it, so
+        # it costs O(1) whatever the size of that prefix
+        empty = prefix = frozenset()
+        blocks: dict[int, frozenset] = {}
+        prefixes: dict[int, frozenset] = {0: prefix}
         acc: set = set()
-        for k in range(1, top + 1):
-            acc |= blocks[k]
-            prefixes[k] = frozenset(acc)
-        return cls({k: frozenset(v) for k, v in blocks.items()}, prefixes)
+        for k in range(1, lab.max_label + 1):
+            block = grouped.get(k)
+            if block:
+                acc |= block
+                prefix = frozenset(acc)
+            blocks[k] = frozenset(block) if block else empty
+            prefixes[k] = prefix
+        return cls(blocks, prefixes)
 
 
 class MatViolation(NamedTuple):
@@ -151,32 +182,6 @@ class MatViolation(NamedTuple):
         }
 
 
-def _forest_roots(edges):
-    """Union-find over sorted edges; returns ({vertex: root}, cycle_edge | None).
-
-    cycle_edge is the first edge, in the given order, whose endpoints are
-    already joined by the edges before it.
-    """
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cycle_edge = None
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            if cycle_edge is None:
-                cycle_edge = (u, v)
-            continue
-        parent[ru] = rv
-    return {x: find(x) for x in parent}, cycle_edge
-
-
 def _path_edges(edges, a, b):
     """The edges of a shortest a-b path in the graph of `edges`."""
     from .chordal import _shortest_path  # only a violation's witness needs it
@@ -194,61 +199,90 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
     violation on some later edge. Within a level, ML1 is checked before ML2
     and ML2 before ML3, and the first violation found is returned.
 
-    The vertices are numbered once, in ascending id order, and the sorted
-    edge list of every level is built once. Walking the levels upward, an
-    int bitset below[v] holds the neighbours joined to v by a label below
-    k. ML3 counts the triangles of an edge (u, v) of pi_k as the set bits
-    of below[u] & below[v]. ML2 reports the least edge f = (x, y) of
-    E_{k-1} whose ends are joined in the forest pi_k. Both ends are then
-    vertices of the forest with the same root, so with one bitset per
-    component of the forest, f comes from the first forest vertex x, in
-    ascending order, whose below[x] meets its component above x, and y is
-    the least vertex of that meet.
+    The vertices are numbered once, in ascending id order, and every level
+    is grouped from the label table as a list of vertex-number pairs, sorted
+    once. ML1 unions the edges of pi_k in sorted order, in a union-find over
+    the vertex numbers kept in a list; the first edge whose ends already
+    share a root closes a cycle, and the level resets only the entries it
+    touched. Walking the levels upward, an int bitset below[x] holds the
+    neighbours joined to x by a label below k. ML3 counts the triangles of
+    an edge (x, y) of pi_k as the set bits of below[x] & below[y]. ML2
+    reports the least edge f = (x, y) of E_{k-1} whose ends are joined in
+    the forest pi_k. Both ends are then vertices of the forest with the same
+    root, so with one bitset per tree of the forest, f comes from the least
+    forest vertex x whose below[x] meets its tree, and y is the least vertex
+    of that meet (a smaller one would have found x first).
     """
     vertices = lab.graph.vertices
     index = {v: i for i, v in enumerate(vertices)}
     levels: dict[int, list[tuple[int, int]]] = {}
-    for e, k in lab.items():
-        levels.setdefault(k, []).append(e)
-    below = [0] * len(vertices)
+    for (u, v), k in lab._labels.items():
+        if k in levels:
+            levels[k].append((index[u], index[v]))
+        else:
+            levels[k] = [(index[u], index[v])]
+    n = len(vertices)
+    parent = list(range(n))
+    tree = [0] * n  # at a root: the vertices of its tree, as a bitset
+    below = [0] * n
     for k in sorted(levels):
         pi_k = levels[k]
-        root, cycle_edge = _forest_roots(pi_k)
-        if cycle_edge is not None:
-            u, v = cycle_edge
-            return MatViolation(
-                "ML1-cycle", k,
-                edges=_path_edges(set(pi_k) - {cycle_edge}, u, v) + (cycle_edge,),
-                detail=f"edges labeled {k} contain a cycle",
-            )
-        comp: dict[int, int] = {}
-        for x, r in root.items():
-            comp[r] = comp.get(r, 0) | 1 << index[x]
-        for x in sorted(root):
-            i = index[x]
-            hits = (below[i] & comp[root[x]]) >> (i + 1)
-            if hits:
-                y = vertices[i + (hits & -hits).bit_length()]
-                closing = (x, y)
-                return MatViolation(
-                    "ML2-closure", k, edges=(closing,) + _path_edges(pi_k, x, y),
-                    detail=f"edge {closing} labeled {lab.label(x, y)} is spanned by "
-                           f"edges labeled {k}",
-                )
+        pi_k.sort()
         for e in pi_k:
-            u, v = e
-            count = (below[index[u]] & below[index[v]]).bit_count()
-            if count != k - 1:
+            a, b = e
+            while parent[a] != a:  # find, halving the path as it goes
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                u, v = cycle_edge = (vertices[e[0]], vertices[e[1]])
+                return MatViolation(
+                    "ML1-cycle", k,
+                    edges=_path_edges(set(_edge_ids(vertices, pi_k)) - {cycle_edge}, u, v)
+                    + (cycle_edge,),
+                    detail=f"edges labeled {k} contain a cycle",
+                )
+            parent[a] = b
+        forest = set().union(*pi_k)
+        roots = []
+        for x in forest:
+            r = x
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            tree[r] |= 1 << x
+            roots.append(r)
+        closing = [(x, r) for x, r in zip(forest, roots) if below[x] & tree[r]]
+        if closing:
+            x, r = min(closing)
+            hits = below[x] & tree[r]
+            x, y = vertices[x], vertices[(hits & -hits).bit_length() - 1]
+            return MatViolation(
+                "ML2-closure", k, edges=((x, y),) + _path_edges(_edge_ids(vertices, pi_k), x, y),
+                detail=f"edge {(x, y)} labeled {lab.label(x, y)} is spanned by "
+                       f"edges labeled {k}",
+            )
+        for x in forest:
+            parent[x] = x
+            tree[x] = 0
+        need = k - 1
+        for a, b in pi_k:
+            count = (below[a] & below[b]).bit_count()
+            if count != need:
+                e = (vertices[a], vertices[b])
                 return MatViolation(
                     "ML3-triangle-count", k, edges=(e,),
                     detail=f"edge {e} labeled {k} closes {count} triangles "
-                           f"with earlier labels, needs {k - 1}",
+                           f"with earlier labels, needs {need}",
                 )
-        for u, v in pi_k:
-            i, j = index[u], index[v]
-            below[i] |= 1 << j
-            below[j] |= 1 << i
+        for a, b in pi_k:
+            below[a] |= 1 << b
+            below[b] |= 1 << a
     return None
+
+
+def _edge_ids(vertices, pairs) -> list[tuple[int, int]]:
+    """The edges, in vertex ids, of a list of vertex-number pairs."""
+    return [(vertices[a], vertices[b]) for a, b in pairs]
 
 
 def mat_simplicial_violation(lab: EdgeLabeling, v: int) -> MatViolation | None:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from matlabel import Graph, build_poset
+from matlabel import Graph, build_poset, cli
 from matlabel.cli import main
 from matlabel.families import n_sun
 from matlabel.labeling import verify_mat_labeling
@@ -600,3 +600,120 @@ def test_repeated_json_key_is_input_error(capsys, tmp_path, graph, labeling, com
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("matlabel: error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+# -- the command table against the argparse parser it replaced --------------
+
+def _reference_parser():
+    """The argparse parser that the command table replaced; it exits on a
+    usage error."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="matlabel")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, labeling=False, dot=False):
+        p.add_argument("graph")
+        if labeling:
+            p.add_argument("labeling", nargs="?" if labeling == "optional" else None,
+                           default=None)
+        p.add_argument("--format", choices=["edgelist", "json"], default=None)
+        p.add_argument("--out", default=None)
+        if dot:
+            p.add_argument("--dot", default=None)
+        p.add_argument("--verbose", action="store_true")
+
+    for name, func, kwargs in [
+            ("classify", cli.cmd_classify, {}), ("label", cli.cmd_label, {"dot": True}),
+            ("verify", cli.cmd_verify, {"labeling": True}),
+            ("exponents", cli.cmd_exponents, {"labeling": "optional"}),
+            ("poset", cli.cmd_poset, {})]:
+        p = sub.add_parser(name)
+        common(p, **kwargs)
+        p.set_defaults(func=func)
+    p = sub.add_parser("selftest")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-brute-edges", type=int, default=18)
+    p.add_argument("--out", default=None)
+    p.add_argument("--verbose", action="store_true")
+    p.set_defaults(func=cli.cmd_selftest)
+    return parser
+
+
+OPTION_VALUES = {"--format": "json", "--out": "o.json", "--dot": "d.dot",
+                 "--seed": "7", "--max-brute-edges": "12"}
+
+
+def _valid_argvs():
+    """Every command with every subset of its options, each written as
+    `--opt value` or as `--opt=value`, and split before and after the
+    positionals at every place."""
+    input_options = ["--format", "--out", "--verbose"]
+    commands = [("classify", ["g.txt"], input_options),
+                ("label", ["g.txt"], input_options + ["--dot"]),
+                ("verify", ["g.txt", "l.json"], input_options),
+                ("exponents", ["g.txt"], input_options),
+                ("exponents", ["g.json", "l.json"], input_options),
+                ("poset", ["g.txt"], input_options),
+                ("selftest", [], ["--seed", "--max-brute-edges", "--out", "--verbose"])]
+    for command, positionals, options in commands:
+        for mask in range(1 << len(options)):
+            chosen = [o for b, o in enumerate(options) if mask >> b & 1]
+            for joined in (False, True):
+                words = [[o] if o == "--verbose" else [f"{o}={OPTION_VALUES[o]}"] if joined
+                         else [o, OPTION_VALUES[o]] for o in chosen]
+                for before in range(len(words) + 1):
+                    yield ([command] + sum(words[:before], []) + positionals
+                           + sum(words[before:], []))
+
+
+def test_the_command_table_parses_as_argparse_did():
+    reference = _reference_parser()
+    count = 0
+    for argv in _valid_argvs():
+        assert vars(cli.parse_args(argv)) == vars(reference.parse_args(argv)), argv
+        count += 1
+    assert count > 300
+    # a negative number is a value, and `--` ends the options
+    for argv in (["selftest", "--seed", "-3"], ["classify", "--", "-g.txt"],
+                 ["verify", "--out", "-", "g", "l"]):
+        assert vars(cli.parse_args(argv)) == vars(reference.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate", "g.txt"], ["--verbose", "classify", "g.txt"], ["classify"],
+    ["verify", "g.txt"], ["classify", "g.txt", "extra.txt"],
+    ["exponents", "g.txt", "l.json", "extra"], ["classify", "g.txt", "--nope"],
+    ["classify", "g.txt", "-x"], ["classify", "g.txt", "--format", "xml"],
+    ["classify", "g.txt", "--format=xml"], ["classify", "g.txt", "--out"],
+    ["classify", "g.txt", "--out", "--verbose"], ["classify", "g.txt", "--verbose=1"],
+    ["selftest", "--seed", "x"], ["selftest", "--max-brute-edges=1.5"],
+    ["selftest", "g.txt"], ["verify", "g.txt", "l.json", "--dot", "d.dot"],
+    ["classify", "g.txt", "--verb"], ["classify", "g.txt", "--form", "json"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: matlabel ")
+    assert error.startswith("matlabel: error: ")
+    if "--verb" in argv or "--form" in argv:
+        # argparse took these prefixes of --verbose and --format; options
+        # are now named in full
+        assert _reference_parser().parse_args(argv).func is not None
+    else:
+        with pytest.raises(SystemExit) as exit_:
+            _reference_parser().parse_args(argv)
+        assert exit_.value.code == 2  # argparse rejected each of them too
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
+                                  ["selftest", "--seed", "3", "--help"]])
+def test_help_exits_0_with_usage_on_stdout(argv):
+    done = subprocess.run([sys.executable, "-m", "matlabel.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: matlabel ")
+    assert "Exit codes: 0" in done.stdout

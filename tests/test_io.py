@@ -1,12 +1,16 @@
 """File formats and exports."""
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matlabel import Graph, build_poset
+from matlabel import EdgeLabeling, Graph, build_poset
 from matlabel.families import complete_graph
 from matlabel.io import (
+    _vertex_token,
     dump_json,
     graph_to_json_dict,
     labeling_to_dot,
@@ -19,6 +23,8 @@ from matlabel.io import (
     poset_to_json_dict,
 )
 
+from .conftest import UI7_EDGES, UI7_LABELS
+from .test_fuzz import _json_texts, edge_list_texts, labeling_objects
 
 
 def test_parse_edge_list():
@@ -132,3 +138,291 @@ def test_dump_json_deterministic():
     b = dump_json({"a": True, "b": [3, 1]})
     assert a == b
     assert a.endswith("\n")
+
+
+# -- the labeling reader against the two-pass reader it replaced ------------
+
+def _reference_labeling(g, text):
+    """The canonical {edge: label} table of the earlier reader, or its
+    ValueError: json.loads with a checking hook on every object, the shape
+    of each entry, then every check of EdgeLabeling in a second pass."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+            raise ValueError(f"labeling JSON repeats the key {key!r} in one object")
+        return obj
+
+    try:
+        data = json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise ValueError("labeling JSON is nested too deeply") from None
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+        raise ValueError('labeling JSON needs an "edges" array')
+    labels = {}
+    for i, item in enumerate(data["edges"]):
+        if not isinstance(item, dict) or not item.keys() >= {"u", "v", "label"}:
+            raise ValueError(f'labeling JSON edges[{i}] must be an object with '
+                             f'"u", "v" and "label", got {item!r}')
+        u, v = e = item["u"], item["v"]
+        if isinstance(u, (list, dict)) or isinstance(v, (list, dict)):
+            raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")
+        if e in labels:
+            raise ValueError(f"duplicate labeling entry for edge {e}")
+        labels[e] = item["label"]
+    canon = {}
+    for (u, v), k in labels.items():
+        for x in (u, v):
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                raise ValueError(f"vertex ids must be nonnegative integers, got {x!r}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"label of {e} must be a positive integer, got {k!r}")
+        if e in canon:
+            raise ValueError(f"duplicate label entry for edge {e}")
+        canon[e] = k
+    edges = set(g.edges)
+    if canon.keys() != edges:
+        raise ValueError(f"label domain must equal the edge set (missing "
+                         f"{sorted(edges - canon.keys())}, extra {sorted(canon.keys() - edges)})")
+    return canon
+
+
+def _outcome(read, g, text):
+    try:
+        return "ok", read(g, text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _assert_read_alike(g, text):
+    got = _outcome(parse_labeling_json, g, text)
+    if got[0] == "ok":
+        assert got[1] == EdgeLabeling(g, got[1].labels)
+        got = ("ok", got[1].labels)
+    assert got == _outcome(_reference_labeling, g, text)
+    return got
+
+
+UI7 = Graph.from_edges(UI7_EDGES)
+
+
+def _entry_text(pairs):
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+def _labeling_text(entries, top=None):
+    body = "[" + ", ".join(e if isinstance(e, str) else _entry_text(e) for e in entries) + "]"
+    return "{" + ", ".join(top or [f'"edges": {body}']) + "}"
+
+
+def _entries(orders, flips):
+    """The ui7 labeling as lists of (key, JSON value) pairs, each entry in
+    the key order and the orientation drawn for it."""
+    out = []
+    for ((u, v), k), order, flip in zip(sorted(UI7_LABELS.items()), orders, flips):
+        if flip:
+            u, v = v, u
+        values = {"u": str(u), "v": str(v), "label": str(k)}
+        out.append([(key, values[key]) for key in order])
+    return out
+
+
+KEY_ORDERS = [("label", "u", "v"), ("u", "v", "label"), ("v", "label", "u"),
+              ("u", "label", "v"), ("v", "u", "label"), ("label", "v", "u")]
+
+# one fault each: (where, replacement); "id" and "label" replace a value
+SINGLE_FAULTS = (
+    [("id", bad) for bad in ("true", "2.0", "-1", '"1"', "null", "{}", "[1]",
+                             '{"a": 1}', '{"a": 1, "a": 2}')]
+    + [("label", bad) for bad in ("true", "2.0", "0", "-1", '"1"', "null", "{}", "[1]")]
+    + [("drop-key", key) for key in ("u", "v", "label")]
+    + [("repeat-key", key) for key in ("u", "v", "label")]
+    + [("entry", bad) for bad in ("5", "null", "[1, 2]", "[]", '"u"', "{}")]
+    + [(kind, None) for kind in ("self-loop", "same-orientation", "both-orientations",
+                                 "missing-edge", "extra-edge", "non-edge",
+                                 "nested-repeat")]
+)
+
+
+def _with_fault(entries, fault, i, rng):
+    where, bad = fault
+    entries = [e if isinstance(e, str) else list(e) for e in entries]
+    entry = entries[i]
+    if isinstance(entry, str):  # an earlier fault made it no object
+        return entries
+    if where in ("id", "label"):
+        key = rng.choice("uv") if where == "id" else "label"
+        entry[:] = [(k, v) for k, v in entry if k != key]
+        entry.insert(rng.randrange(len(entry) + 1), (key, bad))
+    elif where == "drop-key":
+        entry[:] = [(k, v) for k, v in entry if k != bad]
+    elif where == "repeat-key":
+        value = dict(entry).get(bad, "1")
+        entry.insert(rng.randrange(len(entry) + 1), (bad, value))
+    elif where == "entry":
+        entries[i] = bad
+    elif where == "self-loop":
+        values = dict(entry)
+        entry[:] = [(k, values.get("u", v) if k == "v" else v) for k, v in entry]
+    elif where == "same-orientation":
+        entries.insert(rng.randrange(len(entries) + 1), list(entry))
+    elif where == "both-orientations":
+        values = dict(entry)
+        flipped = [(k, values.get("v", v) if k == "u" else values.get("u", v) if k == "v"
+                    else v) for k, v in entry]
+        entries.insert(rng.randrange(len(entries) + 1), flipped)
+    elif where == "missing-edge":
+        del entries[i]
+    elif where == "extra-edge":
+        entries.insert(i, [("u", "1"), ("v", "7"), ("label", "1")])
+    elif where == "non-edge":
+        entries[i] = [("u", "1"), ("v", "7"), ("label", "1")]
+    elif where == "nested-repeat":
+        entry.insert(rng.randrange(len(entry) + 1), ("note", '{"a": 1, "a": 1}'))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(KEY_ORDERS), min_size=13, max_size=13),
+       st.lists(st.booleans(), min_size=13, max_size=13),
+       st.sampled_from(SINGLE_FAULTS), st.integers(0, 12), st.randoms())
+def test_a_single_fault_keeps_its_message(orders, flips, fault, i, rng):
+    entries = _entries(orders, flips)
+    got = _assert_read_alike(UI7, _labeling_text(entries))
+    assert got == ("ok", UI7_LABELS)  # every key order and orientation is read
+    faulty = _labeling_text(_with_fault(entries, fault, i, rng))
+    assert _assert_read_alike(UI7, faulty)[0] == "error"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(KEY_ORDERS), min_size=13, max_size=13),
+       st.lists(st.booleans(), min_size=13, max_size=13),
+       st.lists(st.tuples(st.sampled_from(SINGLE_FAULTS), st.integers(0, 12)),
+                min_size=2, max_size=4),
+       st.randoms())
+def test_several_faults_are_named_as_before(orders, flips, faults, rng):
+    # the one-pass reader words the fault it meets as the two-pass reader
+    # did, which first checked the shape of every entry
+    entries = _entries(orders, flips)
+    for fault, i in faults:
+        entries = _with_fault(entries, fault, min(i, len(entries) - 1), rng)
+    _assert_read_alike(UI7, _labeling_text(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_texts(labeling_objects))
+def test_any_labeling_text_is_read_as_the_two_pass_reader_reads_it(text):
+    _assert_read_alike(parse_graph_text("0 1\n1 2\n0 2\n2 3\n"), text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"edges": [{"label": 1, "u": 1, "v": 2}, {"label": 2, "u": 2, "v": 3}]}',
+    '{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
+    '{"edges": [{"u": 2, "v": 1, "label": 1}, {"v": 2, "label": 2, "u": 3}]}',
+    '{"edges": [{"u": 1, "v": 2, "label": 1, "note": {"a": [1]}}, '
+    '{"u": 2, "v": 3, "label": 2}], "meta": {"b": null}}',
+])
+def test_labeling_json_in_any_key_order_and_orientation(text):
+    assert _assert_read_alike(P3, text) == ("ok", {(1, 2): 1, (2, 3): 2})
+
+
+P3 = Graph.from_edges([(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"edges": [{"u": true, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
+     "vertex ids must be nonnegative integers, got True"),
+    ('{"edges": [{"u": 2.0, "v": 1, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
+     "vertex ids must be nonnegative integers, got 2.0"),
+    ('{"edges": [{"u": 1, "v": 2, "label": true}, {"u": 2, "v": 3, "label": 1}]}',
+     "label of (1, 2) must be a positive integer, got True"),
+    ('{"edges": [{"u": 1, "v": 2, "label": 2.0}, {"u": 2, "v": 3, "label": 1}]}',
+     "label of (1, 2) must be a positive integer, got 2.0"),
+    ('{"edges": [{"u": {"w": 1}, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
+     "labeling JSON edges[0] has an array or object endpoint"),
+    ('{"edges": [{"u": 1, "v": 2, "u": 1, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
+     "labeling JSON repeats the key 'u' in one object"),
+    ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 1, "label": 1}]}',
+     "duplicate label entry for edge (1, 2)"),
+    ('{"edges": [{"u": 2, "v": 1, "label": 1}, {"u": 2, "v": 1, "label": 1}]}',
+     "duplicate labeling entry for edge (2, 1)"),
+    ('{"edges": [{"u": 1, "v": 2, "label": 1}]}',
+     "label domain must equal the edge set (missing [(2, 3)], extra [])"),
+    ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 1}, '
+     '{"u": 1, "v": 3, "label": 1}]}',
+     "label domain must equal the edge set (missing [], extra [(1, 3)])"),
+    ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 1, "v": 3, "label": 1}]}',
+     "label domain must equal the edge set (missing [(2, 3)], extra [(1, 3)])"),
+    ('{"edges": [{"u": 1, "v": 2}, {"u": 2, "v": 3, "label": 1}]}',
+     """labeling JSON edges[0] must be an object with "u", "v" and "label", """
+     """got {'u': 1, 'v': 2}"""),
+    ('{"edges": [[], {"u": 2, "v": 3, "label": 1}]}',
+     """labeling JSON edges[0] must be an object with "u", "v" and "label", got []"""),
+    ("null", 'labeling JSON needs an "edges" array'),
+    ("[]", 'labeling JSON needs an "edges" array'),
+    ("[[]]", 'labeling JSON needs an "edges" array'),
+    ('[{"a": 1, "a": 2}]', "labeling JSON repeats the key 'a' in one object"),
+    ('{"edges": 5}', 'labeling JSON needs an "edges" array'),
+    ('{"edges": [], "edges": []}', "labeling JSON repeats the key 'edges' in one object"),
+])
+def test_labeling_json_faults_keep_their_messages(text, message):
+    assert _assert_read_alike(P3, text) == ("error", message)
+
+
+def _python_calls(fn, *args):
+    """The number of Python function calls made while fn(*args) runs."""
+    import sys
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_labeling_json_makes_no_python_call_per_entry():
+    from matlabel import height_labeling_complete
+
+    for ell in (10, 40):
+        lab = height_labeling_complete(ell)
+        text = dump_json(labeling_to_json_dict(lab))
+        parsed, calls = _python_calls(parse_labeling_json, lab.graph, text)
+        assert parsed == lab
+        assert calls < 20, (ell, calls)  # 45 and 780 entries
+
+
+def _reference_graph_text(text):
+    """The edge-list reader before plain lines took a fast path."""
+    vertices, edges = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("vertices:"):
+                vertices.extend(_vertex_token(tok) for tok in line[len("vertices:"):].split())
+            else:
+                u, v = line.split()
+                edges.append((_vertex_token(u), _vertex_token(v)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
+    return Graph(vertices, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts)
+def test_edge_list_is_read_as_before(text):
+    # the fast path takes a line of two ASCII-digit tokens and one space;
+    # every other line gets the comment, `vertices:` and error handling
+    got = _outcome(lambda _, t: parse_graph_text(t), None, text)
+    assert got == _outcome(lambda _, t: _reference_graph_text(t), None, text)

@@ -1,6 +1,7 @@
 """The labeling verifier, MAT-simplicial vertices, MAT-PEOs."""
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -22,7 +23,7 @@ from matlabel import (
 from matlabel.construct import _mat_peo
 from matlabel.families import complete_graph, path_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge
-from matlabel.labeling import LabelBlocks, _forest_roots, _path_edges
+from matlabel.labeling import LabelBlocks, _path_edges
 
 
 def all_ones(g):
@@ -390,6 +391,33 @@ def test_verifier_matches_the_sorted_scan():
                                          "ML3-triangle-count")) >= 50, kinds
 
 
+def _forest_roots(edges):
+    """Union-find over sorted edges; returns ({vertex: root}, cycle_edge | None).
+
+    cycle_edge is the first edge, in the given order, whose endpoints are
+    already joined by the edges before it. (The dict union-find that
+    verify_mat_labeling ran before it kept its union-find in lists.)
+    """
+    parent: dict[int, int] = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    cycle_edge = None
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            if cycle_edge is None:
+                cycle_edge = (u, v)
+            continue
+        parent[ru] = rv
+    return {x: find(x) for x in parent}, cycle_edge
+
+
 def _verify_by_table(lab):
     """Reference verifier: one vertex -> neighbour -> label table; ML2 takes
     the least earlier edge at a forest vertex whose ends share a root, and
@@ -459,3 +487,100 @@ def test_verifier_matches_the_table_verifier_at_scale():
         assert (got and got.as_json()) == (expected and expected.as_json())
         kinds[None if got is None else got.kind] += 1
     assert min(kinds[kind] for kind in ("ML1-cycle", "ML2-closure")) >= 30, kinds
+
+
+def _unit_interval_height_labeling(n, rng):
+    """The height labeling (i, j) -> j - i of a seeded unit-interval graph on
+    1..n in a proper order, whose vertex i reaches up to i + 2..8."""
+    labels = {}
+    reach = 1
+    for i in range(1, n + 1):
+        reach = max(reach, min(n, i + rng.randint(2, 8)))
+        for j in range(i + 1, reach + 1):
+            labels[(i, j)] = j - i
+    return EdgeLabeling(Graph.from_edges(labels), labels)
+
+
+def test_verifier_matches_the_table_verifier_on_moved_edges():
+    # in a height labeling, the edges labeled j form paths i, i + j, ...; an
+    # edge labeled k moved down to a j that divides k closes a cycle of
+    # them (ML1), and to another j it mostly joins two of those paths that
+    # an earlier edge already joins (ML2)
+    rng = random.Random(14)
+    labs = [height_labeling_complete(ell) for ell in (40, 60, 80, 100, 120)]
+    labs += [_unit_interval_height_labeling(n, rng) for n in (500, 1000, 1500, 2000)]
+    kinds = Counter()
+    for lab in labs:
+        assert verify_mat_labeling(lab) is None
+        edges = [e for e, k in lab.items() if k >= 2]
+        for _ in range(20):
+            e = rng.choice(edges)
+            k = lab.label(*e)
+            divisors = [j for j in range(1, k) if k % j == 0]
+            j = rng.choice(divisors) if rng.random() < 0.35 else rng.randint(1, k - 1)
+            moved = lab.with_label(*e, j)
+            got = verify_mat_labeling(moved)
+            assert got == _verify_by_table(moved)
+            kinds[got.kind] += 1
+    assert min(kinds[kind] for kind in ("ML1-cycle", "ML2-closure")) >= 50, kinds
+
+
+def _blocks_by_level(lab):
+    """Reference LabelBlocks: a block and a copied prefix at every level up
+    to the largest label."""
+    top = lab.max_label
+    blocks = {k: set() for k in range(1, top + 1)}
+    for e, k in lab.items():
+        blocks[k].add(e)
+    prefixes = {0: frozenset()}
+    acc = set()
+    for k in range(1, top + 1):
+        acc |= blocks[k]
+        prefixes[k] = frozenset(acc)
+    return LabelBlocks({k: frozenset(v) for k, v in blocks.items()}, prefixes)
+
+
+def test_blocks_match_the_level_by_level_construction():
+    seen = 0
+    for lab in _labelings_to_verify(random.Random(67)):
+        got = lab.blocks()
+        assert got == _blocks_by_level(lab)
+        assert list(got.blocks) == list(range(1, lab.max_label + 1))
+        assert list(got.prefixes) == list(range(lab.max_label + 1))
+        seen += any(not block for block in got.blocks.values())
+    assert seen >= 50  # labelings with empty levels are among them
+
+
+def test_blocks_of_one_large_label_copy_no_prefix_per_level():
+    # every empty level shares the prefix before it
+    lab = EdgeLabeling(path_graph(3), {(1, 2): 1, (2, 3): 300_000})
+    start = time.perf_counter()
+    blocks = lab.blocks()
+    assert time.perf_counter() - start < 2
+    assert blocks.blocks[1] == {(1, 2)} and blocks.blocks[300_000] == {(2, 3)}
+    assert blocks.blocks[2] == frozenset() and len(blocks.blocks) == 300_000
+    assert blocks.prefixes[299_999] == {(1, 2)}
+    assert blocks.prefixes[300_000] == {(1, 2), (2, 3)}
+
+
+def test_verifier_makes_no_python_call_per_edge():
+    # the union-find runs inline over lists, with no find function
+    import sys
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    for ell in (10, 60):
+        lab = height_labeling_complete(ell)
+        calls = 0
+        sys.setprofile(count)
+        try:
+            violation = verify_mat_labeling(lab)
+        finally:
+            sys.setprofile(None)
+        assert violation is None
+        # one call per level, for the ML2 scan; 45 and 1,770 edges
+        assert calls < ell + 5, (ell, calls)

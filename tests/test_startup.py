@@ -13,9 +13,11 @@ from .conftest import UI7_EDGES, UI7_LABELS
 
 SRC = str(Path(matlabel.__file__).resolve().parents[1])
 
-# test-only oracles, and the stdlib module that pulls in inspect, ast and dis
+# test-only oracles, the stdlib module that pulls in inspect, ast and dis,
+# and the command-line parser that the command table replaced, with the
+# translation machinery it loads
 NEVER_ON_A_COMMAND = {"dataclasses", "matlabel.brute", "matlabel.oracle",
-                      "matlabel.families"}
+                      "matlabel.families", "argparse", "gettext"}
 
 
 def imported_by(*argv) -> set[str]:
