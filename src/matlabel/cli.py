@@ -174,6 +174,8 @@ def cmd_poset(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.max_brute_edges < 0:
+        raise ValueError(f"selftest: --max-brute-edges {args.max_brute_edges} is negative")
     import random
 
     from . import families

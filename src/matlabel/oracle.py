@@ -4,8 +4,8 @@ Deliberately naive and implemented apart from the production recognizers:
 these share only the graph primitives and the pattern search behind the
 claw and net witnesses, so agreement between an oracle and a production
 path is meaningful evidence. The scans carry a hard input-size guard,
-overridable where it exists; the sun and crown searches are exponential
-in the worst case and have none.
+a parameter of the induced-cycle scan; the sun and crown searches are
+exponential in the worst case and have none.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ def enumerate_graphs(
     n: int,
     predicate: Callable[[Graph], bool] | None = None,
     connected: bool = False,
-    allow_large: bool = False,
 ) -> Iterator[Graph]:
     """All graphs on n labeled vertices 0..n-1, optionally connected only.
 
     Streams 2^(n choose 2) graphs, filtered by `predicate` when given;
     guarded at n <= 8.
     """
-    if n > 8 and not allow_large:
+    if n > 8:
         raise ValueError(f"enumeration guarded at 8 vertices, got {n}")
     if n < 0:
         raise ValueError("n must be nonnegative")

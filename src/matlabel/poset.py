@@ -40,32 +40,47 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
 
 
 class CliquePoset:
-    """Inclusion poset of all intersections of maximal cliques.
+    """Inclusion poset of all intersections of a family of maximal cliques.
 
-    `nodes` is canonically sorted; `covers` maps each node to the nodes it
-    covers (its lower covers); `rank` is the length of a maximum chain up
-    from the minimum node; `maximal_nodes` flags the maximal cliques.
+    `nodes` is canonically sorted, `covers` maps each node to its lower
+    covers, `rank` counts the longest chain up from `bottom` (the meet of
+    all the cliques) and `maximal_nodes` is the family.
+
+    Lemma: the lower covers of a node x are the largest of the meets x & c
+    over the cliques c that do not contain x. Proof: each such meet is a
+    node below x. A node y < x is the meet of the cliques containing it;
+    not all of them contain x (else y would), so y lies in one such x & c.
+
+    So a worklist down from the cliques through the covers it finds reaches
+    every node. Meets are taken largest first, each kept unless it lies in
+    a cover kept before it (a later meet is no larger, so contains none).
     """
 
     __slots__ = ("nodes", "covers", "rank", "maximal_nodes", "bottom")
 
-    def __init__(self, nodes: Iterable[frozenset[int]],
-                 maximal_nodes: Iterable[frozenset[int]] = ()):
-        self.nodes: tuple[frozenset[int], ...] = sorted_sets(nodes)
-        if not self.nodes:
-            raise ValueError("poset needs at least one node")
-        self.maximal_nodes: frozenset[frozenset[int]] = frozenset(maximal_nodes)
-        self.covers: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-        for x in self.nodes:
-            below = [y for y in self.nodes if y < x]
-            covered = [y for y in below if not any(y < z for z in below if z < x)]
-            self.covers[x] = sorted_sets(covered)
-        bottoms = [x for x in self.nodes if not self.covers[x]]
-        self.bottom = bottoms[0] if len(bottoms) == 1 else None
+    def __init__(self, cliques: Iterable[frozenset[int]]):
+        self.maximal_nodes: frozenset[frozenset[int]] = frozenset(cliques)
+        if not self.maximal_nodes:
+            raise ValueError("poset needs at least one maximal clique")
+        covers: dict[frozenset[int], list[frozenset[int]]] = {}
+        todo = list(self.maximal_nodes)
+        while todo:
+            x = todo.pop()
+            if x in covers:
+                continue
+            kept = covers[x] = []
+            meets = {x & c for c in self.maximal_nodes} - {x}  # x & c is x iff c >= x
+            for meet in sorted(meets, key=len, reverse=True):
+                if not any(meet < y for y in kept):
+                    kept.append(meet)
+            todo.extend(kept)
+        self.nodes: tuple[frozenset[int], ...] = sorted_sets(covers)
+        self.covers: dict[frozenset[int], tuple[frozenset[int], ...]] = {
+            x: sorted_sets(covers[x]) for x in self.nodes}
+        self.bottom: frozenset[int] = self.nodes[0]  # the smallest node is the minimum
         self.rank: dict[frozenset[int], int] = {}
         for x in self.nodes:  # nodes are sorted by size, so covers come first
-            covered = self.covers[x]
-            self.rank[x] = 1 + max(self.rank[y] for y in covered) if covered else 0
+            self.rank[x] = max((self.rank[y] + 1 for y in self.covers[x]), default=0)
 
     def __contains__(self, node) -> bool:
         return frozenset(node) in self.covers
@@ -78,25 +93,8 @@ class CliquePoset:
 
 
 def build_poset(g: Graph) -> CliquePoset:
-    """Clique intersection poset of a chordal graph.
-
-    The node set is the fixpoint of the maximal cliques under pairwise
-    intersection (intersections over larger families are folds of pairwise
-    ones). The empty set appears only when some cliques are disjoint.
-    """
-    cliques = maximal_cliques(g)
-    nodes = set(cliques)
-    frontier = set(cliques)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            for c in cliques:
-                meet = x & c
-                if meet not in nodes:
-                    fresh.add(meet)
-        nodes |= fresh
-        frontier = fresh
-    return CliquePoset(nodes, cliques)
+    """Clique intersection poset of a chordal graph; NotChordalError if not."""
+    return CliquePoset(maximal_cliques(g))
 
 
 class CrownWitness(NamedTuple):

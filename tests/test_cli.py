@@ -559,6 +559,15 @@ def test_selftest_cross_check_does_not_read_a_peo(capsys, monkeypatch):
     assert {m["check"] for m in report["mismatches"]} == {"factorization"}
 
 
+@pytest.mark.parametrize("argv", [["--max-brute-edges", "-1"], ["--max-brute-edges=-7"]])
+def test_selftest_rejects_a_negative_edge_bound_before_sampling(capsys, argv):
+    code = main(["selftest", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"matlabel: error: selftest: --max-brute-edges "
+                            f"{argv[-1].rpartition('=')[2]} is negative\n")
+
+
 def test_usage_error_exit_code():
     result = subprocess.run(
         [sys.executable, "-m", "matlabel.cli", "frobnicate"],

@@ -26,6 +26,7 @@ from matlabel.families import (
     random_graph,
     random_strongly_chordal,
 )
+from matlabel.graph import sorted_sets
 from matlabel.oracle import brute_minimal_separators, enumerate_graphs
 
 from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
@@ -125,6 +126,55 @@ def test_build_poset_complete_and_disjoint_edges():
     assert q.bottom == frozenset()
 
 
+def _reference_poset(g):
+    """Reference: the maximal cliques closed under intersection by a
+    frontier fixpoint, then the covers found by comparing every pair of
+    nodes."""
+    cliques = maximal_cliques(g)
+    nodes = set(cliques)
+    frontier = set(cliques)
+    while frontier:
+        fresh = set()
+        for x in frontier:
+            for c in cliques:
+                meet = x & c
+                if meet not in nodes:
+                    fresh.add(meet)
+        nodes |= fresh
+        frontier = fresh
+    nodes = sorted_sets(nodes)
+    covers = {}
+    for x in nodes:
+        below = [y for y in nodes if y < x]
+        covers[x] = sorted_sets(y for y in below if not any(y < z for z in below if z < x))
+    bottoms = [x for x in nodes if not covers[x]]
+    rank = {}
+    for x in nodes:
+        rank[x] = 1 + max(rank[y] for y in covers[x]) if covers[x] else 0
+    return (nodes, list(covers.items()), list(rank.items()),
+            bottoms[0] if len(bottoms) == 1 else None, frozenset(cliques))
+
+
+def test_poset_matches_the_fixpoint_and_pairwise_scan():
+    rng = random.Random(53)
+    graphs = [g for n in range(7) for g in enumerate_graphs(n, is_chordal)]
+    graphs += [random_strongly_chordal(rng.randint(1, 40), rng=rng,
+                                       grow_bias=(0.3, 0.6, 0.9)[i % 3]) for i in range(150)]
+    graphs += [path_graph(300)] + [n_sun(k) for k in range(3, 7)]
+    graphs += [Graph.from_edges([(1, 2), (3, 4), (4, 5)]), Graph([1, 2, 3], [(1, 2)]),
+               Graph([7]), Graph([])]
+    with_empty = 0
+    for g in graphs:
+        p = build_poset(g)
+        assert (p.nodes, list(p.covers.items()), list(p.rank.items()), p.bottom,
+                p.maximal_nodes) == _reference_poset(g), g.edges
+        with_empty += frozenset() in p
+    assert len(graphs) > 19000 and with_empty > 10000
+    assert build_poset(Graph([])).nodes == (frozenset(),)
+    with pytest.raises(ValueError):
+        CliquePoset([])
+
+
 def test_poset_invariants_sampled():
     rng = random.Random(31)
     for _ in range(40):
@@ -196,8 +246,7 @@ def test_abstract_crown_fed_directly():
     k = 4
     lower = [frozenset({i}) for i in range(k)]
     upper = [frozenset({(j - 1) % k, j, k + 1 + j}) for j in range(k)]
-    p = CliquePoset(lower + upper)
-    witness = find_crown(p, 4)
+    witness = find_crown(lower + upper, 4)
     assert witness is not None
     assert set(witness.lower) == set(lower)
     assert set(witness.upper) == set(upper)
@@ -237,8 +286,8 @@ def test_crown_freeness_ignores_empty_node():
         without = [x for x in p.nodes if x]
         if len(without) == len(p.nodes) or not without:
             continue
-        stripped = CliquePoset(without, p.maximal_nodes)
-        assert is_crown_free(p) == is_crown_free(stripped)
+        assert is_crown_free(p) == all(
+            find_crown(without, k) is None for k in range(3, len(without) // 2 + 1))
 
 
 def test_leaf_pair_example(ui7):
