@@ -160,7 +160,7 @@ def cmd_poset(args) -> int:
     # a chordal graph's clique intersection poset is crown-free exactly when
     # the graph is strongly chordal; otherwise a sun of it gives a crown
     sun = find_sun(g)
-    crown = None if sun is None else crown_from_sun(p, sun)
+    crown = None if sun is None else crown_from_sun(p.maximal_nodes, sun)
     if args.out and args.out.endswith(".dot"):
         Path(args.out).write_text(poset_to_dot(p))
     else:

@@ -5,23 +5,23 @@ time extension along a greedy MAT-PEO read off the clique's top edges). Two
 compatibly labeled cliques merge into a labeling of their union clique. A
 strongly chordal graph is then labeled by one edge -> label table, filled
 bottom-up in rank over its clique intersection poset by merging each
-node's covers and extending to the whole node, and verified once. Any
-failure on the way means the graph is not strongly chordal and is answered
-with a crown of the poset, lifted from an induced sun. Every greedy choice
-breaks ties by smallest vertex id, so the whole construction is a
+node's covers and extending to the whole node, and verified once. Strong
+chordality is decided before the poset is built, by simple elimination: a
+graph that is not strongly chordal is answered with a crown of its poset,
+lifted from an induced sun and read off its maximal cliques. Every greedy
+choice breaks ties by smallest vertex id, so the whole construction is a
 deterministic function of the input graph.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NoReturn
 
 from .chordal import find_chordless_cycle
 from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
 from .graph import Graph, canonical_edge, sorted_key
 from .labeling import EdgeLabeling, verify_mat_labeling
-from .poset import CliquePoset, build_poset, crown_from_sun, leaf_pair
+from .poset import CliquePoset, build_poset, crown_from_sun, leaf_pair, maximal_cliques
 from .strong_chordal import find_sun
 
 
@@ -218,37 +218,32 @@ def node_family(g: Graph, poset: CliquePoset | None = None):
     return {x: labeling.restrict_vertices(x) for x in poset.nodes}
 
 
-def _reject_with_crown(g: Graph, poset: CliquePoset, stage: str) -> NoReturn:
-    """Reject a chordal graph whose labeling failed at `stage` with the crown
-    lifted from one of its suns, which exist because only strongly chordal
-    graphs have MAT-labelings."""
-    sun = find_sun(g)
-    if sun is None:
-        raise RuntimeError(
-            f"construct: {stage} failed on a graph with {g.n} vertices, "
-            f"but find_sun found no sun in it"
-        )
-    raise NotStronglyChordalError("crown", crown_from_sun(poset, sun)) from None
-
-
 def construct_mat_labeling(g: Graph) -> EdgeLabeling:
     """A MAT-labeling of a strongly chordal graph.
 
-    The label table of the clique intersection poset, read as a labeling of
-    g and verified once. Non strongly chordal inputs are rejected with a
-    structured witness: a chordless cycle when the graph is not chordal,
-    otherwise a crown of the clique intersection poset, lifted from an
-    induced sun when there is no leaf pair or the verifier rejects the table.
+    Strong chordality is decided first, by find_sun's simple elimination.
+    Non strongly chordal inputs are rejected with a structured witness: a
+    chordless cycle when the graph is not chordal, otherwise a crown of the
+    clique intersection poset lifted from an induced sun, read off the
+    maximal cliques without building the poset. A strongly chordal graph
+    gets the label table of its clique intersection poset, read as a
+    labeling of g and verified once; by the paper's theorem neither step
+    fails there, so a failure is a RuntimeError naming the stage.
     """
     try:
-        poset = build_poset(g)
+        cliques = maximal_cliques(g)
     except NotChordalError:
         raise NotStronglyChordalError(
             "chordless-cycle", find_chordless_cycle(g)) from None
+    sun = find_sun(g)
+    if sun is not None:
+        raise NotStronglyChordalError("crown", crown_from_sun(cliques, sun))
     try:
-        result = EdgeLabeling(g, _label_table(poset))
+        result = EdgeLabeling(g, _label_table(CliquePoset(cliques)))
     except NoLeafPairError:
-        _reject_with_crown(g, poset, "leaf pair")
+        raise RuntimeError(f"construct: no leaf pair in the poset of a strongly "
+                           f"chordal graph with {g.n} vertices") from None
     if verify_mat_labeling(result) is not None:
-        _reject_with_crown(g, poset, "verify")
+        raise RuntimeError(f"construct: verify rejected the labeling of a strongly "
+                           f"chordal graph with {g.n} vertices")
     return result

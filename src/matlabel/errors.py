@@ -23,9 +23,9 @@ class NoLeafPairError(Exception):
 class NotStronglyChordalError(Exception):
     """Structured rejection of a non strongly chordal input.
 
-    ``kind`` is "chordless-cycle" (input not even chordal), "crown"
-    (poset obstruction) or "sun" (induced sun witness); ``witness`` is the
-    corresponding machine-checkable object.
+    ``kind`` is "chordless-cycle" (input not even chordal) or "crown"
+    (poset obstruction); ``witness`` is the corresponding machine-checkable
+    object.
     """
 
     def __init__(self, kind: str, witness):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -219,16 +220,31 @@ def peel(g: Graph, removable: Callable[[dict[int, set[int]], int], bool]
     and keeps removing the smallest vertex v for which `removable(adj, v)`
     holds, until none does. The predicate sees the vertices left and their
     neighbours among them, and must not change adj.
+
+    The removable vertices wait in a heap. After a removal only the other
+    vertices within distance 2 of the removed one are tested again, so the
+    predicate must read no more of adj than the ball of radius 2 around v,
+    and a removable vertex must stay removable when another removable
+    vertex is removed. Then the heap holds exactly the removable vertices
+    at every step, and the result is that of testing every vertex again
+    after each removal.
     """
     adj = {v: set(g[v]) for v in g.vertices}  # ascending, also after deletions
+    ready = [v for v in adj if removable(adj, v)]  # ascending, so a heap
+    seen = set(ready)
     removed: list[int] = []
-    while True:
-        v = next((v for v in adj if removable(adj, v)), None)
-        if v is None:
-            return removed, list(adj)
+    while ready:
+        v = heappop(ready)
         removed.append(v)
-        for u in adj.pop(v):
+        near = adj.pop(v)
+        for u in near:
             adj[u].discard(v)
+        near = near.union(*(adj[u] for u in near)) - seen
+        for u in near:
+            if removable(adj, u):
+                heappush(ready, u)
+                seen.add(u)
+    return removed, list(adj)
 
 
 def find_embedding(candidates: Sequence, pattern: Sequence[Sequence],

@@ -292,7 +292,7 @@ def mat_simplicial_violation(lab: EdgeLabeling, v: int) -> MatViolation | None:
     1..deg(v). MS3: every edge inside N(v) is labeled strictly below the
     larger of its endpoints' labels toward v. Only lab.label and lab.graph[x]
     are read, so find_mat_peo and is_mat_peo pass a namespace whose graph
-    is the {vertex: neighbours} dict of graph.peel.
+    is a {vertex: neighbours} dict of the vertices left.
     """
     g = lab.graph
     nbrs = sorted(g[v])
@@ -340,18 +340,36 @@ def find_mat_peo(lab: EdgeLabeling) -> list[int] | None:
     left while there is one; the ordering is the removal reversed. Removing
     a MAT-simplicial vertex preserves validity and invalidity alike, so the
     search succeeds exactly when lab is a MAT-labeling.
+
+    The predicate reads only N(v), the adjacency among it and its labels,
+    and it meets peel's other condition: if v and w are MAT-simplicial, v
+    stays so when w is removed. MS1 and MS3 only lose vertices; MS2 needs
+    j = label(v, w) to be d = deg v. Were j < d, the neighbour u with
+    label(u, v) = d would be adjacent to w (MS1 at v), MS3 at v would give
+    label(u, w) < d, and MS3 at w, where label(u, w) and j are both below
+    d, would give d = label(u, v) < max(label(u, w), j) < d.
     """
     removal, left = peel(lab.graph, _mat_simplicial_left(lab))
     return None if left else removal[::-1]
 
 
 def is_mat_peo(lab: EdgeLabeling, order) -> bool:
-    """Check the MAT-PEO condition on every prefix of an ordering."""
+    """Check the MAT-PEO condition on every prefix of an ordering.
+
+    Peels the order from its end. Whether a vertex is next does not stay
+    true under removals, so this is a plain loop and not graph.peel.
+    """
     seq = list(order)
     if sorted(seq) != list(lab.graph.vertices):
         raise ValueError("ordering is not a permutation of the vertex set")
-    ok = _mat_simplicial_left(lab)  # peel seq from its end, one vertex a step
-    return not peel(lab.graph, lambda adj, v: v == seq[len(adj) - 1] and ok(adj, v))[1]
+    ok = _mat_simplicial_left(lab)
+    adj = {v: set(lab.graph[v]) for v in lab.graph.vertices}
+    for v in reversed(seq):
+        if not ok(adj, v):
+            return False
+        for u in adj.pop(v):
+            adj[u].discard(v)
+    return True
 
 
 def largest_clique_edges(lab: EdgeLabeling) -> dict[tuple[int, int], frozenset[int]]:

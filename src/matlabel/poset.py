@@ -114,8 +114,9 @@ class CrownWitness(NamedTuple):
         }
 
 
-def crown_from_sun(p: CliquePoset, sun) -> CrownWitness:
-    """The k-crown of p forced by an induced k-sun of its graph.
+def crown_from_sun(cliques: Iterable[frozenset[int]], sun) -> CrownWitness:
+    """The k-crown forced by an induced k-sun in the clique intersection
+    poset of a chordal graph with the given maximal cliques.
 
     With inner vertices i_0..i_(k-1) and outer vertex o_j adjacent to i_j
     and i_(j+1) (indices mod k), let M_C be the first maximal clique that
@@ -135,7 +136,7 @@ def crown_from_sun(p: CliquePoset, sun) -> CrownWitness:
     lower, its trace being larger. These are exactly the k-crown's
     comparabilities.
     """
-    cliques = sorted_sets(p.maximal_nodes)
+    cliques = sorted_sets(cliques)
 
     def first_containing(vs) -> frozenset[int]:
         found = next((c for c in cliques if c >= vs), None)

@@ -19,12 +19,18 @@ from .graph import Graph, find_embedding, peel
 def is_simple_vertex(g: Graph, v: int) -> bool:
     """True iff the closed neighborhoods of N[v] form an inclusion chain.
 
-    Simple vertices are in particular simplicial; greedy removal of simple
-    vertices succeeds exactly on strongly chordal graphs. g may also be
-    graph.peel's adjacency dict.
+    Simple vertices are in particular simplicial, so N[v] is the least link
+    of the chain and the others follow in degree order; for adjacent x and
+    u, N[x] <= N[u] iff N(x) - N(u) is {u}. Simplicity is hereditary, and
+    greedy removal of simple vertices succeeds exactly on strongly chordal
+    graphs. g may also be graph.peel's adjacency dict.
     """
-    closed = sorted((g[u] | {u} for u in g[v] | {v}), key=len)
-    return all(a <= b for a, b in zip(closed, closed[1:]))
+    below = v
+    for u in sorted(g[v], key=lambda u: len(g[u])):
+        if g[below] - g[u] != {u}:
+            return False
+        below = u
+    return True
 
 
 def simple_elimination(g: Graph) -> tuple[list[int], Graph]:

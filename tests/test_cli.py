@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from matlabel import Graph, build_poset, cli
+from matlabel import Graph, NoLeafPairError, build_poset, cli
 from matlabel.cli import main
 from matlabel.families import n_sun
 from matlabel.labeling import verify_mat_labeling
@@ -397,6 +397,20 @@ def test_label_internal_error_is_one_line(capsys, sun3_file, monkeypatch):
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("matlabel: internal error: construct: ")
     assert "graph with 6 vertices" in captured.err and captured.err.count("\n") == 1
+
+
+def test_label_missing_leaf_pair_is_one_line(capsys, ui7_file, monkeypatch):
+    # ui7 is strongly chordal, so a missing leaf pair in its poset is a
+    # broken invariant and not a rejection
+    def no_leaf_pair(poset, antichain):
+        raise NoLeafPairError(antichain)
+
+    monkeypatch.setattr("matlabel.construct.leaf_pair", no_leaf_pair)
+    code = main(["label", str(ui7_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("matlabel: internal error: construct: no leaf pair in "
+                            "the poset of a strongly chordal graph with 7 vertices\n")
 
 
 def test_poset_nonchordal_rejected(capsys, c4_file):

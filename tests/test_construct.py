@@ -1,19 +1,23 @@
 """Height labelings, extension, merging, node families, and the constructor."""
 
 import random
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 
 from matlabel import (
+    CliquePoset,
     EdgeLabeling,
     Graph,
     MatViolation,
     NotStronglyChordalError,
     build_poset,
     construct_mat_labeling,
+    crown_from_sun,
     exponents_from_labeling,
     extend_labeling_complete,
+    find_sun,
     height_labeling_complete,
     is_chordal,
     is_mat_simplicial,
@@ -315,13 +319,15 @@ def _assert_induced_crown(poset, witness):
                 assert i == j or not layer[i] < layer[j]
 
 
-def test_construct_rejects_every_small_non_strongly_chordal_with_crown():
+@cache
+def _small_chordal_not_strongly_chordal():
+    """The connected chordal graphs on up to 6 vertices that are not strongly
+    chordal, and those among 4000 seeded random graphs on 7 to 10 vertices."""
     def chordal_not_sc(g):
         return is_chordal(g) and not is_strongly_chordal(g)
 
     graphs = [g for n in range(1, 7)
               for g in enumerate_graphs(n, chordal_not_sc, connected=True)]
-    assert graphs
     rng = random.Random(79)
     sampled = []
     for _ in range(4000):
@@ -329,12 +335,54 @@ def test_construct_rejects_every_small_non_strongly_chordal_with_crown():
         g = random_graph(n, rng.randint(n, 2 * n + 2), rng)
         if chordal_not_sc(g):
             sampled.append(g)
+    return graphs, sampled
+
+
+def test_construct_rejects_every_small_non_strongly_chordal_with_crown():
+    graphs, sampled = _small_chordal_not_strongly_chordal()
+    assert graphs
     assert sampled
     for g in graphs + sampled:
         with pytest.raises(NotStronglyChordalError) as err:
             construct_mat_labeling(g)
         assert err.value.kind == "crown"
         _assert_induced_crown(build_poset(g), err.value.witness)
+
+
+def d_graph(t: int) -> Graph:
+    """A clique on 1..t, and a vertex t + i adjacent to every clique vertex
+    but i, for i = 1..t: chordal, not strongly chordal for t >= 3, and with
+    about 2^t clique intersections."""
+    clique = range(1, t + 1)
+    return Graph.from_edges([*combinations(clique, 2),
+                             *((t + i, j) for i in clique for j in clique if j != i)])
+
+
+def test_construct_rejects_before_building_the_poset(ui7, monkeypatch):
+    built = []
+    real = CliquePoset.__init__
+
+    def counting(self, cliques):
+        built.append(cliques)
+        real(self, cliques)
+
+    monkeypatch.setattr(CliquePoset, "__init__", counting)
+    construct_mat_labeling(ui7)
+    assert len(built) == 1
+    graphs, sampled = _small_chordal_not_strongly_chordal()
+    for g in graphs + sampled + [d_graph(t) for t in range(3, 25)]:
+        expected = None
+        if g.n <= 20:
+            poset = build_poset(g)
+            expected = crown_from_sun(poset.maximal_nodes, find_sun(g))
+        built.clear()
+        with pytest.raises(NotStronglyChordalError) as err:
+            construct_mat_labeling(g)
+        assert built == []
+        assert err.value.kind == "crown"
+        if expected is not None:
+            assert err.value.witness == expected
+            _assert_induced_crown(poset, expected)
 
 
 def test_construct_failed_verify_is_an_internal_error(ui7, monkeypatch):

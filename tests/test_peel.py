@@ -1,22 +1,46 @@
-"""graph.peel, the one greedy elimination loop: simple elimination and the
-greedy MAT-PEO against the loops that rebuilt a Graph or an EdgeLabeling
-for every removed vertex, the constructor's MAT-PEOs read off the top
-edge against the same loop, and counts of the values built."""
+"""graph.peel, the one greedy elimination loop: its worklist against the
+loop that tested every vertex again after each removal, simple elimination
+and the greedy MAT-PEO against the loops that rebuilt a Graph or an
+EdgeLabeling for every removed vertex, the constructor's MAT-PEOs read off
+the top edge against the same loop, and counts of the values built."""
 
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from matlabel import (EdgeLabeling, Graph, construct_mat_labeling, find_mat_peo,
                       height_labeling_complete, is_mat_peo, is_mat_simplicial,
-                      is_simple_vertex)
+                      is_simple_vertex, is_simplicial, is_strongly_chordal)
 from matlabel.construct import _label_table, _mat_peo
-from matlabel.families import n_sun, random_graph, random_strongly_chordal
-from matlabel.graph import canonical_edge
+from matlabel.families import n_sun, path_graph, random_graph, random_strongly_chordal
+from matlabel.graph import canonical_edge, peel
+from matlabel.labeling import _mat_simplicial_left
+from matlabel.oracle import enumerate_graphs
 from matlabel.poset import build_poset
 from matlabel.strong_chordal import find_sun, simple_elimination
+
+
+def rescan_peel(g: Graph, removable):
+    """Reference: test every vertex again, from the smallest, after each
+    removal."""
+    adj = {v: set(g[v]) for v in g.vertices}
+    removed = []
+    while True:
+        v = next((v for v in adj if removable(adj, v)), None)
+        if v is None:
+            return removed, list(adj)
+        removed.append(v)
+        for u in adj.pop(v):
+            adj[u].discard(v)
+
+
+def closed_set_is_simple_vertex(g, v) -> bool:
+    """Reference: sort the closed neighbourhoods of N[v] by size and check
+    that each lies in the next."""
+    closed = sorted((g[u] | {u} for u in g[v] | {v}), key=len)
+    return all(a <= b for a, b in zip(closed, closed[1:]))
 
 
 def rebuild_simple_elimination(g: Graph):
@@ -97,6 +121,41 @@ def test_simple_elimination_matches_the_rebuild_loop():
     assert 100 <= residues <= 200  # both outcomes are well covered
 
 
+def test_worklist_peel_matches_the_rescan_on_graphs():
+    residues = 0
+    for g in graphs(98, 240):
+        for removable in (is_simple_vertex, is_simplicial):
+            result = peel(g, removable)
+            assert result == rescan_peel(g, removable)
+            residues += bool(result[1])
+    assert residues >= 100
+
+
+def test_is_simple_vertex_calls_are_linear(monkeypatch):
+    g = random_strongly_chordal(1600, seed=1600)
+    calls = []
+
+    def counting(adj, v):
+        calls.append(v)
+        return is_simple_vertex(adj, v)
+
+    monkeypatch.setattr("matlabel.strong_chordal.is_simple_vertex", counting)
+    assert is_strongly_chordal(g)
+    # the rescan made 625,871 calls here
+    assert len(calls) <= 10 * g.n
+
+
+def test_is_simple_vertex_matches_the_closed_sets_on_every_small_graph():
+    verdicts = Counter()
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for v in g.vertices:
+                verdict = is_simple_vertex(g, v)
+                assert verdict == closed_set_is_simple_vertex(g, v)
+                verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def labelings(seed: int, count: int):
     """Valid labelings of small strongly chordal graphs and cliques, each
     followed by a copy with one edge relabeled."""
@@ -113,6 +172,32 @@ def labelings(seed: int, count: int):
         if lab.graph.m:
             u, v = rng.choice(lab.graph.edges)
             yield lab.with_label(u, v, rng.randint(1, lab.max_label + 1))
+
+
+def test_worklist_peel_matches_the_rescan_on_labelings():
+    stuck = 0
+    for lab in labelings(99, 120):
+        removable = _mat_simplicial_left(lab)
+        result = peel(lab.graph, removable)
+        assert result == rescan_peel(lab.graph, removable)
+        stuck += bool(result[1])
+    assert stuck >= 20
+
+
+def test_worklist_peel_matches_the_rescan_on_every_small_labeling():
+    # every labeling with labels 1..3 of every graph on up to 4 vertices
+    stuck = count = 0
+    for n in range(5):
+        for g in enumerate_graphs(n):
+            for labels in product((1, 2, 3), repeat=g.m):
+                lab = EdgeLabeling(g, dict(zip(g.edges, labels)))
+                removable = _mat_simplicial_left(lab)
+                result = peel(g, removable)
+                assert result == rescan_peel(g, removable)
+                stuck += bool(result[1])
+                count += 1
+    assert count == sum(4 ** (n * (n - 1) // 2) for n in range(5))
+    assert stuck > 0
 
 
 def test_find_mat_peo_matches_the_rebuild_loop():
@@ -179,6 +264,20 @@ def test_is_mat_peo_matches_the_rebuild_loop():
             assert verdict == rebuild_is_mat_peo(lab, order)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_is_mat_peo_on_path_orders_ending_far_apart():
+    # the last two vertices of each order are more than 2 apart, so the
+    # second to last is outside the ball of radius 2 around the last
+    lab = EdgeLabeling(path_graph(8), {e: 1 for e in path_graph(8).edges})
+    verdicts = []
+    for order in ([2, 3, 4, 5, 6, 7, 1, 8], [3, 4, 5, 6, 7, 2, 8, 1],
+                  [4, 3, 5, 6, 2, 7, 1, 8], [4, 5, 3, 6, 7, 2, 8, 1],
+                  [3, 5, 4, 6, 7, 2, 8, 1], [2, 4, 3, 5, 6, 7, 8, 1]):
+        verdict = is_mat_peo(lab, order)
+        assert verdict == rebuild_is_mat_peo(lab, order)
+        verdicts.append(verdict)
+    assert verdicts == [True, True, True, True, False, False]
 
 
 @pytest.fixture

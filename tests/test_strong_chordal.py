@@ -165,7 +165,7 @@ def test_find_sun_and_its_crown(corpus6_facts):
         found[g] = w = find_sun(g)
         _assert_induced_sun(g, w)
         p = build_poset(g)
-        _assert_induced_crown(p, crown_from_sun(p, w))
+        _assert_induced_crown(p, crown_from_sun(p.maximal_nodes, w))
     for k in range(3, 6):
         for g in bridged[k]:
             assert found[g] == detect_induced_sun(g)
@@ -190,7 +190,7 @@ def test_find_sun_on_a_chordless_cycle_is_an_error():
 
 def test_crown_from_sun_needs_a_sun_of_the_graph():
     with pytest.raises(ValueError, match="not a sun of the poset's graph"):
-        crown_from_sun(build_poset(complete_graph(5)), find_sun(n_sun(3)))
+        crown_from_sun(build_poset(complete_graph(5)).maximal_nodes, find_sun(n_sun(3)))
 
 
 def test_is_strongly_chordal_basics():
