@@ -9,9 +9,11 @@ with a machine-checkable witness.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .io import dump_json, load_graph
 
@@ -393,8 +395,37 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def entry() -> NoReturn:
+    """The `matlabel` executable: main, then a checked flush and a hard exit.
+
+    stdout and stderr are flushed here, where a failed write (a full disk,
+    a reader that closed the pipe) is an input error: one `matlabel:
+    error:` line on stderr and exit 1, or exit 1 alone when stderr fails
+    too. os._exit then skips the interpreter's teardown, which would
+    otherwise finalize every module that `site` imported, and whose own
+    flush would turn such a failure into a traceback and exit 120. main is
+    for in-process callers, and leaves the streams to them.
+    """
+    code, error = EXIT_INPUT, None
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_INPUT:  # main has reported its own error, a failed write too
+            code, error = EXIT_INPUT, f"matlabel: error: {exc}"
+    if sys.stderr is not None:
+        try:
+            if error:
+                print(error, file=sys.stderr)
+            sys.stderr.flush()
+        except OSError:  # nowhere is left to report it
+            code = EXIT_INPUT
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()
 
 # Each command imports the layers it runs when it is called, so `python -m
 # matlabel.cli` loads only those and exits above. A library import goes on

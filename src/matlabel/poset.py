@@ -54,6 +54,14 @@ class CliquePoset:
     So a worklist down from the cliques through the covers it finds reaches
     every node. Meets are taken largest first, each kept unless it lies in
     a cover kept before it (a later meet is no larger, so contains none).
+
+    The meets of x are those with the cliques through its vertices, plus
+    the empty set when some clique misses x. Proof: a clique c that meets
+    x shares a vertex v of x, so an index from each vertex to the cliques
+    that contain it lists c under v; a clique c disjoint from x
+    contributes only x & c = the empty set. A wide node, whose vertices
+    lie in as many cliques in all (with repeats) as there are cliques, is
+    met with every clique instead: the index walk would visit no fewer.
     """
 
     __slots__ = ("nodes", "covers", "rank", "maximal_nodes", "bottom")
@@ -62,6 +70,12 @@ class CliquePoset:
         self.maximal_nodes: frozenset[frozenset[int]] = frozenset(cliques)
         if not self.maximal_nodes:
             raise ValueError("poset needs at least one maximal clique")
+        containing: dict[int, list[frozenset[int]]] = {}
+        for c in self.maximal_nodes:
+            for v in c:
+                containing.setdefault(v, []).append(c)
+        load = {v: len(cs) for v, cs in containing.items()}
+        n_cliques = len(self.maximal_nodes)
         covers: dict[frozenset[int], list[frozenset[int]]] = {}
         todo = list(self.maximal_nodes)
         while todo:
@@ -69,7 +83,14 @@ class CliquePoset:
             if x in covers:
                 continue
             kept = covers[x] = []
-            meets = {x & c for c in self.maximal_nodes} - {x}  # x & c is x iff c >= x
+            if sum(map(load.__getitem__, x)) < n_cliques:
+                through = {c for v in x for c in containing[v]}
+                meets = {x & c for c in through}
+                if len(through) < n_cliques:
+                    meets.add(frozenset())
+            else:
+                meets = {x & c for c in self.maximal_nodes}
+            meets.discard(x)  # x & c is x iff c >= x
             for meet in sorted(meets, key=len, reverse=True):
                 if not any(meet < y for y in kept):
                     kept.append(meet)

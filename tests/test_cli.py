@@ -1,9 +1,13 @@
 """Command line behavior: JSON reports, exit codes, determinism."""
 
+import ast
 import json
+import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -740,3 +744,90 @@ def test_help_exits_0_with_usage_on_stdout(argv):
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.startswith("usage: matlabel ")
     assert "Exit codes: 0" in done.stdout
+
+
+# -- the executable's exit: a checked flush, then os._exit -------------------
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+# block-buffered stdout, as the executable has unless PYTHONUNBUFFERED is set
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full")
+
+
+def _executable(argv, stdout, stderr=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "matlabel.cli", *map(str, argv)],
+                          stdout=stdout, stderr=stderr, env=BUFFERED, cwd=SRC,
+                          timeout=60)
+
+
+@pytest.fixture
+def path400_file(tmp_path):
+    # its labeling JSON is larger than stdout's buffer, so the write itself fails
+    path = tmp_path / "path400.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 400)))
+    return path
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", ["classify", "label"])
+def test_a_full_stdout_is_one_error_line_and_exit_1(ui7_file, path400_file, command):
+    # classify's output waits in the buffer until the last flush, which the
+    # interpreter made at teardown: "Exception ignored", exit 120; label's
+    # fails in the write already, and is reported once
+    graph = ui7_file if command == "classify" else path400_file
+    with open("/dev/full", "w") as full:
+        done = _executable([command, graph], stdout=full)
+    assert done.returncode == 1
+    assert done.stderr == b"matlabel: error: [Errno 28] No space left on device\n"
+
+
+@needs_dev_full
+def test_a_full_stdout_and_stderr_still_exit_1(ui7_file):
+    with open("/dev/full", "w") as full:
+        done = _executable(["classify", ui7_file], stdout=full, stderr=full)
+    assert done.returncode == 1
+
+
+def test_a_closed_pipe_on_stdout_is_one_error_line_and_exit_1(ui7_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _executable(["classify", ui7_file], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b"matlabel: error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("closed", [">&-", "2>&-"], ids=["stdout", "stderr"])
+def test_a_stream_closed_at_start_is_left_alone(ui7_file, tmp_path, closed):
+    # Python starts with sys.stdout (sys.stderr) None when fd 1 (fd 2) is
+    # closed; --out needs neither
+    out = tmp_path / "out.json"
+    done = subprocess.run(["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-m",
+                           "matlabel.cli", "classify", str(ui7_file), "--out", str(out)],
+                          capture_output=True, env=BUFFERED, cwd=SRC, timeout=60)
+    assert done.returncode == 0 and done.stdout == done.stderr == b""
+    assert json.loads(out.read_text())["unit_interval"] is True
+
+
+def test_the_executable_writes_all_its_output_before_the_hard_exit(
+        capsys, path400_file, sun3_file):
+    for argv, code in [(["label", path400_file], 0), (["label", sun3_file], 2)]:
+        done = _executable(argv, stdout=subprocess.PIPE)
+        assert main([str(arg) for arg in argv]) == code
+        assert done.returncode == code and done.stderr == b""
+        assert done.stdout.decode() == capsys.readouterr().out
+
+
+def test_the_installed_script_and_the_module_share_the_entry_function():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    # read as text: Python 3.10 has no tomllib
+    scripts = re.findall(r'^matlabel = "matlabel\.cli:(\w+)"$', pyproject, re.MULTILINE)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = [node.func.id for node in ast.walk(guard)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert scripts == called == ["entry"]

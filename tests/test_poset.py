@@ -155,6 +155,50 @@ def _reference_poset(g):
             bottoms[0] if len(bottoms) == 1 else None, frozenset(cliques))
 
 
+def _worklist_poset(cliques):
+    """Reference: the worklist down from the cliques that meets every node
+    with every maximal clique, without a vertex -> cliques index; the
+    covers as CliquePoset lists them."""
+    cliques = frozenset(cliques)
+    covers = {}
+    todo = list(cliques)
+    while todo:
+        x = todo.pop()
+        if x in covers:
+            continue
+        kept = covers[x] = []
+        meets = {x & c for c in cliques} - {x}
+        for meet in sorted(meets, key=len, reverse=True):
+            if not any(meet < y for y in kept):
+                kept.append(meet)
+        todo.extend(kept)
+    return [(x, sorted_sets(covers[x])) for x in sorted_sets(covers)]
+
+
+def _band(n, w):
+    """Vertices 1..n, ij an edge iff 0 < |i - j| <= w: a unit interval graph
+    whose maximal cliques are its windows of w + 1 consecutive vertices."""
+    return Graph(range(1, n + 1), [(i, j) for i in range(1, n + 1)
+                                   for j in range(i + 1, min(n, i + w) + 1)])
+
+
+def _d(t):
+    """D_t: a clique on 1..t, and t + i adjacent to every clique vertex but
+    i. Chordal, not strongly chordal for t >= 3, about 2^t poset nodes."""
+    clique = [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)]
+    return Graph(range(1, 2 * t + 1), clique + [(t + i, j) for i in range(1, t + 1)
+                                                 for j in range(1, t + 1) if j != i])
+
+
+def _disjoint_union(graphs):
+    vertices, edges, shift = [], [], 0
+    for g in graphs:
+        vertices += [v + shift for v in g.vertices]
+        edges += [(u + shift, v + shift) for u, v in g.edges]
+        shift += max(g.vertices, default=0)
+    return Graph(vertices, edges)
+
+
 def test_poset_matches_the_fixpoint_and_pairwise_scan():
     rng = random.Random(53)
     graphs = [g for n in range(7) for g in enumerate_graphs(n, is_chordal)]
@@ -163,12 +207,25 @@ def test_poset_matches_the_fixpoint_and_pairwise_scan():
     graphs += [path_graph(300)] + [n_sun(k) for k in range(3, 7)]
     graphs += [Graph.from_edges([(1, 2), (3, 4), (4, 5)]), Graph([1, 2, 3], [(1, 2)]),
                Graph([7]), Graph([])]
+    # bands have wide nodes, whose vertices lie in as many cliques in all as
+    # there are cliques; D_t is not strongly chordal, and has about 2^t nodes
+    graphs += [_band(n, w) for n in (6, 11, 17, 24) for w in (1, 2, 3, 5, 8) if w < n]
+    graphs += [_d(t) for t in range(3, 7)]
+    # three or more components: the empty meet comes from a clique that
+    # misses the node
+    unions = [_disjoint_union([Graph([1])] * 3),
+              _disjoint_union([_d(3), path_graph(5), _band(9, 3)]),
+              _disjoint_union([complete_graph(4), Graph([1]), n_sun(3), Graph([1, 2])])]
+    unions += [_disjoint_union(random_strongly_chordal(rng.randint(1, 12), rng=rng)
+                               for _ in range(rng.randint(3, 5))) for _ in range(30)]
     with_empty = 0
-    for g in graphs:
+    for g in graphs + unions:
         p = build_poset(g)
         assert (p.nodes, list(p.covers.items()), list(p.rank.items()), p.bottom,
                 p.maximal_nodes) == _reference_poset(g), g.edges
+        assert list(p.covers.items()) == _worklist_poset(p.maximal_nodes), g.edges
         with_empty += frozenset() in p
+    assert all(build_poset(g).bottom == frozenset() for g in unions)
     assert len(graphs) > 19000 and with_empty > 10000
     assert build_poset(Graph([])).nodes == (frozenset(),)
     with pytest.raises(ValueError):

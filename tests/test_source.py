@@ -102,6 +102,17 @@ def test_exhaustive_searches_stay_in_the_oracles():
     assert "cli.py:cmd_selftest" in found  # the check still sees the cross-check
 
 
+def test_only_the_cli_entry_exits_hard():
+    # os._exit skips every finally block and unflushed buffer; from a library
+    # module it would end pytest or any other caller
+    found = set()
+    for path in SOURCES:
+        for scope, name in _names_by_scope(ast.parse(path.read_text(), str(path))):
+            if name == "_exit":
+                found.add(f"{path.name}:{scope}")
+    assert found == {"cli.py:entry"}
+
+
 def test_construct_reads_mat_peos_off_the_top_edge():
     # a MAT-labeled clique's greedy MAT-PEO peels the ends of its top edges
     # (the lemma of construct._mat_peo), so the constructor needs no search
