@@ -22,22 +22,15 @@ EXIT_INPUT = 1
 EXIT_REJECT = 2
 
 
-def _witness_json(witness) -> dict:
-    if hasattr(witness, "as_json"):  # a SunWitness or a CrownWitness
-        return witness.as_json()
-    if isinstance(witness, tuple):
-        return {"kind": "chordless-cycle", "vertices": list(witness)}
-    raise TypeError(f"unknown witness {witness!r}")
-
-
-def _obstruction_json(kind: str, hit) -> dict:
+def _witness_json(kind: str, hit) -> dict:
+    if kind == "chordless-cycle":
+        return {"kind": kind, "vertices": list(hit)}
     if kind == "claw":
-        return {"kind": "claw", "center": hit[1],
-                "leaves": sorted(hit[v] for v in (2, 3, 4))}
+        return {"kind": kind, "center": hit[1], "leaves": sorted(hit[v] for v in (2, 3, 4))}
     if kind == "net":
-        return {"kind": "net", "triangle": [hit[v] for v in (1, 2, 3)],
+        return {"kind": kind, "triangle": [hit[v] for v in (1, 2, 3)],
                 "pendants": [hit[v] for v in (4, 5, 6)]}
-    return _witness_json(hit)
+    return hit.as_json()  # a SunWitness or a CrownWitness
 
 
 def _emit(args, data: dict) -> None:
@@ -66,7 +59,7 @@ def cmd_classify(args) -> int:
         "chordal": kind != "chordless-cycle",
         "strongly_chordal": kind in (None, "claw", "net"),
         "unit_interval": kind is None,
-        "witness": None if kind is None else _obstruction_json(kind, hit),
+        "witness": None if kind is None else _witness_json(kind, hit),
     }
     _emit(args, report)
     _say(args, f"{args.graph}: chordal={report['chordal']} "
@@ -84,7 +77,7 @@ def cmd_label(args) -> int:
         lab = construct_mat_labeling(g)
     except NotStronglyChordalError as exc:
         _emit(args, {"error": "graph is not strongly chordal",
-                     "witness": _witness_json(exc.witness)})
+                     "witness": _witness_json(exc.kind, exc.witness)})
         _say(args, f"{args.graph}: rejected ({exc.kind} witness)")
         return EXIT_REJECT
     if args.dot:  # before the JSON, so that a failed write leaves stdout empty
@@ -146,23 +139,19 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    from .chordal import find_chordless_cycle
-    from .errors import NotChordalError
     from .io import poset_to_dot, poset_to_json_dict
     from .poset import build_poset, crown_from_sun
-    from .strong_chordal import find_sun
+    from .strong_chordal import strongly_chordal_obstruction
 
     g = _load(args)
-    try:
-        p = build_poset(g)
-    except NotChordalError:
-        _emit(args, {"error": "graph is not chordal",
-                     "witness": _witness_json(find_chordless_cycle(g))})
+    kind, hit = strongly_chordal_obstruction(g) or (None, None)
+    if kind == "chordless-cycle":
+        _emit(args, {"error": "graph is not chordal", "witness": _witness_json(kind, hit)})
         return EXIT_REJECT
+    p = build_poset(g)
     # a chordal graph's clique intersection poset is crown-free exactly when
     # the graph is strongly chordal; otherwise a sun of it gives a crown
-    sun = find_sun(g)
-    crown = None if sun is None else crown_from_sun(p.maximal_nodes, sun)
+    crown = crown_from_sun(p.maximal_nodes, hit) if kind == "sun" else None
     if args.out and args.out.endswith(".dot"):
         Path(args.out).write_text(poset_to_dot(p))
     else:

@@ -6,23 +6,23 @@ compatibly labeled cliques merge into a labeling of their union clique. A
 strongly chordal graph is then labeled by one edge -> label table, filled
 bottom-up in rank over its clique intersection poset by merging each
 node's covers and extending to the whole node, and verified once. Strong
-chordality is decided before the poset is built, by simple elimination: a
-graph that is not strongly chordal is answered with a crown of its poset,
-lifted from an induced sun and read off its maximal cliques. Every greedy
-choice breaks ties by smallest vertex id, so the whole construction is a
-deterministic function of the input graph.
+chordality is decided before the poset is built, on strong_chordal's
+recognition ladder: a chordal graph that is not strongly chordal is
+answered with a crown of its poset, lifted from an induced sun and read
+off its maximal cliques. Every greedy choice breaks ties by smallest
+vertex id, so the whole construction is a deterministic function of the
+input graph.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .chordal import find_chordless_cycle
-from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
+from .errors import NoLeafPairError, NotStronglyChordalError
 from .graph import Graph, canonical_edge, sorted_key
 from .labeling import EdgeLabeling, verify_mat_labeling
 from .poset import CliquePoset, build_poset, crown_from_sun, leaf_pair, maximal_cliques
-from .strong_chordal import find_sun
+from .strong_chordal import strongly_chordal_obstruction
 
 
 def _complete(vertices) -> Graph:
@@ -221,7 +221,7 @@ def node_family(g: Graph, poset: CliquePoset | None = None):
 def construct_mat_labeling(g: Graph) -> EdgeLabeling:
     """A MAT-labeling of a strongly chordal graph.
 
-    Strong chordality is decided first, by find_sun's simple elimination.
+    Strong chordality is decided first, by strongly_chordal_obstruction.
     Non strongly chordal inputs are rejected with a structured witness: a
     chordless cycle when the graph is not chordal, otherwise a crown of the
     clique intersection poset lifted from an induced sun, read off the
@@ -230,14 +230,12 @@ def construct_mat_labeling(g: Graph) -> EdgeLabeling:
     labeling of g and verified once; by the paper's theorem neither step
     fails there, so a failure is a RuntimeError naming the stage.
     """
-    try:
-        cliques = maximal_cliques(g)
-    except NotChordalError:
-        raise NotStronglyChordalError(
-            "chordless-cycle", find_chordless_cycle(g)) from None
-    sun = find_sun(g)
-    if sun is not None:
-        raise NotStronglyChordalError("crown", crown_from_sun(cliques, sun))
+    kind, hit = strongly_chordal_obstruction(g) or (None, None)
+    if kind == "chordless-cycle":
+        raise NotStronglyChordalError(kind, hit)
+    cliques = maximal_cliques(g)
+    if kind == "sun":
+        raise NotStronglyChordalError("crown", crown_from_sun(cliques, hit))
     try:
         result = EdgeLabeling(g, _label_table(CliquePoset(cliques)))
     except NoLeafPairError:

@@ -109,9 +109,6 @@ class CliquePoset:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def is_antichain(self, t: Iterable[frozenset[int]]) -> bool:
-        return all(not (a < b or b < a) for a, b in combinations(sorted_sets(t), 2))
-
 
 def build_poset(g: Graph) -> CliquePoset:
     """Clique intersection poset of a chordal graph; NotChordalError if not."""
@@ -193,7 +190,8 @@ def leaf_pair(
     unknown = [x for x in elems if x not in p]
     if unknown:
         raise ValueError(f"not poset nodes: {[sorted(u) for u in unknown]}")
-    if not p.is_antichain(elems):
+    # elems ascend in size, so only a later set can contain an earlier one
+    if any(a < b for a, b in combinations(elems, 2)):
         raise ValueError("given nodes are not an antichain")
     for x0 in elems:
         meets = [(y, x0 & y) for y in elems if y != x0]

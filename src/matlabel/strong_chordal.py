@@ -189,21 +189,29 @@ def claw_or_net(g: Graph):
     return None
 
 
-def unit_interval_obstruction(g: Graph):
-    """The first rung of unit interval ⊂ strongly chordal ⊂ chordal that g
-    fails, or None exactly when g is unit interval.
+def strongly_chordal_obstruction(g: Graph):
+    """The first rung of strongly chordal ⊂ chordal that g fails, or None
+    exactly when g is strongly chordal.
 
     ("chordless-cycle", vertices) when g is not chordal, else ("sun",
-    SunWitness) when g has a sun, else claw_or_net(g). A chordal graph is
-    unit interval iff it has no induced claw, net or 3-sun (Wegner 1967),
-    and a k-sun with k >= 4 holds a claw, so any sun rules g out.
+    SunWitness) when g has an induced sun (Farber 1983). It runs one MCS
+    pass, which Graph caches for maximal_cliques, and find_sun.
     """
     if find_peo(g) is None:
         return ("chordless-cycle", find_chordless_cycle(g))
     sun = find_sun(g)
-    if sun is not None:
-        return ("sun", sun)
-    return claw_or_net(g)
+    return None if sun is None else ("sun", sun)
+
+
+def unit_interval_obstruction(g: Graph):
+    """The first rung of unit interval ⊂ strongly chordal ⊂ chordal that g
+    fails, or None exactly when g is unit interval.
+
+    strongly_chordal_obstruction(g), else claw_or_net(g). A chordal graph
+    is unit interval iff it has no induced claw, net or 3-sun (Wegner
+    1967), and a k-sun with k >= 4 holds a claw, so any sun rules g out.
+    """
+    return strongly_chordal_obstruction(g) or claw_or_net(g)
 
 
 def is_unit_interval(g: Graph) -> bool:

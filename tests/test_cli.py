@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from matlabel import Graph, NoLeafPairError, build_poset, cli
+from matlabel import NoLeafPairError, cli
 from matlabel.cli import main
 from matlabel.families import n_sun
 from matlabel.labeling import verify_mat_labeling
@@ -383,9 +383,9 @@ def test_poset_answers_strongly_chordal_input_without_search(
 
 
 def test_poset_internal_error_is_one_line(capsys, c4_file, monkeypatch):
-    # find_sun's read-off finds no sun on a chordless cycle; were poset to
-    # pass it one, the broken invariant is one stderr line and exit 1
-    monkeypatch.setattr("matlabel.poset.build_poset", lambda g: build_poset(Graph([1])))
+    # find_sun's read-off finds no sun on a chordless cycle; were the ladder
+    # to pass it one, the broken invariant is one stderr line and exit 1
+    monkeypatch.setattr("matlabel.strong_chordal.find_peo", lambda g: list(g.vertices))
     code = main(["poset", str(c4_file)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -395,7 +395,7 @@ def test_poset_internal_error_is_one_line(capsys, c4_file, monkeypatch):
 
 
 def test_label_internal_error_is_one_line(capsys, sun3_file, monkeypatch):
-    monkeypatch.setattr("matlabel.construct.find_sun", lambda g: None)
+    monkeypatch.setattr("matlabel.construct.strongly_chordal_obstruction", lambda g: None)
     code = main(["label", str(sun3_file)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -426,14 +426,13 @@ def test_poset_computes_one_peo(capsys, ui7_file, c4_file, monkeypatch):
     from matlabel import chordal
 
     calls = []
-    real_find_peo = chordal.find_peo
+    real_mcs = chordal._mcs_order
 
     def counting(g):
         calls.append(g.n)
-        return real_find_peo(g)
+        return real_mcs(g)
 
-    for module in ("matlabel.chordal", "matlabel.poset"):
-        monkeypatch.setattr(f"{module}.find_peo", counting)
+    monkeypatch.setattr(chordal, "_mcs_order", counting)
     code, report = run_cli(capsys, "poset", str(ui7_file))
     assert code == 0 and len(report["nodes"]) == 10 and calls == [7]
     calls.clear()

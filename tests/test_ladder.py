@@ -1,18 +1,27 @@
 """The recognition ladder: chordless cycles read off the failed MCS check,
-and unit_interval_obstruction as the one cycle -> sun -> claw/net ladder."""
+strongly_chordal_obstruction as the one cycle -> sun ladder of every
+command, and unit_interval_obstruction as that ladder then claw/net."""
 
 import ast
+import functools
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import matlabel
-from matlabel import Graph
-from matlabel.chordal import _shortest_path, find_chordless_cycle, random_peo
+from matlabel import Graph, cli, construct
+from matlabel.chordal import _shortest_path, find_chordless_cycle, find_peo, random_peo
 from matlabel.cli import main
+from matlabel.construct import construct_mat_labeling
+from matlabel.errors import NotChordalError, NotStronglyChordalError
 from matlabel.families import n_sun, random_graph, random_strongly_chordal
+from matlabel.io import poset_to_json_dict
 from matlabel.oracle import enumerate_graphs
-from matlabel.strong_chordal import find_sun, unit_interval_obstruction
+from matlabel.poset import build_poset, crown_from_sun, maximal_cliques
+from matlabel.strong_chordal import claw_or_net, find_sun, unit_interval_obstruction
+
+from .test_construct import d_graph
 
 
 def all_pairs_chordless_cycle(g: Graph):
@@ -30,19 +39,30 @@ def all_pairs_chordless_cycle(g: Graph):
     return None
 
 
+def bridged(rng: random.Random, host: Graph, part: Graph) -> Graph:
+    """host and part (on 1..k) joined by one random edge, under a random
+    relabelling of all vertices."""
+    first = max(host.vertices) + 1
+    edges = list(host.edges) + [(first + u - 1, first + v - 1) for u, v in part.edges]
+    edges.append((rng.choice(host.vertices), first + rng.choice(part.vertices) - 1))
+    ids = list(range(first + part.n))
+    rng.shuffle(ids)
+    return Graph([ids[v] for v in host.vertices],
+                 [(ids[u], ids[v]) for u, v in edges])
+
+
 def host_with_bridged_cycle(rng: random.Random) -> Graph:
     """A strongly chordal host with one chordless cycle of 4-8 vertices
     bridged to it, under a random relabelling of all vertices."""
     host = random_strongly_chordal(rng.randint(1, 30), rng=rng)
     length = rng.randint(4, 8)
-    first = max(host.vertices) + 1
-    ring = list(range(first, first + length))
-    edges = list(host.edges) + [(ring[i - 1], ring[i]) for i in range(length)]
-    edges.append((rng.choice(host.vertices), rng.choice(ring)))
-    ids = list(range(first + length))
-    rng.shuffle(ids)
-    return Graph([ids[v] for v in host.vertices],
-                 [(ids[u], ids[v]) for u, v in edges])
+    return bridged(rng, host, Graph.from_edges(
+        [(i, i % length + 1) for i in range(1, length + 1)]))
+
+
+def host_with_bridged_sun(rng: random.Random) -> Graph:
+    """A strongly chordal host with a 3-sun bridged to it, relabelled."""
+    return bridged(rng, random_strongly_chordal(rng.randint(1, 30), rng=rng), n_sun(3))
 
 
 def assert_normalized_chordless_cycle(g: Graph, cycle):
@@ -178,3 +198,90 @@ def test_one_mcs_pass_per_command(tmp_path, capsys, monkeypatch):
                 assert report["witness"] == {"kind": "chordless-cycle",
                                              "vertices": list(cycle)}
         monkeypatch.undo()
+
+
+# The three recognition ladders that classify, label and poset each ran
+# before they shared strong_chordal.strongly_chordal_obstruction, kept as
+# references for it.
+
+def old_classify_ladder(g: Graph):
+    if find_peo(g) is None:
+        return ("chordless-cycle", find_chordless_cycle(g))
+    sun = find_sun(g)
+    if sun is not None:
+        return ("sun", sun)
+    return claw_or_net(g)
+
+
+def old_label_rejection(g: Graph):
+    try:
+        cliques = maximal_cliques(g)
+    except NotChordalError:
+        return ("chordless-cycle", find_chordless_cycle(g))
+    sun = find_sun(g)
+    return None if sun is None else ("crown", crown_from_sun(cliques, sun))
+
+
+def old_poset_report(g: Graph) -> dict:
+    try:
+        p = build_poset(g)
+    except NotChordalError:
+        return {"error": "graph is not chordal",
+                "witness": {"kind": "chordless-cycle",
+                            "vertices": list(find_chordless_cycle(g))}}
+    sun = find_sun(g)
+    crown = None if sun is None else crown_from_sun(p.maximal_nodes, sun)
+    report = poset_to_json_dict(p)
+    report["crown_free"] = crown is None
+    report["crown"] = None if crown is None else crown.as_json()
+    return report
+
+
+@functools.cache
+def ladder_inputs() -> tuple[Graph, ...]:
+    """Every graph on at most 6 vertices, D_3..D_6, and seeded strongly
+    chordal hosts with a bridged 3-sun or a bridged 4-8-cycle."""
+    rng = random.Random(20)
+    graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+    graphs += [d_graph(t) for t in range(3, 7)]
+    graphs += [host_with_bridged_sun(rng) for _ in range(40)]
+    graphs += [host_with_bridged_cycle(rng) for _ in range(40)]
+    return tuple(graphs)
+
+
+def test_classify_ladder_matches_the_old_one():
+    for g in ladder_inputs():
+        assert unit_interval_obstruction(g) == old_classify_ladder(g)
+
+
+class Accepted(Exception):
+    pass
+
+
+def test_label_rejection_matches_the_old_one(monkeypatch):
+    # an accepted graph stops where its poset would be built
+    def accept(cliques):
+        raise Accepted
+
+    monkeypatch.setattr(construct, "CliquePoset", accept)
+    for g in ladder_inputs():
+        try:
+            construct_mat_labeling(g)
+        except NotStronglyChordalError as err:
+            got = (err.kind, err.witness)
+        except Accepted:
+            got = None
+        assert got == old_label_rejection(g)
+
+
+def test_poset_report_matches_the_old_one(monkeypatch):
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda args, data: emitted.append(data))
+    args = SimpleNamespace(graph="g", format=None, out=None, verbose=False)
+    for g in ladder_inputs():
+        monkeypatch.setattr(cli, "_load", lambda args: g)
+        emitted.clear()
+        code = cli.cmd_poset(args)
+        expected = old_poset_report(g)
+        assert emitted == [expected]
+        assert code == (2 if "error" in expected else 0)

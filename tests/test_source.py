@@ -102,6 +102,22 @@ def test_exhaustive_searches_stay_in_the_oracles():
     assert "cli.py:cmd_selftest" in found  # the check still sees the cross-check
 
 
+LADDER_NAMES = {"find_chordless_cycle", "find_sun", "NotChordalError"}
+
+
+def test_commands_take_rejections_from_the_one_ladder():
+    # strong_chordal.strongly_chordal_obstruction decides chordless cycle or
+    # sun for label and poset alike; neither codes the decision again
+    found = set()
+    for path in SOURCES:
+        for scope, name in _names_by_scope(ast.parse(path.read_text(), str(path))):
+            if name in LADDER_NAMES:
+                found.add(f"{path.name}:{name}")
+    assert sorted(f for f in found if f.split(":")[0] in ("construct.py", "cli.py")) == []
+    assert {"strong_chordal.py:find_chordless_cycle",
+            "strong_chordal.py:find_sun"} <= found  # the check still sees the ladder
+
+
 def test_only_the_cli_entry_exits_hard():
     # os._exit skips every finally block and unflushed buffer; from a library
     # module it would end pytest or any other caller
