@@ -46,6 +46,14 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _reject(args, exc) -> int:
+    """Emit a NotStronglyChordalError as the one rejection of label and poset."""
+    _emit(args, {"error": "graph is not strongly chordal",
+                 "witness": _witness_json(exc.kind, exc.witness)})
+    _say(args, f"{args.graph}: rejected ({exc.kind} witness)")
+    return EXIT_REJECT
+
+
 def _load(args):
     return load_graph(args.graph, args.format)
 
@@ -76,10 +84,7 @@ def cmd_label(args) -> int:
     try:
         lab = construct_mat_labeling(g)
     except NotStronglyChordalError as exc:
-        _emit(args, {"error": "graph is not strongly chordal",
-                     "witness": _witness_json(exc.kind, exc.witness)})
-        _say(args, f"{args.graph}: rejected ({exc.kind} witness)")
-        return EXIT_REJECT
+        return _reject(args, exc)
     if args.dot:  # before the JSON, so that a failed write leaves stdout empty
         Path(args.dot).write_text(labeling_to_dot(lab))
     _emit(args, labeling_to_json_dict(lab))
@@ -123,7 +128,11 @@ def cmd_exponents(args) -> int:
 
         maybe = peo_exponents(g)
         if maybe is None:
-            _emit(args, {"error": "graph is not chordal and no labeling given"})
+            from .strong_chordal import strongly_chordal_obstruction
+
+            kind, cycle = strongly_chordal_obstruction(g)
+            _emit(args, {"error": "graph is not chordal and no labeling given",
+                         "witness": _witness_json(kind, cycle)})
             return EXIT_REJECT
         exps = maybe
         # chi(G) is prod (t - e) over the exponents along a PEO, so these
@@ -139,28 +148,22 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .errors import NotStronglyChordalError
     from .io import poset_to_dot, poset_to_json_dict
-    from .poset import build_poset, crown_from_sun
-    from .strong_chordal import strongly_chordal_obstruction
+    from .poset import strongly_chordal_poset
 
     g = _load(args)
-    kind, hit = strongly_chordal_obstruction(g) or (None, None)
-    if kind == "chordless-cycle":
-        _emit(args, {"error": "graph is not chordal", "witness": _witness_json(kind, hit)})
-        return EXIT_REJECT
-    p = build_poset(g)
-    # a chordal graph's clique intersection poset is crown-free exactly when
-    # the graph is strongly chordal; otherwise a sun of it gives a crown
-    crown = crown_from_sun(p.maximal_nodes, hit) if kind == "sun" else None
+    try:
+        p = strongly_chordal_poset(g)
+    except NotStronglyChordalError as exc:
+        return _reject(args, exc)
     if args.out and args.out.endswith(".dot"):
         Path(args.out).write_text(poset_to_dot(p))
     else:
         report = poset_to_json_dict(p)
-        report["crown_free"] = crown is None
-        report["crown"] = None if crown is None else crown.as_json()
+        report.update(crown_free=True, crown=None)  # as strongly_chordal_poset's are
         _emit(args, report)
-    _say(args, f"{args.graph}: {len(p.nodes)} poset nodes, "
-               f"crown_free={crown is None}")
+    _say(args, f"{args.graph}: {len(p.nodes)} poset nodes, crown_free=True")
     return EXIT_OK
 
 

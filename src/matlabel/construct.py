@@ -5,24 +5,21 @@ time extension along a greedy MAT-PEO read off the clique's top edges). Two
 compatibly labeled cliques merge into a labeling of their union clique. A
 strongly chordal graph is then labeled by one edge -> label table, filled
 bottom-up in rank over its clique intersection poset by merging each
-node's covers and extending to the whole node, and verified once. Strong
-chordality is decided before the poset is built, on strong_chordal's
-recognition ladder: a chordal graph that is not strongly chordal is
-answered with a crown of its poset, lifted from an induced sun and read
-off its maximal cliques. Every greedy choice breaks ties by smallest
-vertex id, so the whole construction is a deterministic function of the
-input graph.
+node's covers and extending to the whole node, and verified once. The
+poset comes from poset.strongly_chordal_poset, which rejects a graph that
+is not strongly chordal before it builds one. Every greedy choice breaks
+ties by smallest vertex id, so the whole construction is a deterministic
+function of the input graph.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import NoLeafPairError, NotStronglyChordalError
+from .errors import NoLeafPairError
 from .graph import Graph, canonical_edge, sorted_key
 from .labeling import EdgeLabeling, verify_mat_labeling
-from .poset import CliquePoset, build_poset, crown_from_sun, leaf_pair, maximal_cliques
-from .strong_chordal import strongly_chordal_obstruction
+from .poset import CliquePoset, build_poset, leaf_pair, strongly_chordal_poset
 
 
 def _complete(vertices) -> Graph:
@@ -221,23 +218,16 @@ def node_family(g: Graph, poset: CliquePoset | None = None):
 def construct_mat_labeling(g: Graph) -> EdgeLabeling:
     """A MAT-labeling of a strongly chordal graph.
 
-    Strong chordality is decided first, by strongly_chordal_obstruction.
-    Non strongly chordal inputs are rejected with a structured witness: a
-    chordless cycle when the graph is not chordal, otherwise a crown of the
-    clique intersection poset lifted from an induced sun, read off the
-    maximal cliques without building the poset. A strongly chordal graph
-    gets the label table of its clique intersection poset, read as a
-    labeling of g and verified once; by the paper's theorem neither step
-    fails there, so a failure is a RuntimeError naming the stage.
+    poset.strongly_chordal_poset rejects any other graph with a
+    NotStronglyChordalError, whose witness is a chordless cycle or a crown
+    of the clique intersection poset. A strongly chordal graph gets the
+    label table of that poset, read as a labeling of g and verified once;
+    by the paper's theorem neither step fails there, so a failure is a
+    RuntimeError naming the stage.
     """
-    kind, hit = strongly_chordal_obstruction(g) or (None, None)
-    if kind == "chordless-cycle":
-        raise NotStronglyChordalError(kind, hit)
-    cliques = maximal_cliques(g)
-    if kind == "sun":
-        raise NotStronglyChordalError("crown", crown_from_sun(cliques, hit))
+    poset = strongly_chordal_poset(g)
     try:
-        result = EdgeLabeling(g, _label_table(CliquePoset(cliques)))
+        result = EdgeLabeling(g, _label_table(poset))
     except NoLeafPairError:
         raise RuntimeError(f"construct: no leaf pair in the poset of a strongly "
                            f"chordal graph with {g.n} vertices") from None

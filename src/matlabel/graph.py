@@ -247,17 +247,21 @@ def peel(g: Graph, removable: Callable[[dict[int, set[int]], int], bool]
     return removed, list(adj)
 
 
-def find_embedding(candidates: Sequence, pattern: Sequence[Sequence],
+def find_embedding(candidates: Callable[[list], Iterable], pattern: Sequence[Sequence],
                    relation: Callable) -> list | None:
     """First placement of the pattern's positions on distinct candidates, or None.
 
-    `relation(x)` returns the row of candidate x, indexable by candidate:
-    `relation(x)[v]` is how x relates to v. `pattern[i]` lists, for each
-    earlier position j < i, the value the row of image[j] must hold at
-    image[i]. Positions are placed in order, each trying the candidates in
-    the given order, and the search backtracks on an explicit stack rather
-    than by recursion, so the result is the least image list in candidate
-    order. A row is built once per placement. Exponential in the worst case.
+    `candidates(image)` lists, in order, the candidates of the next
+    position, len(image), given the images of the earlier positions; the
+    search calls it each time it reaches that position and must not keep
+    or change the list it is handed. `relation(x)` returns the row of
+    candidate x, indexable by candidate: `relation(x)[v]` is how x relates
+    to v. `pattern[i]` lists, for each earlier position j < i, the value
+    the row of image[j] must hold at image[i]. Positions are placed in
+    order, each trying its candidates in the given order, and the search
+    backtracks on an explicit stack rather than by recursion, so the result
+    is the least image list in candidate order. A row is built once per
+    placement. Exponential in the worst case.
     """
     size = len(pattern)
     if not size:
@@ -265,7 +269,7 @@ def find_embedding(candidates: Sequence, pattern: Sequence[Sequence],
     image: list = []
     rows: list = []
     used: set = set()
-    stack = [iter(candidates)]
+    stack = [iter(candidates(image))]
     while stack:
         want = pattern[len(image)]
         for v in stack[-1]:
@@ -280,7 +284,7 @@ def find_embedding(candidates: Sequence, pattern: Sequence[Sequence],
                     return image
                 rows.append(relation(v))
                 used.add(v)
-                stack.append(iter(candidates))
+                stack.append(iter(candidates(image)))
                 break
         else:
             stack.pop()

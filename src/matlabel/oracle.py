@@ -114,7 +114,7 @@ def find_crown(p: CliquePoset | Sequence[frozenset[int]], k: int) -> CrownWitnes
     pattern = [(0,) * i for i in range(k)]
     pattern += [tuple(int(j == i or (j + 1) % k == i) for j in range(k)) + (0,) * i
                 for i in range(k)]
-    image = find_embedding(range(len(nodes)), pattern, compare.__getitem__)
+    image = find_embedding(lambda image: range(len(nodes)), pattern, compare.__getitem__)
     if image is None:
         return None
     return CrownWitness(k, tuple(nodes[a] for a in image[:k]),

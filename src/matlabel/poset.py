@@ -3,8 +3,9 @@
 The clique intersection poset has as nodes every intersection of a
 nonempty family of maximal cliques, ordered by inclusion. Its minimum is
 the intersection of all maximal cliques (possibly the empty set). Crowns
-in this poset are exactly the obstruction to strong chordality; one is
-lifted from an induced sun, and the exhaustive crown search is an oracle
+in this poset are exactly the obstruction to strong chordality; the one
+gate, strongly_chordal_poset, lifts one from an induced sun before any
+poset is built, and the exhaustive crown search is an oracle
 (matlabel.oracle).
 """
 
@@ -14,8 +15,9 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .chordal import find_peo
-from .errors import NoLeafPairError, NotChordalError
+from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
 from .graph import Graph, sorted_sets
+from .strong_chordal import strongly_chordal_obstruction
 
 
 def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
@@ -113,6 +115,22 @@ class CliquePoset:
 def build_poset(g: Graph) -> CliquePoset:
     """Clique intersection poset of a chordal graph; NotChordalError if not."""
     return CliquePoset(maximal_cliques(g))
+
+
+def strongly_chordal_poset(g: Graph) -> CliquePoset:
+    """Clique intersection poset of a strongly chordal graph, so crown-free.
+
+    Any other graph raises NotStronglyChordalError before a poset, which
+    can have about 2^(n/2) nodes, is built: the chordless cycle of
+    strongly_chordal_obstruction, or the crown that crown_from_sun lifts
+    from its sun.
+    """
+    kind, hit = strongly_chordal_obstruction(g) or (None, None)
+    if kind == "sun":
+        kind, hit = "crown", crown_from_sun(maximal_cliques(g), hit)
+    if kind is not None:
+        raise NotStronglyChordalError(kind, hit)
+    return build_poset(g)
 
 
 class CrownWitness(NamedTuple):

@@ -135,12 +135,17 @@ def find_induced_subgraph(g: Graph, pattern: Graph) -> dict[int, int] | None:
     A graph.find_embedding over the vertices of g in ascending order:
     pattern vertices are placed in ascending order, each on the smallest
     vertex of g with exactly the pattern's adjacencies to the vertices
-    already placed, so the map is the least one in that order. Rows are
-    adjacency bytes over vertex indices. Exponential in the worst case.
+    already placed, so the map is the least one in that order. A pattern
+    vertex with an earlier neighbour in the pattern draws its candidates
+    from the ascending neighbourhood of the image of the first such
+    neighbour: that drops only vertices that fail the adjacency test, so
+    the least map is the same, and a connected pattern scans all of g only
+    for its first vertex. Rows are adjacency bytes over vertex indices.
+    Exponential in the worst case.
     """
     pverts, verts = pattern.vertices, g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[index[u] for u in g.neighborhood(v)] for v in verts]
+    nbrs = [sorted(index[u] for u in g.neighborhood(v)) for v in verts]
 
     def adjacency(i):
         row = bytearray(len(verts))
@@ -150,7 +155,13 @@ def find_induced_subgraph(g: Graph, pattern: Graph) -> dict[int, int] | None:
 
     want = [tuple(int(pattern.has_edge(p, q)) for q in pverts[:i])
             for i, p in enumerate(pverts)]
-    image = find_embedding(range(len(verts)), want, adjacency)
+    anchor = [w.index(1) if 1 in w else None for w in want]
+
+    def candidates(image):
+        a = anchor[len(image)]
+        return range(len(verts)) if a is None else nbrs[image[a]]
+
+    image = find_embedding(candidates, want, adjacency)
     return None if image is None else {p: verts[i] for p, i in zip(pverts, image)}
 
 

@@ -15,8 +15,10 @@ from matlabel import NoLeafPairError, cli
 from matlabel.cli import main
 from matlabel.families import n_sun
 from matlabel.labeling import verify_mat_labeling
+from matlabel.poset import maximal_cliques
 
 from .conftest import UI7_EDGES
+from .test_construct import d_graph
 
 ORACLE_SEARCHES = ("detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free")
 
@@ -172,8 +174,14 @@ def test_classify_searches_the_elimination_residue_for_a_sun(
     }
 
 
+def _is_poset_node(cliques, node) -> bool:
+    """node is the meet of the maximal cliques that contain it."""
+    above = [c for c in cliques if c >= node]
+    return bool(above) and frozenset.intersection(*above) == node
+
+
 @pytest.mark.parametrize("command, exit_code", [
-    ("classify", 0), ("label", 2), ("poset", 0)])
+    ("classify", 0), ("label", 2), ("poset", 2)])
 def test_large_sun_is_answered_without_an_exhaustive_search(
         capsys, tmp_path, monkeypatch, command, exit_code):
     # the exhaustive sun and crown searches would run for minutes on the
@@ -184,12 +192,30 @@ def test_large_sun_is_answered_without_an_exhaustive_search(
     path.write_text("".join(f"{u} {v}\n" for u, v in n_sun(12).edges))
     code, report = run_cli(capsys, command, str(path))
     assert code == exit_code
-    witness = report["crown"] if command == "poset" else report["witness"]
+    witness = report["witness"]
     if command == "classify":
         assert witness == {"kind": "sun", "n": 12, "inner": list(range(1, 13)),
                            "outer": list(range(13, 25))}
-    else:
-        assert witness["kind"] == "crown" and witness["k"] == 12
+        return
+    assert witness["kind"] == "crown" and witness["k"] == 12
+    # D_24's clique poset has about 2^24 nodes; the crown is read off its
+    # 25 maximal cliques, and the poset is neither listed nor searched
+    g = d_graph(24)
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+    code, report = run_cli(capsys, command, str(path))
+    assert code == 2 and report["error"] == "graph is not strongly chordal"
+    crown = report["witness"]
+    assert crown["kind"] == "crown" and crown["k"] == 3
+    cliques = maximal_cliques(g)
+    lower = [frozenset(x) for x in crown["lower"]]
+    upper = [frozenset(y) for y in crown["upper"]]
+    assert len(cliques) == 25 and len(set(lower + upper)) == 6
+    assert all(_is_poset_node(cliques, x) for x in lower + upper)
+    # exactly the 3-crown's comparabilities: lower[i] < upper[i], upper[i + 1]
+    assert [[x < y for y in upper] for x in lower] == [
+        [j in (i, (i + 1) % 3) for j in range(3)] for i in range(3)]
+    assert not any(a < b for layer in (lower, upper) for a in layer for b in layer)
+    assert not any(y < x for x in lower for y in upper)
 
 
 def test_label_and_verify_round_trip(capsys, ui7_file, tmp_path):
@@ -277,7 +303,8 @@ def test_exponents_complete(capsys, tmp_path):
 def test_exponents_nonchordal_rejected(capsys, c4_file):
     code, report = run_cli(capsys, "exponents", str(c4_file))
     assert code == 2
-    assert "error" in report
+    assert report == {"error": "graph is not chordal and no labeling given",
+                      "witness": {"kind": "chordless-cycle", "vertices": [1, 2, 3, 4]}}
 
 
 def test_exponents_with_labeling(capsys, ui7_file, tmp_path):
@@ -365,16 +392,17 @@ def test_poset_json_and_crown_flag(capsys, ui7_file, sun3_file):
     code, report = run_cli(capsys, "poset", str(ui7_file))
     assert code == 0
     assert len(report["nodes"]) == 10 and report["crown_free"]
+    # a graph that is not strongly chordal gets label's rejection
     code, report = run_cli(capsys, "poset", str(sun3_file))
-    assert code == 0
-    assert len(report["nodes"]) == 11
-    assert not report["crown_free"] and report["crown"]["k"] == 3
+    assert code == 2 and report["error"] == "graph is not strongly chordal"
+    assert report["witness"]["kind"] == "crown" and report["witness"]["k"] == 3
+    assert (code, report) == run_cli(capsys, "label", str(sun3_file))
 
 
 def test_poset_answers_strongly_chordal_input_without_search(
         capsys, ui7_file, monkeypatch):
     # the poset of a strongly chordal graph is crown-free, so no crown is
-    # built; test_poset_json_and_crown_flag shows the 3-sun still gets one
+    # built; test_poset_json_and_crown_flag shows the 3-sun is rejected with one
     _forbid_oracles(monkeypatch)
     _forbid(monkeypatch, "matlabel.poset.crown_from_sun")
     code, report = run_cli(capsys, "poset", str(ui7_file))
@@ -395,7 +423,7 @@ def test_poset_internal_error_is_one_line(capsys, c4_file, monkeypatch):
 
 
 def test_label_internal_error_is_one_line(capsys, sun3_file, monkeypatch):
-    monkeypatch.setattr("matlabel.construct.strongly_chordal_obstruction", lambda g: None)
+    monkeypatch.setattr("matlabel.poset.strongly_chordal_obstruction", lambda g: None)
     code = main(["label", str(sun3_file)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -438,7 +466,7 @@ def test_poset_computes_one_peo(capsys, ui7_file, c4_file, monkeypatch):
     calls.clear()
     code, report = run_cli(capsys, "poset", str(c4_file))
     assert code == 2 and calls == [4]
-    assert report == {"error": "graph is not chordal",
+    assert report == {"error": "graph is not strongly chordal",
                       "witness": {"kind": "chordless-cycle", "vertices": [1, 2, 3, 4]}}
 
 

@@ -165,10 +165,29 @@ def test_add_vertex():
 
 def test_find_embedding_order_and_backtracking():
     less = {v: {u: v < u for u in range(1, 6)} for v in range(1, 6)}.__getitem__
+
+    def each(*vs):
+        return lambda image: vs
+
     # 3 is tried first but nothing lies above it, so the search backtracks
-    assert find_embedding([3, 1, 2], [(), (True,)], less) == [1, 3]
-    assert find_embedding([3, 1, 2], [(), (True,), (True, True)], less) == [1, 2, 3]
-    assert find_embedding([1, 2], [(), (True,), (True, True)], less) is None
-    assert find_embedding([1, 2], [], less) == []
+    assert find_embedding(each(3, 1, 2), [(), (True,)], less) == [1, 3]
+    assert find_embedding(each(3, 1, 2), [(), (True,), (True, True)], less) == [1, 2, 3]
+    assert find_embedding(each(1, 2), [(), (True,), (True, True)], less) is None
+    assert find_embedding(each(1, 2), [], less) == []
     # candidates are used at most once even when the relation allows repeats
-    assert find_embedding([5], [(), (False,)], less) is None
+    assert find_embedding(each(5), [(), (False,)], less) is None
+
+
+def test_find_embedding_takes_candidates_per_position():
+    less = {v: {u: v < u for u in range(1, 6)} for v in range(1, 6)}.__getitem__
+    seen = []
+
+    def above_the_last(image):
+        seen.append(tuple(image))
+        return range(image[-1] + 1, 6) if image else (3, 1)
+
+    # each position is offered only the candidates above the image before it
+    assert find_embedding(above_the_last, [(), (True,), (True, True)], less) == [3, 4, 5]
+    assert seen == [(), (3,), (3, 4)]
+    assert find_embedding(above_the_last, [(), (True,), (True, True), (True,) * 3],
+                          less) == [1, 2, 3, 4]

@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import matlabel
-from matlabel import Graph, cli, construct
+from matlabel import Graph, cli, poset
 from matlabel.chordal import _shortest_path, find_chordless_cycle, find_peo, random_peo
 from matlabel.cli import main
 from matlabel.construct import construct_mat_labeling
@@ -223,12 +223,15 @@ def old_label_rejection(g: Graph):
 
 
 def old_poset_report(g: Graph) -> dict:
-    try:
-        p = build_poset(g)
-    except NotChordalError:
-        return {"error": "graph is not chordal",
-                "witness": {"kind": "chordless-cycle",
-                            "vertices": list(find_chordless_cycle(g))}}
+    """The old poset report on a strongly chordal graph; on any other graph,
+    label's rejection, which poset now shares."""
+    rejection = old_label_rejection(g)
+    if rejection is not None:
+        kind, witness = rejection
+        witness = ({"kind": kind, "vertices": list(witness)}
+                   if kind == "chordless-cycle" else witness.as_json())
+        return {"error": "graph is not strongly chordal", "witness": witness}
+    p = build_poset(g)
     sun = find_sun(g)
     crown = None if sun is None else crown_from_sun(p.maximal_nodes, sun)
     report = poset_to_json_dict(p)
@@ -260,10 +263,10 @@ class Accepted(Exception):
 
 def test_label_rejection_matches_the_old_one(monkeypatch):
     # an accepted graph stops where its poset would be built
-    def accept(cliques):
+    def accept(g):
         raise Accepted
 
-    monkeypatch.setattr(construct, "CliquePoset", accept)
+    monkeypatch.setattr(poset, "build_poset", accept)
     for g in ladder_inputs():
         try:
             construct_mat_labeling(g)

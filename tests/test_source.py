@@ -104,6 +104,19 @@ def test_exhaustive_searches_stay_in_the_oracles():
 
 LADDER_NAMES = {"find_chordless_cycle", "find_sun", "NotChordalError"}
 
+# poset.strongly_chordal_poset is the one gate of label and poset: it runs
+# the ladder and lifts a sun to a crown, so no command names these
+GATE_NAMES = {"crown_from_sun", "maximal_cliques", "strongly_chordal_obstruction"}
+
+
+def _raised_names(tree):
+    """The name of every class or call that a `raise` statement raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
 
 def test_commands_take_rejections_from_the_one_ladder():
     # strong_chordal.strongly_chordal_obstruction decides chordless cycle or
@@ -111,11 +124,18 @@ def test_commands_take_rejections_from_the_one_ladder():
     found = set()
     for path in SOURCES:
         for scope, name in _names_by_scope(ast.parse(path.read_text(), str(path))):
-            if name in LADDER_NAMES:
+            if name in LADDER_NAMES | GATE_NAMES:
                 found.add(f"{path.name}:{name}")
-    assert sorted(f for f in found if f.split(":")[0] in ("construct.py", "cli.py")) == []
-    assert {"strong_chordal.py:find_chordless_cycle",
-            "strong_chordal.py:find_sun"} <= found  # the check still sees the ladder
+    commands = sorted(f for f in found if f.split(":")[0] in ("construct.py", "cli.py"))
+    # cli's exponents takes its chordless cycle from the ladder's first rung
+    assert commands == ["cli.py:strongly_chordal_obstruction"]
+    assert {"strong_chordal.py:find_chordless_cycle", "strong_chordal.py:find_sun",
+            "poset.py:crown_from_sun", "poset.py:strongly_chordal_obstruction",
+            } <= found  # the check still sees the ladder and the gate
+    raising = {path.name for path in SOURCES
+               if "NotStronglyChordalError" in _raised_names(
+                   ast.parse(path.read_text(), str(path)))}
+    assert raising == {"poset.py"}
 
 
 def test_only_the_cli_entry_exits_hard():

@@ -31,6 +31,7 @@ from matlabel.families import (
     random_strongly_chordal,
     rising_sun,
 )
+from matlabel.graph import find_embedding
 from matlabel.oracle import enumerate_graphs
 from matlabel.strong_chordal import claw as claw_pattern
 from matlabel.strong_chordal import simple_elimination
@@ -250,6 +251,68 @@ def test_find_induced_subgraph():
     # the search backtracks on a stack, so long patterns do not recurse
     long = path_graph(1100)
     assert find_induced_subgraph(long, long) == {v: v for v in long.vertices}
+
+
+def all_vertices_induced_subgraph(g, pattern):
+    """Reference for find_induced_subgraph: the same least-map search, with
+    every vertex of g a candidate at every pattern position."""
+    pverts, verts = pattern.vertices, g.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [[index[u] for u in g.neighborhood(v)] for v in verts]
+
+    def adjacency(i):
+        row = bytearray(len(verts))
+        for j in nbrs[i]:
+            row[j] = 1
+        return row
+
+    want = [tuple(int(pattern.has_edge(p, q)) for q in pverts[:i])
+            for i, p in enumerate(pverts)]
+    image = find_embedding(lambda image: range(len(verts)), want, adjacency)
+    return None if image is None else {p: verts[i] for p, i in zip(pverts, image)}
+
+
+def test_neighbourhood_candidates_keep_the_least_map():
+    # candidates drawn from the neighbourhood of a placed vertex drop only
+    # vertices that fail the adjacency test, so the least map is the same
+    rng = random.Random(2)
+    graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+    graphs += [random_strongly_chordal(rng.randint(5, 60), rng=rng, grow_bias=bias)
+               for bias in (0.3, 0.6, 0.9) for _ in range(40)]
+    mismatches, hits = [], {}
+    for name, pattern in (("claw", claw()), ("net", net()), ("3-sun", n_sun(3))):
+        hits[name] = 0
+        for g in graphs:
+            got = find_induced_subgraph(g, pattern)
+            if got != all_vertices_induced_subgraph(g, pattern):
+                mismatches.append((name, g))
+            hits[name] += got is not None
+    assert mismatches == []
+    # the scan sees hits and misses of every pattern
+    assert all(0 < count < len(graphs) for count in hits.values()), hits
+
+
+def test_claw_and_net_search_scans_a_path_once(monkeypatch):
+    # every pattern position after the first draws its candidates from a
+    # neighbourhood, so only the first position scans the whole path
+    from matlabel import strong_chordal
+
+    offered = []
+    real_search = strong_chordal.find_embedding
+
+    def counting(candidates, pattern, relation):
+        def counted(image):
+            got = list(candidates(image))
+            offered.append(len(got))
+            return got
+        return real_search(counted, pattern, relation)
+
+    monkeypatch.setattr(strong_chordal, "find_embedding", counting)
+    long = path_graph(3000)
+    assert unit_interval_obstruction(long) is None
+    assert offered.count(3000) == 2  # the first position of the claw and the net
+    # a bounded number per vertex, where every position was offered all 3000
+    assert sum(offered) < 20 * 3000
 
 
 def _threeway(g):
