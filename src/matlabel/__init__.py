@@ -15,18 +15,16 @@ __version__ = "0.1.0"
 # home module -> the names the package exports from it
 _EXPORTS = {
     "arrangement": ("IntPolynomial", "check_terao_factorization",
-                    "chromatic_polynomial", "exponents_from_labeling",
-                    "separator_product_check"),
+                    "chromatic_polynomial", "exponents_from_labeling"),
     "brute": ("brute_force_mat_labeling",),
     "chordal": ("find_chordless_cycle", "find_peo", "is_chordal", "is_peo",
-                "is_simplicial", "minimal_separator_decomposition", "peo_exponents"),
+                "is_simplicial", "peo_exponents"),
     "construct": ("construct_mat_labeling", "extend_labeling_complete",
                   "height_labeling_complete", "merge_complete", "node_family"),
     "errors": ("NoLeafPairError", "NotChordalError", "NotStronglyChordalError"),
     "graph": ("Graph", "canonical_edge"),
-    "labeling": ("EdgeLabeling", "LabelBlocks", "MatViolation", "find_mat_peo",
-                 "is_mat_peo", "is_mat_simplicial", "largest_clique_edges",
-                 "mat_simplicial_violation", "verify_mat_labeling"),
+    "labeling": ("EdgeLabeling", "MatViolation", "find_mat_peo", "is_mat_peo",
+                 "is_mat_simplicial", "mat_simplicial_violation", "verify_mat_labeling"),
     "oracle": ("detect_induced_sun", "find_any_crown", "find_crown", "is_crown_free"),
     "poset": ("CliquePoset", "CrownWitness", "build_poset", "crown_from_sun",
               "leaf_pair", "maximal_cliques"),

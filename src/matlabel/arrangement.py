@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .chordal import exponents_along, find_peo, minimal_separator_decomposition
+from .chordal import exponents_along, find_peo
 from .errors import NotChordalError
 from .graph import Graph
 from .labeling import EdgeLabeling, verify_mat_labeling
@@ -85,23 +85,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            term = "t" if i == 1 else f"t^{i}" if i else ""
-            mag = "" if abs(c) == 1 and i else str(abs(c))
-            parts.append(("-" if c < 0 else "+", f"{mag}{term}"))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
 
 
 def exponents_from_labeling(lab: EdgeLabeling) -> tuple[int, ...]:
@@ -198,18 +181,3 @@ def check_terao_factorization(g: Graph, exponents: Sequence[int]) -> bool:
         return chi == IntPolynomial.from_roots(exponents)
     return list(exponents_along(g, peo)) == sorted(exponents)
 
-
-def separator_product_check(g: Graph, a: int, b: int) -> bool:
-    """Verify the clique-separator product identity for the chromatic polynomial.
-
-    With (S, A, B) a minimal separator decomposition of a chordal graph,
-    chi(G) * chi(G[S]) must equal chi(G[A + S]) * chi(G[S + B]) exactly.
-    """
-    if find_peo(g) is None:
-        raise NotChordalError("separator product identity requires a chordal graph")
-    s, side_a, side_b = minimal_separator_decomposition(g, a, b)
-    left = chromatic_polynomial(g) * chromatic_polynomial(g.induced_subgraph(s))
-    right = chromatic_polynomial(
-        g.induced_subgraph(side_a | s)
-    ) * chromatic_polynomial(g.induced_subgraph(s | side_b))
-    return left == right

@@ -1,4 +1,4 @@
-"""Chordality recognition, perfect elimination orderings and separators.
+"""Chordality recognition and perfect elimination orderings.
 
 An ordering (v_1, ..., v_l) is a perfect elimination ordering (PEO) when
 each v_i is simplicial in the subgraph induced by {v_1, ..., v_i}; a graph
@@ -134,30 +134,6 @@ def exponents_along(g: Graph, order: Sequence[int]) -> tuple[int, ...]:
         for i, v in enumerate(order)
     ]
     return tuple(sorted(counts))
-
-
-def minimal_separator_decomposition(
-    g: Graph, a: int, b: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """A minimal (a, b)-separator S with the two sides (S, A, B).
-
-    A is the component of a in g - S and B the rest. Requires a and b
-    nonadjacent and in the same component. S is obtained as the neighbors
-    of the component of a in g - N(b); every such vertex touches A and is
-    adjacent to b, which makes S minimal. For chordal g, S is a clique.
-    """
-    g._require_vertex(a)
-    g._require_vertex(b)
-    if a == b or g.has_edge(a, b):
-        raise ValueError("endpoints must be distinct and nonadjacent")
-    if b not in g.component_of(a):
-        raise ValueError("endpoints must lie in the same connected component")
-    comp_a = g.component_of(a, forbidden=g.neighborhood(b))
-    separator = frozenset(
-        s for s in g.vertex_set - comp_a if g.neighborhood(s) & comp_a
-    )
-    rest = g.vertex_set - comp_a - separator
-    return separator, comp_a, rest
 
 
 def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:

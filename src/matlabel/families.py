@@ -62,32 +62,38 @@ def random_strongly_chordal(n: int, seed=None, rng: random.Random | None = None,
     Each new vertex is attached to a clique chosen so the vertex is simple
     in the grown graph, which makes the reverse insertion order a simple
     elimination ordering; a pendant attachment always qualifies, so growth
-    never stalls. The output is re-checked with the recognizer.
+    never stalls. The graph grows in one {vertex: neighbours} dict, where a
+    rejected attachment is undone, and becomes a Graph at the end. The
+    output is re-checked with the recognizer.
     """
     if rng is None:
         rng = random.Random(seed)
-    g = Graph([1])
+    adj: dict[int, set[int]] = {1: set()}
     for v in range(2, n + 1):
-        placed = None
+        grown = range(1, v)
         for _ in range(30):
-            anchor = rng.choice(g.vertices)
+            anchor = rng.choice(grown)
             clique = {anchor}
-            pool = set(g.neighborhood(anchor))
+            pool = set(adj[anchor])
             while pool and rng.random() < grow_bias:
                 w = rng.choice(sorted(pool))
                 clique.add(w)
-                pool &= g.neighborhood(w)
-            candidate = g.add_vertex(v, clique)
-            if is_simple_vertex(candidate, v):
-                placed = candidate
+                pool &= adj[w]
+            _attach(adj, v, clique)
+            if is_simple_vertex(adj, v):
                 break
-        if placed is None:
-            placed = g.add_vertex(v, [rng.choice(g.vertices)])
-            if not is_simple_vertex(placed, v):
-                raise RuntimeError(f"random_strongly_chordal: pendant vertex {v} "
-                                   f"is not simple in a graph with {placed.n} vertices")
-        g = placed
+            for u in adj.pop(v):
+                adj[u].discard(v)
+        else:
+            _attach(adj, v, [rng.choice(grown)])
+    g = Graph(adj, ((u, w) for u in adj for w in adj[u] if u < w))
     if not is_strongly_chordal(g):
         raise RuntimeError(f"random_strongly_chordal: grown graph with {g.n} "
                            f"vertices is not strongly chordal")
     return g
+
+
+def _attach(adj: dict[int, set[int]], v: int, nbrs) -> None:
+    adj[v] = set(nbrs)
+    for u in adj[v]:
+        adj[u].add(v)

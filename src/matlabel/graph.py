@@ -143,17 +143,15 @@ class Graph:
 
     # -- connectivity --------------------------------------------------
 
-    def component_of(self, v: int, forbidden: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Vertices reachable from v without entering `forbidden`."""
+    def component_of(self, v: int) -> frozenset[int]:
+        """Vertices reachable from v."""
         self._require_vertex(v)
-        if v in forbidden:
-            raise ValueError(f"start vertex {v} is forbidden")
         seen = {v}
         stack = [v]
         while stack:
             x = stack.pop()
             for y in self._adj[x]:
-                if y not in seen and y not in forbidden:
+                if y not in seen:
                     seen.add(y)
                     stack.append(y)
         return frozenset(seen)

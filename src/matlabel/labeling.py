@@ -69,9 +69,6 @@ class EdgeLabeling:
     def max_label(self) -> int:
         return max(self._labels.values(), default=0)
 
-    def blocks(self) -> "LabelBlocks":
-        return LabelBlocks.from_labeling(self)
-
     def block_sizes(self) -> tuple[int, ...]:
         """(|pi_1|, ..., |pi_max|)."""
         sizes = [0] * self.max_label
@@ -130,33 +127,6 @@ def _domain_error(graph: Graph, table: Mapping[tuple[int, int], int]) -> ValueEr
         f"label domain must equal the edge set "
         f"(missing {sorted(edges.difference(table))}, extra {sorted(table.keys() - edges)})"
     )
-
-
-class LabelBlocks(NamedTuple):
-    """Blocks pi_k = labels^{-1}(k) and prefixes E_k = pi_1 + ... + pi_k."""
-
-    blocks: dict[int, frozenset[tuple[int, int]]]
-    prefixes: dict[int, frozenset[tuple[int, int]]]
-
-    @classmethod
-    def from_labeling(cls, lab: EdgeLabeling) -> "LabelBlocks":
-        grouped: dict[int, set] = {}
-        for e, k in lab._labels.items():
-            grouped.setdefault(k, set()).add(e)
-        # an empty level shares the empty block and the prefix before it, so
-        # it costs O(1) whatever the size of that prefix
-        empty = prefix = frozenset()
-        blocks: dict[int, frozenset] = {}
-        prefixes: dict[int, frozenset] = {0: prefix}
-        acc: set = set()
-        for k in range(1, lab.max_label + 1):
-            block = grouped.get(k)
-            if block:
-                acc |= block
-                prefix = frozenset(acc)
-            blocks[k] = frozenset(block) if block else empty
-            prefixes[k] = prefix
-        return cls(blocks, prefixes)
 
 
 class MatViolation(NamedTuple):
@@ -371,33 +341,3 @@ def is_mat_peo(lab: EdgeLabeling, order) -> bool:
             adj[u].discard(v)
     return True
 
-
-def largest_clique_edges(lab: EdgeLabeling) -> dict[tuple[int, int], frozenset[int]]:
-    """Map each top-label edge to the unique maximal clique containing it.
-
-    For a verified labeling of a chordal graph the top label is the clique
-    number minus one, the map is injective, and its image is exactly the
-    set of largest cliques. Returns {} for edgeless graphs.
-    """
-    from .poset import maximal_cliques
-
-    violation = verify_mat_labeling(lab)
-    if violation is not None:
-        raise ValueError(f"labeling is invalid: {violation.detail}")
-    if lab.graph.m == 0:
-        return {}
-    cliques = maximal_cliques(lab.graph)
-    omega = max(len(c) for c in cliques)
-    top = lab.max_label
-    if top != omega - 1:
-        raise RuntimeError(f"top label {top} is not the clique number {omega} minus 1")
-    out = {}
-    for e in sorted(lab.blocks().blocks[top]):
-        containing = [c for c in cliques if e[0] in c and e[1] in c]
-        if len(containing) != 1:
-            raise RuntimeError(f"edge {e} lies in {len(containing)} maximal cliques")
-        out[e] = containing[0]
-    largest = {c for c in cliques if len(c) == omega}
-    if set(out.values()) != largest or len(set(out.values())) != len(out):
-        raise RuntimeError("top-label edges do not match the largest cliques")
-    return out

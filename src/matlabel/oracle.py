@@ -217,4 +217,4 @@ def brute_minimal_separators(
 
 
 def _separates(g, s, a, b):
-    return b not in g.component_of(a, forbidden=frozenset(s))
+    return b not in g.induced_subgraph(g.vertex_set - s).component_of(a)

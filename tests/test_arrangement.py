@@ -15,7 +15,6 @@ from matlabel import (
     height_labeling_complete,
     maximal_cliques,
     peo_exponents,
-    separator_product_check,
 )
 from matlabel.families import (
     complete_graph,
@@ -33,7 +32,6 @@ def test_polynomial_basics():
     assert IntPolynomial.from_roots([]) == IntPolynomial.one()
     assert IntPolynomial((0, 1)) * IntPolynomial((0, 1)) == IntPolynomial((0, 0, 1))
     assert IntPolynomial((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
-    assert str(IntPolynomial((0, 2, -3, 1))) == "t^3 - 3t^2 + 2t"
 
 
 def test_exponents_from_labeling(ui7_labeling):
@@ -165,33 +163,6 @@ def test_factorization_check_matches_the_expanded_identity():
             assert got == _factorizes_expanded(g, candidate)
             seen[got] += 1
     assert seen[True] >= 40 and seen[False] >= 500, seen
-
-
-def test_separator_product_path():
-    assert separator_product_check(path_graph(3), 1, 3)
-
-
-def test_separator_product_example(ui7):
-    assert separator_product_check(ui7, 1, 7)
-    assert separator_product_check(ui7, 1, 6)
-
-
-def test_separator_product_random_chordal():
-    rng = random.Random(73)
-    checked = 0
-    while checked < 30:
-        g = random_strongly_chordal(rng.randint(3, 10), rng=rng)
-        pairs = [
-            (a, b) for a in g.vertices for b in g.vertices
-            if a < b and not g.has_edge(a, b) and b in g.component_of(a)
-        ]
-        if not pairs:
-            continue
-        checked += 1
-        a, b = rng.choice(pairs)
-        assert separator_product_check(g, a, b)
-    with pytest.raises(NotChordalError):
-        separator_product_check(cycle_graph(4), 1, 3)
 
 
 def test_max_exponent_counts_largest_cliques():

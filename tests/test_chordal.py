@@ -1,4 +1,4 @@
-"""Chordality recognition, PEOs, separators, exponents."""
+"""Chordality recognition, PEOs, exponents."""
 
 import random
 from itertools import permutations
@@ -11,7 +11,6 @@ from matlabel import (
     is_chordal,
     is_peo,
     is_simplicial,
-    minimal_separator_decomposition,
     peo_exponents,
 )
 from matlabel import Graph
@@ -25,7 +24,7 @@ from matlabel.families import (
     random_graph,
     random_strongly_chordal,
 )
-from matlabel.oracle import brute_induced_cycles, brute_minimal_separators
+from matlabel.oracle import brute_induced_cycles
 
 
 def test_is_simplicial():
@@ -101,57 +100,6 @@ def test_find_chordless_cycle_witness():
         assert sub.m == sub.n and all(sub.degree(v) == 2 for v in cyc)
     assert find_chordless_cycle(complete_graph(5)) is None
     assert find_chordless_cycle(n_sun(3)) is None
-
-
-def test_minimal_separator_path():
-    s, a, b = minimal_separator_decomposition(path_graph(3), 1, 3)
-    assert (s, a, b) == ({2}, {1}, {3})
-
-
-def test_minimal_separator_c4_not_clique():
-    g = cycle_graph(4)
-    s, a, b = minimal_separator_decomposition(g, 1, 3)
-    assert s == {2, 4}
-    assert not g.is_clique(s)
-
-
-def test_minimal_separator_example_is_clique(ui7):
-    s, a, b = minimal_separator_decomposition(ui7, 1, 6)
-    assert s == {4, 5}
-    assert ui7.is_clique(s)
-    assert s in brute_minimal_separators(ui7)
-    assert a | s | b == ui7.vertex_set and not (a & s or a & b or s & b)
-
-
-def test_minimal_separator_errors():
-    with pytest.raises(ValueError):
-        minimal_separator_decomposition(path_graph(3), 1, 2)  # adjacent
-    g = path_graph(2).add_vertex(9)
-    with pytest.raises(ValueError):
-        minimal_separator_decomposition(g, 1, 9)  # different components
-
-
-def test_minimal_separators_agree_with_oracle():
-    rng = random.Random(12)
-    checked = 0
-    while checked < 60:
-        g = random_graph(6, rng.randint(5, 12), rng)
-        pairs = [
-            (a, b)
-            for a in g.vertices for b in g.vertices
-            if a < b and not g.has_edge(a, b) and b in g.component_of(a)
-        ]
-        if not pairs:
-            continue
-        checked += 1
-        oracle = brute_minimal_separators(g)
-        chordal = is_chordal(g)
-        for a, b in pairs:
-            s, side_a, side_b = minimal_separator_decomposition(g, a, b)
-            assert s in oracle
-            assert a in side_a and b in side_b
-            if chordal:
-                assert g.is_clique(s)
 
 
 def test_peo_exponents_values(ui7):

@@ -1,0 +1,52 @@
+"""The seeded generators of matlabel.families."""
+
+import random
+
+from matlabel import Graph, is_simple_vertex, is_strongly_chordal
+from matlabel.families import random_strongly_chordal
+
+
+def _grown_by_add_vertex(n, rng, grow_bias=0.6):
+    """Reference generator: the same draws, with every attempt built as a new
+    Graph by Graph.add_vertex and tested there."""
+    g = Graph([1])
+    for v in range(2, n + 1):
+        placed = None
+        for _ in range(30):
+            anchor = rng.choice(g.vertices)
+            clique = {anchor}
+            pool = set(g.neighborhood(anchor))
+            while pool and rng.random() < grow_bias:
+                w = rng.choice(sorted(pool))
+                clique.add(w)
+                pool &= g.neighborhood(w)
+            candidate = g.add_vertex(v, clique)
+            if is_simple_vertex(candidate, v):
+                placed = candidate
+                break
+        if placed is None:
+            placed = g.add_vertex(v, [rng.choice(g.vertices)])
+        g = placed
+    assert is_strongly_chordal(g)
+    return g
+
+
+def test_random_strongly_chordal_matches_the_rebuilding_generator():
+    cases = [(n, seed, 0.6) for seed in range(120) for n in (0, 1, 2, 5, 9, 14)]
+    cases += [(n, n, bias) for n in (60, 150, 300) for bias in (0.3, 0.6, 0.9, 0.97)]
+    for n, seed, bias in cases:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        g = random_strongly_chordal(n, rng=rng, grow_bias=bias)
+        assert g == _grown_by_add_vertex(n, ref_rng, bias), (n, seed, bias)
+        assert rng.getstate() == ref_rng.getstate(), (n, seed, bias)
+        assert g == random_strongly_chordal(n, seed=seed, grow_bias=bias)
+
+
+def test_random_strongly_chordal_grows_without_add_vertex(monkeypatch):
+    # Graph.add_vertex copies every edge, so a call per attempt is quadratic
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Graph.add_vertex was called")
+
+    g = random_strongly_chordal(40, seed=3)
+    monkeypatch.setattr(Graph, "add_vertex", forbidden)
+    assert random_strongly_chordal(40, seed=3) == g

@@ -1,9 +1,9 @@
 """The labeling verifier, MAT-simplicial vertices, MAT-PEOs."""
 
 import random
-import time
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,14 +16,13 @@ from matlabel import (
     height_labeling_complete,
     is_mat_peo,
     is_mat_simplicial,
-    largest_clique_edges,
     mat_simplicial_violation,
     verify_mat_labeling,
 )
 from matlabel.construct import _mat_peo
 from matlabel.families import complete_graph, path_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge
-from matlabel.labeling import LabelBlocks, _path_edges
+from matlabel.labeling import _path_edges
 
 
 def all_ones(g):
@@ -64,7 +63,7 @@ def test_labeling_rejects_non_integer_endpoints(endpoint):
 
 
 def test_blocks_and_prefixes(ui7_labeling):
-    blocks = ui7_labeling.blocks()
+    blocks = _blocks_by_level(ui7_labeling)
     assert ui7_labeling.block_sizes() == (6, 5, 2)
     assert blocks.prefixes[0] == frozenset()
     assert blocks.prefixes[3] == frozenset(ui7_labeling.graph.edges)
@@ -73,7 +72,7 @@ def test_blocks_and_prefixes(ui7_labeling):
 
 def test_block_sizes_equal_the_blocks():
     for lab in _labelings_to_verify(random.Random(67)):
-        blocks = LabelBlocks.from_labeling(lab).blocks
+        blocks = _blocks_by_level(lab).blocks
         assert lab.block_sizes() == tuple(len(blocks[k]) for k in sorted(blocks))
 
 
@@ -231,45 +230,21 @@ def test_restrict_edges(ui7_labeling):
         ui7_labeling.restrict_edges([(1, 7)])
 
 
-def test_largest_clique_edges_example(ui7_labeling):
-    mapping = largest_clique_edges(ui7_labeling)
-    assert mapping == {
-        (1, 2): frozenset({1, 2, 3, 4}),
-        (2, 5): frozenset({2, 3, 4, 5}),
-    }
-
-
-def test_largest_clique_edges_height():
-    for ell in (2, 4, 6):
-        mapping = largest_clique_edges(height_labeling_complete(ell))
-        assert mapping == {(1, ell): frozenset(range(1, ell + 1))}
-
-
-def test_largest_clique_edges_two_triangles():
-    g = Graph.from_edges([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-    lab = EdgeLabeling(g, {(1, 2): 1, (1, 3): 1, (2, 3): 2,
-                           (4, 5): 1, (4, 6): 1, (5, 6): 2})
-    mapping = largest_clique_edges(lab)
-    assert mapping == {
-        (2, 3): frozenset({1, 2, 3}),
-        (5, 6): frozenset({4, 5, 6}),
-    }
-
-
-def test_largest_clique_edges_rejects_invalid():
-    with pytest.raises(ValueError):
-        largest_clique_edges(all_ones(complete_graph(3)))
-    assert largest_clique_edges(EdgeLabeling(Graph([1, 2]), {})) == {}
-
-
-def test_largest_clique_edges_checks_invariants_explicitly(monkeypatch):
-    # three pairs of a triangle are no maximal cliques: the triangle's top
-    # label 2 no longer matches the clique number; this must raise even
-    # under python -O
-    pairs = (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
-    monkeypatch.setattr("matlabel.poset.maximal_cliques", lambda g: pairs)
-    with pytest.raises(RuntimeError, match="clique number"):
-        largest_clique_edges(height_labeling_complete(3))
+def _blocks_by_level(lab):
+    """The blocks pi_k and prefixes E_k = pi_1 + ... + pi_k of lab, as
+    .blocks and .prefixes: a block and a copied prefix at every level up
+    to the largest label."""
+    top = lab.max_label
+    blocks = {k: set() for k in range(1, top + 1)}
+    for e, k in lab.items():
+        blocks[k].add(e)
+    prefixes = {0: frozenset()}
+    acc = set()
+    for k in range(1, top + 1):
+        acc |= blocks[k]
+        prefixes[k] = frozenset(acc)
+    return SimpleNamespace(blocks={k: frozenset(v) for k, v in blocks.items()},
+                           prefixes=prefixes)
 
 
 def _verify_by_scan(lab):
@@ -277,7 +252,7 @@ def _verify_by_scan(lab):
     scans all of E_{k-1} in sorted order for ML2 and counts ML3 triangles
     through `lab.label`."""
     g = lab.graph
-    data = lab.blocks()
+    data = _blocks_by_level(lab)
     for k in range(1, lab.max_label + 1):
         pi_k = data.blocks[k]
         parent = {}
@@ -523,44 +498,6 @@ def test_verifier_matches_the_table_verifier_on_moved_edges():
             assert got == _verify_by_table(moved)
             kinds[got.kind] += 1
     assert min(kinds[kind] for kind in ("ML1-cycle", "ML2-closure")) >= 50, kinds
-
-
-def _blocks_by_level(lab):
-    """Reference LabelBlocks: a block and a copied prefix at every level up
-    to the largest label."""
-    top = lab.max_label
-    blocks = {k: set() for k in range(1, top + 1)}
-    for e, k in lab.items():
-        blocks[k].add(e)
-    prefixes = {0: frozenset()}
-    acc = set()
-    for k in range(1, top + 1):
-        acc |= blocks[k]
-        prefixes[k] = frozenset(acc)
-    return LabelBlocks({k: frozenset(v) for k, v in blocks.items()}, prefixes)
-
-
-def test_blocks_match_the_level_by_level_construction():
-    seen = 0
-    for lab in _labelings_to_verify(random.Random(67)):
-        got = lab.blocks()
-        assert got == _blocks_by_level(lab)
-        assert list(got.blocks) == list(range(1, lab.max_label + 1))
-        assert list(got.prefixes) == list(range(lab.max_label + 1))
-        seen += any(not block for block in got.blocks.values())
-    assert seen >= 50  # labelings with empty levels are among them
-
-
-def test_blocks_of_one_large_label_copy_no_prefix_per_level():
-    # every empty level shares the prefix before it
-    lab = EdgeLabeling(path_graph(3), {(1, 2): 1, (2, 3): 300_000})
-    start = time.perf_counter()
-    blocks = lab.blocks()
-    assert time.perf_counter() - start < 2
-    assert blocks.blocks[1] == {(1, 2)} and blocks.blocks[300_000] == {(2, 3)}
-    assert blocks.blocks[2] == frozenset() and len(blocks.blocks) == 300_000
-    assert blocks.prefixes[299_999] == {(1, 2)}
-    assert blocks.prefixes[300_000] == {(1, 2), (2, 3)}
 
 
 def test_verifier_makes_no_python_call_per_edge():

@@ -5,8 +5,7 @@ import sys
 import pytest
 
 import matlabel
-from matlabel import (CrownWitness, EdgeLabeling, Graph, IntPolynomial, LabelBlocks,
-                      MatViolation, SunWitness)
+from matlabel import CrownWitness, IntPolynomial, MatViolation, SunWitness
 
 
 @pytest.mark.parametrize("name", matlabel.__all__)
@@ -22,7 +21,25 @@ def test_star_import_binds_every_exported_name():
     exec("from matlabel import *", namespace)
     for name in matlabel.__all__:
         assert namespace[name] is getattr(matlabel, name)
-    assert len(set(matlabel.__all__)) == len(matlabel.__all__) == 50
+    assert len(set(matlabel.__all__)) == len(matlabel.__all__)
+
+
+def test_all_is_the_public_api():
+    assert set(matlabel.__all__) == {
+        "CliquePoset", "CrownWitness", "EdgeLabeling", "Graph", "IntPolynomial",
+        "MatViolation", "NoLeafPairError", "NotChordalError", "NotStronglyChordalError",
+        "SunWitness", "brute_force_mat_labeling", "build_poset", "canonical_edge",
+        "check_terao_factorization", "chromatic_polynomial", "construct_mat_labeling",
+        "crown_from_sun", "detect_induced_sun", "exponents_from_labeling",
+        "extend_labeling_complete", "find_any_crown", "find_chordless_cycle",
+        "find_crown", "find_induced_subgraph", "find_mat_peo", "find_peo",
+        "find_simple_elimination_ordering", "find_sun", "height_labeling_complete",
+        "is_chordal", "is_crown_free", "is_mat_peo", "is_mat_simplicial", "is_peo",
+        "is_simple_vertex", "is_simplicial", "is_strongly_chordal", "is_unit_interval",
+        "leaf_pair", "mat_simplicial_violation", "maximal_cliques", "merge_complete",
+        "node_family", "peo_exponents", "unit_interval_obstruction",
+        "verify_mat_labeling",
+    }
 
 
 def test_unknown_attribute_is_an_attribute_error():
@@ -57,16 +74,6 @@ def test_witness_values(make, other, as_json):
     assert value == make() and hash(value) == hash(make()) and value != other
     for field in as_json.keys() - {"kind"}:
         _refuses_assignment(value, field)
-
-
-def test_label_blocks_value():
-    lab = EdgeLabeling(Graph.from_edges([(1, 2), (2, 3), (1, 3)]),
-                       {(1, 2): 1, (2, 3): 1, (1, 3): 2})
-    blocks = LabelBlocks.from_labeling(lab)
-    assert blocks.blocks == {1: frozenset({(1, 2), (2, 3)}), 2: frozenset({(1, 3)})}
-    assert blocks.prefixes[2] == frozenset(lab.graph.edges)
-    assert blocks == lab.blocks()
-    _refuses_assignment(blocks, "blocks")
 
 
 def test_int_polynomial_value():
