@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .chordal import exponents_along, find_peo
-from .errors import NotChordalError
 from .graph import Graph
 from .labeling import EdgeLabeling, verify_mat_labeling
 
@@ -110,29 +109,15 @@ def dual_partition_exponents(lab: EdgeLabeling) -> tuple[int, ...]:
     )
 
 
-def chromatic_polynomial(
-    g: Graph, guard: int = 12, method: str = "auto"
-) -> IntPolynomial:
-    """Exact chromatic polynomial.
+def chromatic_polynomial(g: Graph) -> IntPolynomial:
+    """Exact chromatic polynomial by deletion-contraction.
 
-    method "auto" uses the PEO product for chordal graphs (any size) and
-    deletion-contraction otherwise; "peo" and "deletion-contraction" force
-    one route. Deletion-contraction is guarded at `guard` vertices and
-    memoizes on relabeled canonical forms for graphs of at most 10
-    vertices.
+    Guarded at 12 vertices, and memoized on relabeled canonical forms for
+    graphs of at most 10 vertices. A chordal graph's polynomial needs no
+    search: it is IntPolynomial.from_roots(peo_exponents(g)).
     """
-    if method not in ("auto", "peo", "deletion-contraction"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "deletion-contraction":
-        order = find_peo(g)
-        if order is not None:
-            return IntPolynomial.from_roots(exponents_along(g, order))
-        if method == "peo":
-            raise NotChordalError("PEO product requires a chordal graph")
-    if g.n > guard:
-        raise ValueError(
-            f"deletion-contraction guarded at {guard} vertices, got {g.n}"
-        )
+    if g.n > 12:
+        raise ValueError(f"deletion-contraction guarded at 12 vertices, got {g.n}")
     return _deletion_contraction(g, {})
 
 
@@ -177,7 +162,7 @@ def check_terao_factorization(g: Graph, exponents: Sequence[int]) -> bool:
     """
     peo = find_peo(g)
     if peo is None:
-        chi = chromatic_polynomial(g, method="deletion-contraction")
+        chi = chromatic_polynomial(g)
         return chi == IntPolynomial.from_roots(exponents)
     return list(exponents_along(g, peo)) == sorted(exponents)
 

@@ -157,7 +157,7 @@ def cmd_poset(args) -> int:
         p = strongly_chordal_poset(g)
     except NotStronglyChordalError as exc:
         return _reject(args, exc)
-    if args.out and args.out.endswith(".dot"):
+    if args.out and Path(args.out).suffix.lower() == ".dot":
         Path(args.out).write_text(poset_to_dot(p))
     else:
         report = poset_to_json_dict(p)
@@ -210,8 +210,7 @@ def cmd_selftest(args) -> int:
             # the root-multiset check against the deletion-contraction identity
             exps = dual_partition_exponents(lab)
             if not (check_terao_factorization(g, exps)
-                    and chromatic_polynomial(g, method="deletion-contraction")
-                    == IntPolynomial.from_roots(exps)):
+                    and chromatic_polynomial(g) == IntPolynomial.from_roots(exps)):
                 mismatches.append({"graph": [list(e) for e in g.edges],
                                    "check": "factorization"})
     # existence oracle agreement on small graphs

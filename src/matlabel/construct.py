@@ -4,8 +4,8 @@ Complete graphs are labeled directly (height labeling, or one-vertex-at-a-
 time extension along a greedy MAT-PEO read off the clique's top edges). Two
 compatibly labeled cliques merge into a labeling of their union clique. A
 strongly chordal graph is then labeled by one edge -> label table, filled
-bottom-up in rank over its clique intersection poset by merging each
-node's covers and extending to the whole node, and verified once. The
+node by node over its clique intersection poset by merging each node's
+covers and extending to the whole node, and verified once. The
 poset comes from poset.strongly_chordal_poset, which rejects a graph that
 is not strongly chordal before it builds one. Every greedy choice breaks
 ties by smallest vertex id, so the whole construction is a deterministic
@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import NoLeafPairError
-from .graph import Graph, canonical_edge, sorted_key
+from .graph import Graph, canonical_edge
 from .labeling import EdgeLabeling, verify_mat_labeling
 from .poset import CliquePoset, build_poset, leaf_pair, strongly_chordal_poset
 
@@ -172,7 +172,8 @@ def merge_complete(a, b, lab_a: EdgeLabeling, lab_b: EdgeLabeling) -> EdgeLabeli
 def _label_table(poset: CliquePoset) -> dict[tuple[int, int], int]:
     """One edge -> label table that restricts to a MAT-labeling on every node.
 
-    Nodes go bottom-up in rank. At node X, leaf-pair nodes X0 are peeled off
+    Nodes go in the poset's canonical order, by size, so each after its
+    (strictly smaller) covers. At node X, leaf-pair nodes X0 are peeled off
     its covers until at most one, w, is left; each X0 is merged back in
     reverse order (labeling the edges between w - X0 and X0 - w, then w |=
     X0), and extension labels the edges at X - w.
@@ -185,9 +186,13 @@ def _label_table(poset: CliquePoset) -> dict[tuple[int, int], int]:
     peel (q is not in w), so c was peeled first; its leaf partner contains
     c & X0 and c & Y' for a cover Y' in w holding p, so both p and q.
     Following partners ends at X0 or a cover in w: a contradiction.
+
+    So any order that lists each node after its covers fills the same
+    table: the writes at X read only edges inside X's covers or written at
+    X itself, and no entry is ever overwritten.
     """
     table: dict[tuple[int, int], int] = {}
-    for x in sorted(poset.nodes, key=lambda node: (poset.rank[node], sorted_key(node))):
+    for x in poset.nodes:
         covers, peeled = list(poset.covers[x]), []
         while len(covers) > 1:
             x0, _ = leaf_pair(poset, covers)
@@ -202,15 +207,14 @@ def _label_table(poset: CliquePoset) -> dict[tuple[int, int], int]:
     return table
 
 
-def node_family(g: Graph, poset: CliquePoset | None = None):
+def node_family(g: Graph):
     """A MAT-labeling for every poset node, closed under restriction.
 
     The restrictions of one label table to the nodes, so any two labelings
     of the family agree on the edges they share. Raises NoLeafPairError
     only when the graph is not strongly chordal.
     """
-    if poset is None:
-        poset = build_poset(g)
+    poset = build_poset(g)
     labeling = EdgeLabeling(g, _label_table(poset))
     return {x: labeling.restrict_vertices(x) for x in poset.nodes}
 

@@ -194,8 +194,8 @@ def _labeling_fault(text: str, i: int | None = None) -> ValueError:
     return ValueError(f"duplicate label entry for edge {canonical_edge(item['u'], item['v'])}")
 
 
-def labeling_to_dot(lab: EdgeLabeling, name: str = "labeled") -> str:
-    lines = [f"graph {name} {{"]
+def labeling_to_dot(lab: EdgeLabeling) -> str:
+    lines = ["graph labeled {"]
     for v in lab.graph.vertices:
         lines.append(f"  {v};")
     for (u, v), k in lab.items():
@@ -223,9 +223,9 @@ def poset_to_json_dict(p: CliquePoset) -> dict:
     }
 
 
-def poset_to_dot(p: CliquePoset, name: str = "poset") -> str:
+def poset_to_dot(p: CliquePoset) -> str:
     """Hasse diagram, drawn bottom-up, maximal cliques highlighted."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph poset {", "  rankdir=BT;"]
     index = {node: i for i, node in enumerate(p.nodes)}
     for node, i in index.items():
         style = ', style=filled, fillcolor=lightgrey' if node in p.maximal_nodes else ""

@@ -3,9 +3,8 @@
 Deliberately naive and implemented apart from the production recognizers:
 these share only the graph primitives and the pattern search behind the
 claw and net witnesses, so agreement between an oracle and a production
-path is meaningful evidence. The scans carry a hard input-size guard,
-a parameter of the induced-cycle scan; the sun and crown searches are
-exponential in the worst case and have none.
+path is meaningful evidence. The scans carry a fixed size guard; the sun
+and crown searches are exponential in the worst case and have none.
 """
 
 from __future__ import annotations
@@ -42,22 +41,16 @@ def enumerate_graphs(
             yield g
 
 
-def brute_induced_cycles(
-    g: Graph, min_len: int = 4, max_vertices: int = 10
-) -> tuple[int, ...] | None:
-    """An induced cycle with at least min_len vertices, by subset scan.
+def brute_induced_cycles(g: Graph) -> tuple[int, ...] | None:
+    """An induced cycle with at least 4 vertices, by subset scan.
 
     Checks every vertex subset for inducing a cycle (connected, all degrees
-    two, as many edges as vertices). Guarded at `max_vertices`.
+    two, as many edges as vertices). Guarded at 10 vertices.
     """
-    if g.n > max_vertices:
-        raise ValueError(
-            f"induced-cycle scan guarded at {max_vertices} vertices, got {g.n}"
-        )
-    if min_len < 3:
-        raise ValueError("cycles have at least 3 vertices")
+    if g.n > 10:
+        raise ValueError(f"induced-cycle scan guarded at 10 vertices, got {g.n}")
     for subset in iter_subsets(g.vertices):
-        if len(subset) < min_len:
+        if len(subset) < 4:
             continue
         sub = g.induced_subgraph(subset)
         if sub.m != sub.n or not sub.is_connected():
@@ -73,20 +66,16 @@ def brute_induced_cycles(
     return None
 
 
-def detect_induced_sun(g: Graph, n_max: int | None = None) -> SunWitness | None:
-    """Smallest induced n-sun with 3 <= n <= n_max, or None.
+def detect_induced_sun(g: Graph) -> SunWitness | None:
+    """Smallest induced n-sun, or None.
 
     For n = 3, 4, ... this is find_induced_subgraph(g, n_sun(n)): the
     central clique is placed first, then the outer vertices, with
     candidates in ascending order, so the returned witness is the
-    lexicographically least tuple (inner + outer) for the smallest n.
-    Default n_max is |V| // 2 (a sun needs 2n vertices).
+    lexicographically least tuple (inner + outer) for the smallest n, up
+    to n = |V| // 2 (a sun needs 2n vertices).
     """
-    if n_max is None:
-        n_max = g.n // 2
-    elif n_max < 3:
-        raise ValueError("n_max must be at least 3")
-    for n in range(3, n_max + 1):
+    for n in range(3, g.n // 2 + 1):
         hit = find_induced_subgraph(g, n_sun(n))
         if hit is not None:
             image = tuple(hit.values())  # keyed 1..2n in ascending order
@@ -149,18 +138,16 @@ def crown_pattern(k: int) -> tuple[int, frozenset[tuple[int, int]]]:
     return 2 * k, frozenset(less)
 
 
-def brute_induced_subposet(
-    poset, pattern, max_nodes: int = 64
-) -> tuple[frozenset[int], ...] | None:
+def brute_induced_subposet(poset, pattern) -> tuple[frozenset[int], ...] | None:
     """Injection realizing an abstract pattern as an induced subposet.
 
     `poset` is anything with a `nodes` collection of vertex sets (or a bare
     collection of sets); `pattern` is (size, strict relations) as produced
-    by crown_pattern. Order is set inclusion. Guarded at `max_nodes`.
+    by crown_pattern. Order is set inclusion. Guarded at 64 nodes.
     """
     nodes = tuple(getattr(poset, "nodes", poset))
-    if len(nodes) > max_nodes:
-        raise ValueError(f"induced-subposet scan guarded at {max_nodes} nodes")
+    if len(nodes) > 64:
+        raise ValueError("induced-subposet scan guarded at 64 nodes")
     size, less = pattern
     image: list[frozenset[int]] = []
 
@@ -190,19 +177,15 @@ def brute_induced_subposet(
     return tuple(image) if place(0) else None
 
 
-def brute_minimal_separators(
-    g: Graph, max_vertices: int = 8
-) -> frozenset[frozenset[int]]:
+def brute_minimal_separators(g: Graph) -> frozenset[frozenset[int]]:
     """All minimal vertex separators by exhaustive subset checking.
 
     A set S is collected when it is a minimal (a, b)-separator for some
     nonadjacent pair a, b in one component: S separates them but no single
-    removal from S does. Guarded at `max_vertices`.
+    removal from S does. Guarded at 8 vertices.
     """
-    if g.n > max_vertices:
-        raise ValueError(
-            f"separator scan guarded at {max_vertices} vertices, got {g.n}"
-        )
+    if g.n > 8:
+        raise ValueError(f"separator scan guarded at 8 vertices, got {g.n}")
     found = set()
     vs = g.vertices
     for a, b in combinations(vs, 2):

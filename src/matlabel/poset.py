@@ -44,9 +44,9 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
 class CliquePoset:
     """Inclusion poset of all intersections of a family of maximal cliques.
 
-    `nodes` is canonically sorted, `covers` maps each node to its lower
-    covers, `rank` counts the longest chain up from `bottom` (the meet of
-    all the cliques) and `maximal_nodes` is the family.
+    `nodes` is canonically sorted, so by size, and its first node is the
+    meet of all the cliques; `covers` maps each node to its lower covers
+    and `maximal_nodes` is the family.
 
     Lemma: the lower covers of a node x are the largest of the meets x & c
     over the cliques c that do not contain x. Proof: each such meet is a
@@ -66,7 +66,7 @@ class CliquePoset:
     met with every clique instead: the index walk would visit no fewer.
     """
 
-    __slots__ = ("nodes", "covers", "rank", "maximal_nodes", "bottom")
+    __slots__ = ("nodes", "covers", "maximal_nodes")
 
     def __init__(self, cliques: Iterable[frozenset[int]]):
         self.maximal_nodes: frozenset[frozenset[int]] = frozenset(cliques)
@@ -100,16 +100,9 @@ class CliquePoset:
         self.nodes: tuple[frozenset[int], ...] = sorted_sets(covers)
         self.covers: dict[frozenset[int], tuple[frozenset[int], ...]] = {
             x: sorted_sets(covers[x]) for x in self.nodes}
-        self.bottom: frozenset[int] = self.nodes[0]  # the smallest node is the minimum
-        self.rank: dict[frozenset[int], int] = {}
-        for x in self.nodes:  # nodes are sorted by size, so covers come first
-            self.rank[x] = max((self.rank[y] + 1 for y in self.covers[x]), default=0)
 
     def __contains__(self, node) -> bool:
         return frozenset(node) in self.covers
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def build_poset(g: Graph) -> CliquePoset:

@@ -8,7 +8,6 @@ from matlabel import (
     EdgeLabeling,
     Graph,
     IntPolynomial,
-    NotChordalError,
     check_terao_factorization,
     chromatic_polynomial,
     exponents_from_labeling,
@@ -58,8 +57,8 @@ def test_chromatic_complete():
 
 
 def test_chromatic_example_cross_check(ui7):
-    via_peo = chromatic_polynomial(ui7, method="peo")
-    via_dc = chromatic_polynomial(ui7, method="deletion-contraction")
+    via_peo = IntPolynomial.from_roots(peo_exponents(ui7))
+    via_dc = chromatic_polynomial(ui7)
     assert via_peo == via_dc
     assert via_peo == IntPolynomial.from_roots([0, 1, 2, 2, 2, 3, 3])
 
@@ -78,8 +77,9 @@ def test_chromatic_cross_check_random():
     for _ in range(40):
         n = rng.randint(1, 6)
         g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
-        dc = chromatic_polynomial(g, method="deletion-contraction")
-        assert dc == chromatic_polynomial(g)
+        dc = chromatic_polynomial(g)
+        exps = peo_exponents(g)
+        assert exps is None or dc == IntPolynomial.from_roots(exps)
         assert dc(3) == _count_colorings(g, 3)
 
 
@@ -104,13 +104,13 @@ def _count_colorings(g, t):
 
 
 def test_chromatic_guards():
-    big_cycle = cycle_graph(13)
     with pytest.raises(ValueError):
-        chromatic_polynomial(big_cycle)
-    with pytest.raises(NotChordalError):
-        chromatic_polynomial(cycle_graph(4), method="peo")
-    # chordal path is unguarded at any size
-    assert chromatic_polynomial(path_graph(40))(2) == 2
+        chromatic_polynomial(cycle_graph(13))
+    # chordal graphs too: their polynomial is the PEO product, no search
+    with pytest.raises(ValueError):
+        chromatic_polynomial(path_graph(13))
+    assert chromatic_polynomial(path_graph(12))(2) == 2
+    assert IntPolynomial.from_roots(peo_exponents(path_graph(40)))(2) == 2
 
 
 def test_terao_factorization(ui7):
@@ -121,7 +121,9 @@ def test_terao_factorization(ui7):
 
 def _factorizes_expanded(g, exponents):
     """Reference check: expand both sides and compare the polynomials."""
-    return chromatic_polynomial(g) == IntPolynomial.from_roots(exponents)
+    exps = peo_exponents(g)
+    chi = chromatic_polynomial(g) if exps is None else IntPolynomial.from_roots(exps)
+    return chi == IntPolynomial.from_roots(exponents)
 
 
 def _exponent_lists(exps, rng):

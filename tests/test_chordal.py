@@ -86,7 +86,7 @@ def test_chordality_matches_induced_cycle_oracle():
     for _ in range(300):
         n = rng.randint(1, 6)
         g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
-        assert is_chordal(g) == (brute_induced_cycles(g, 4) is None)
+        assert is_chordal(g) == (brute_induced_cycles(g) is None)
 
 
 def test_find_chordless_cycle_witness():

@@ -471,11 +471,13 @@ def test_poset_computes_one_peo(capsys, ui7_file, c4_file, monkeypatch):
 
 
 def test_poset_dot_output(capsys, ui7_file, tmp_path):
-    out = tmp_path / "p.dot"
-    code = main(["poset", str(ui7_file), "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert out.read_text().startswith("digraph poset {")
+    # the suffix matches in any case, as load_graph matches a graph file's
+    for name in ("p.dot", "H.DOT"):
+        out = tmp_path / name
+        code = main(["poset", str(ui7_file), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("digraph poset {")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -27,7 +27,7 @@ from matlabel import (
     node_family,
     verify_mat_labeling,
 )
-from matlabel.construct import _mat_peo
+from matlabel.construct import _extend_into, _label_table, _mat_peo, _merge_into
 from matlabel.families import (
     complete_graph,
     cycle_graph,
@@ -256,9 +256,9 @@ def test_node_family_merges_as_the_recursive_peel(monkeypatch):
         g = random_strongly_chordal(rng.randint(6, 24), rng=rng, grow_bias=0.5)
         poset = build_poset(g)
         merged.clear()
-        node_family(g, poset)
+        node_family(g)
         expected = []
-        for x in sorted(poset.nodes, key=lambda n: (poset.rank[n], sorted_key(n))):
+        for x in poset.nodes:
             if poset.covers[x]:
                 recursive(poset, poset.covers[x], expected)
         assert merged == expected
@@ -456,9 +456,36 @@ def _reference_labeling_for_antichain(poset, family, antichain):
     return lab
 
 
+def _rank_order(poset):
+    """The nodes bottom-up in rank, the longest chain of covers below a
+    node, ties broken canonically."""
+    rank = {}
+    for x in sorted_sets(poset.nodes):
+        rank[x] = 1 + max(rank[y] for y in poset.covers[x]) if poset.covers[x] else 0
+    return sorted(poset.nodes, key=lambda node: (rank[node], sorted_key(node)))
+
+
+def _rank_order_label_table(poset):
+    """Reference: the label table filled bottom-up in rank."""
+    table = {}
+    for x in _rank_order(poset):
+        covers, peeled = list(poset.covers[x]), []
+        while len(covers) > 1:
+            x0, _ = leaf_pair(poset, covers)
+            peeled.append(x0)
+            covers.remove(x0)
+        w = covers[0] if covers else frozenset()
+        for x0 in reversed(peeled):
+            _merge_into(table, w, x0)
+            w |= x0
+        if w != x:
+            _extend_into(table, w, x)
+    return table
+
+
 def _reference_node_family(poset):
     family = {}
-    for x in sorted(poset.nodes, key=lambda node: (poset.rank[node], sorted_key(node))):
+    for x in _rank_order(poset):
         base = _reference_labeling_for_antichain(poset, family, poset.covers[x])
         if base.graph.vertex_set != x:
             base = extend_labeling_complete(len(x), base.graph.vertex_set, base,
@@ -493,7 +520,8 @@ def test_label_table_matches_the_per_node_family(ui7):
     for g in [ui7, *_table_corpus()]:
         poset = build_poset(g)
         expected = _reference_node_family(poset)
-        assert node_family(g, poset) == expected
+        assert node_family(g) == expected
+        assert _label_table(poset) == _rank_order_label_table(poset)
         assert construct_mat_labeling(g) == _reference_construct(g, poset, expected)
         checked += 1
     assert checked == 223

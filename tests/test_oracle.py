@@ -54,8 +54,9 @@ def test_brute_induced_cycles():
     assert brute_induced_cycles(cycle_graph(4)) == (1, 2, 3, 4)
     assert brute_induced_cycles(complete_graph(4)) is None
     assert brute_induced_cycles(n_sun(3)) is None
+    assert brute_induced_cycles(cycle_graph(10)) == tuple(range(1, 11))
     with pytest.raises(ValueError):
-        brute_induced_cycles(complete_graph(4), 2)
+        brute_induced_cycles(cycle_graph(11))
 
 
 def test_brute_cycles_agree_with_production():
@@ -63,7 +64,7 @@ def test_brute_cycles_agree_with_production():
     for _ in range(250):
         n = rng.randint(1, 7)
         g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
-        oracle_cycle = brute_induced_cycles(g, 4)
+        oracle_cycle = brute_induced_cycles(g)
         assert (oracle_cycle is None) == is_chordal(g)
         assert (find_chordless_cycle(g) is None) == (oracle_cycle is None)
 

@@ -113,17 +113,18 @@ def test_build_poset_example(ui7):
     assert set(p.nodes) == set(UI7_POSET_NODES)
     for node in p.nodes:
         assert set(p.covers[node]) == UI7_POSET_COVERS[node]
-    assert p.bottom == frozenset()
+    assert p.nodes[0] == frozenset()
+    assert [x for x in p.nodes if not p.covers[x]] == [p.nodes[0]]
     assert set(p.maximal_nodes) == set(UI7_MAXIMAL_CLIQUES)
 
 
 def test_build_poset_complete_and_disjoint_edges():
     p = build_poset(complete_graph(4))
     assert p.nodes == (frozenset({1, 2, 3, 4}),)
-    assert p.rank[p.nodes[0]] == 0
+    assert p.covers[p.nodes[0]] == ()
     q = build_poset(Graph.from_edges([(1, 2), (3, 4)]))
     assert set(q.nodes) == {frozenset(), frozenset({1, 2}), frozenset({3, 4})}
-    assert q.bottom == frozenset()
+    assert q.nodes[0] == frozenset()
 
 
 def _reference_poset(g):
@@ -148,11 +149,7 @@ def _reference_poset(g):
         below = [y for y in nodes if y < x]
         covers[x] = sorted_sets(y for y in below if not any(y < z for z in below if z < x))
     bottoms = [x for x in nodes if not covers[x]]
-    rank = {}
-    for x in nodes:
-        rank[x] = 1 + max(rank[y] for y in covers[x]) if covers[x] else 0
-    return (nodes, list(covers.items()), list(rank.items()),
-            bottoms[0] if len(bottoms) == 1 else None, frozenset(cliques))
+    return nodes, list(covers.items()), bottoms, frozenset(cliques)
 
 
 def _worklist_poset(cliques):
@@ -221,11 +218,12 @@ def test_poset_matches_the_fixpoint_and_pairwise_scan():
     with_empty = 0
     for g in graphs + unions:
         p = build_poset(g)
-        assert (p.nodes, list(p.covers.items()), list(p.rank.items()), p.bottom,
+        # the first node is the only one without covers
+        assert (p.nodes, list(p.covers.items()), [p.nodes[0]],
                 p.maximal_nodes) == _reference_poset(g), g.edges
         assert list(p.covers.items()) == _worklist_poset(p.maximal_nodes), g.edges
         with_empty += frozenset() in p
-    assert all(build_poset(g).bottom == frozenset() for g in unions)
+    assert all(build_poset(g).nodes[0] == frozenset() for g in unions)
     assert len(graphs) > 19000 and with_empty > 10000
     assert build_poset(Graph([])).nodes == (frozenset(),)
     with pytest.raises(ValueError):
@@ -243,18 +241,16 @@ def test_poset_invariants_sampled():
                 assert x & y in nodes  # closed under intersection
             assert g.is_clique(x)
         bottoms = [x for x in p.nodes if not p.covers[x]]
-        assert bottoms == [p.bottom]
+        assert bottoms == [p.nodes[0]]
         # the minimum node is exactly the set of dominating vertices
-        assert p.bottom == frozenset(
+        assert p.nodes[0] == frozenset(
             v for v in g.vertices if g.degree(v) == g.n - 1
         )
+        position = {x: i for i, x in enumerate(p.nodes)}
         for x in p.nodes:
-            for y in p.nodes:
-                if x < y:
-                    assert p.rank[x] < p.rank[y]
             covered = p.covers[x]
-            if covered:
-                assert p.rank[x] == 1 + max(p.rank[y] for y in covered)
+            # each cover lies strictly below its node, and comes before it
+            assert all(y < x and position[y] < position[x] for y in covered)
             # covers are transitively reduced
             for y in covered:
                 assert not any(y < z < x for z in p.nodes)

@@ -220,3 +220,46 @@ def _called_by_scope(tree):
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 yield scope, _called_name(node.func)
+
+
+# the public parameters with defaults: each is set to another value by some
+# caller (a command option, a seed, a vertex list), while a value no caller
+# changes is a constant; so a new knob needs a deliberate edit here
+DEFAULTED_PARAMETERS = {
+    "brute.brute_force_mat_labeling(max_edges)", "brute.brute_force_mat_labeling(max_label)",
+    "cli.main(argv)",
+    "construct.extend_labeling_complete(vertices)",
+    "construct.height_labeling_complete(vertices)",
+    "families.complete_graph(vertices)", "families.random_strongly_chordal(grow_bias)",
+    "families.random_strongly_chordal(rng)", "families.random_strongly_chordal(seed)",
+    "graph.Graph.__init__(edges)", "graph.Graph.__init__(vertices)",
+    "graph.Graph.add_vertex(neighbors)",
+    "io.load_graph(fmt)",
+    "oracle.enumerate_graphs(connected)", "oracle.enumerate_graphs(predicate)",
+}
+
+
+def _public_functions(tree):
+    """(qualified name, def) for each public function, public method and
+    constructor of a public class."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and (
+                        node.name == "__init__" or not node.name.startswith("_")):
+                    yield f"{top.name}.{node.name}", node
+
+
+def test_public_parameters_with_defaults_are_pinned():
+    found = set()
+    for path in SOURCES:
+        for name, node in _public_functions(ast.parse(path.read_text(), str(path))):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found |= {f"{path.stem}.{name}({a.arg})" for a in defaulted}
+    assert found == DEFAULTED_PARAMETERS

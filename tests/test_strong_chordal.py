@@ -98,12 +98,7 @@ def test_detect_sun_four():
     witness = detect_induced_sun(n_sun(4))
     assert witness is not None and witness.n == 4
     # the 4-sun contains no induced 3-sun, so the smallest n really is 4
-    assert detect_induced_sun(n_sun(4), 3) is None
-
-
-def test_detect_sun_nmax_validation():
-    with pytest.raises(ValueError):
-        detect_induced_sun(n_sun(3), 2)
+    assert find_induced_subgraph(n_sun(4), n_sun(3)) is None
 
 
 def test_detect_sun_lexicographically_least_witness():
