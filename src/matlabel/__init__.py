@@ -17,21 +17,22 @@ _EXPORTS = {
     "arrangement": ("IntPolynomial", "check_terao_factorization",
                     "chromatic_polynomial", "exponents_from_labeling"),
     "brute": ("brute_force_mat_labeling",),
-    "chordal": ("find_chordless_cycle", "find_peo", "is_chordal", "is_peo",
-                "is_simplicial", "peo_exponents"),
-    "construct": ("construct_mat_labeling", "extend_labeling_complete",
-                  "height_labeling_complete", "merge_complete", "node_family"),
+    "chordal": ("find_chordless_cycle", "find_peo", "is_chordal", "peo_exponents"),
+    "construct": ("construct_mat_labeling", "extend_labeling_complete", "merge_complete",
+                  "node_family"),
     "errors": ("NoLeafPairError", "NotChordalError", "NotStronglyChordalError"),
+    "families": ("height_labeling_complete",),
     "graph": ("Graph", "canonical_edge"),
-    "labeling": ("EdgeLabeling", "MatViolation", "find_mat_peo", "is_mat_peo",
-                 "is_mat_simplicial", "mat_simplicial_violation", "verify_mat_labeling"),
-    "oracle": ("detect_induced_sun", "find_any_crown", "find_crown", "is_crown_free"),
-    "poset": ("CliquePoset", "CrownWitness", "build_poset", "crown_from_sun",
-              "leaf_pair", "maximal_cliques"),
-    "strong_chordal": ("SunWitness", "find_induced_subgraph",
-                       "find_simple_elimination_ordering", "find_sun",
-                       "is_simple_vertex", "is_strongly_chordal", "is_unit_interval",
-                       "unit_interval_obstruction"),
+    "labeling": ("EdgeLabeling", "is_mat_simplicial", "verify_mat_labeling"),
+    "oracle": ("detect_induced_sun", "find_any_crown", "find_crown", "find_mat_peo",
+               "is_crown_free", "is_mat_peo", "is_peo", "is_simplicial",
+               "mat_simplicial_violation"),
+    "poset": ("CliquePoset", "build_poset", "leaf_pair", "maximal_cliques"),
+    "strong_chordal": ("find_simple_elimination_ordering", "find_sun",
+                       "is_simple_vertex", "is_strongly_chordal"),
+    "unit_interval": ("find_induced_subgraph", "is_unit_interval",
+                      "unit_interval_obstruction"),
+    "witness": ("CrownWitness", "MatViolation", "SunWitness", "crown_from_sun"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

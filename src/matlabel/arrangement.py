@@ -60,10 +60,6 @@ class IntPolynomial:
             poly = poly * cls((-r, 1))
         return poly
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
@@ -78,12 +74,6 @@ class IntPolynomial:
         a = list(self.coeffs) + [0] * (size - len(self.coeffs))
         b = list(other.coeffs) + [0] * (size - len(other.coeffs))
         return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
-
-    def __call__(self, t: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
 
 def exponents_from_labeling(lab: EdgeLabeling) -> tuple[int, ...]:

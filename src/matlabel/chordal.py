@@ -8,26 +8,9 @@ is chordal exactly when such an ordering exists.
 from __future__ import annotations
 
 import heapq
-import random
 from typing import Sequence
 
-from .graph import Graph, peel
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff N(v) is a clique; g may also be graph.peel's adjacency dict."""
-    return all(g[v] <= g[u] | {u} for u in g[v])
-
-
-def is_peo(g: Graph, order: Sequence[int]) -> bool:
-    """Check the PEO condition on every prefix of `order`, in O(n + m).
-
-    Raises ValueError if `order` is not a permutation of the vertices.
-    """
-    seq = list(order)
-    if sorted(seq) != list(g.vertices):
-        raise ValueError("ordering is not a permutation of the vertex set")
-    return _peo_violation(g, seq) is None
+from .graph import Graph
 
 
 def _peo_violation(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
@@ -105,16 +88,6 @@ def is_chordal(g: Graph) -> bool:
     return find_peo(g) is not None
 
 
-def random_peo(g: Graph, rng: random.Random) -> list[int] | None:
-    """A haphazard valid PEO, or None: graph.peel's simplicial removal under
-    a random relabeling of g, which can give every PEO of g."""
-    ids = rng.sample(g.vertices, g.n)  # vertex ids[i] is relabeled i
-    to = {v: i for i, v in enumerate(ids)}
-    removal, left = peel(Graph(range(g.n), [(to[u], to[v]) for u, v in g.edges]),
-                         is_simplicial)
-    return None if left else [ids[i] for i in reversed(removal)]
-
-
 def peo_exponents(g: Graph) -> tuple[int, ...] | None:
     """Earlier-neighbor counts along a PEO, sorted ascending; None if not chordal.
 
@@ -149,32 +122,6 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
     violation = _checked_mcs(g)[1]
     if violation is None:
         return None
-    v, p, x = violation
-    path = _shortest_path(g, x, p, g.closed_neighborhood(v) - {x, p})
-    if path is None:
-        raise RuntimeError(f"find_chordless_cycle: no path closes a cycle at vertex "
-                           f"{v} of a graph with {g.n} vertices")
-    cycle = (v,) + path
-    i = cycle.index(min(cycle))
-    cycle = cycle[i:] + cycle[:i]
-    return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
+    from .witness import _chordless_cycle
 
-
-def _shortest_path(g, src, dst, forbidden):
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in sorted(g.neighborhood(x)):
-                if y in prev or y in forbidden:
-                    continue
-                prev[y] = x
-                if y == dst:
-                    path = [y]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                nxt.append(y)
-        queue = nxt
-    return None
+    return _chordless_cycle(g, *violation)

@@ -22,19 +22,11 @@ EXIT_INPUT = 1
 EXIT_REJECT = 2
 
 
-def _witness_json(kind: str, hit) -> dict:
-    if kind == "chordless-cycle":
-        return {"kind": kind, "vertices": list(hit)}
-    if kind == "claw":
-        return {"kind": kind, "center": hit[1], "leaves": sorted(hit[v] for v in (2, 3, 4))}
-    if kind == "net":
-        return {"kind": kind, "triangle": [hit[v] for v in (1, 2, 3)],
-                "pendants": [hit[v] for v in (4, 5, 6)]}
-    return hit.as_json()  # a SunWitness or a CrownWitness
-
-
 def _emit(args, data: dict) -> None:
-    text = dump_json(data)
+    _write(args, dump_json(data))
+
+
+def _write(args, text: str) -> None:
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
     else:
@@ -48,6 +40,8 @@ def _say(args, message: str) -> None:
 
 def _reject(args, exc) -> int:
     """Emit a NotStronglyChordalError as the one rejection of label and poset."""
+    from .witness import _witness_json
+
     _emit(args, {"error": "graph is not strongly chordal",
                  "witness": _witness_json(exc.kind, exc.witness)})
     _say(args, f"{args.graph}: rejected ({exc.kind} witness)")
@@ -59,15 +53,20 @@ def _load(args):
 
 
 def cmd_classify(args) -> int:
-    from .strong_chordal import unit_interval_obstruction
+    from .unit_interval import unit_interval_obstruction
 
     g = _load(args)
     kind, hit = unit_interval_obstruction(g) or (None, None)
+    witness = None
+    if kind is not None:
+        from .witness import _witness_json
+
+        witness = _witness_json(kind, hit)
     report = {
         "chordal": kind != "chordless-cycle",
         "strongly_chordal": kind in (None, "claw", "net"),
         "unit_interval": kind is None,
-        "witness": None if kind is None else _witness_json(kind, hit),
+        "witness": witness,
     }
     _emit(args, report)
     _say(args, f"{args.graph}: chordal={report['chordal']} "
@@ -78,7 +77,7 @@ def cmd_classify(args) -> int:
 def cmd_label(args) -> int:
     from .construct import construct_mat_labeling
     from .errors import NotStronglyChordalError
-    from .io import labeling_to_dot, labeling_to_json_dict
+    from .io import labeling_json
 
     g = _load(args)
     try:
@@ -86,8 +85,10 @@ def cmd_label(args) -> int:
     except NotStronglyChordalError as exc:
         return _reject(args, exc)
     if args.dot:  # before the JSON, so that a failed write leaves stdout empty
+        from .formats import labeling_to_dot
+
         Path(args.dot).write_text(labeling_to_dot(lab))
-    _emit(args, labeling_to_json_dict(lab))
+    _write(args, labeling_json(lab))
     _say(args, f"{args.graph}: labeled, block sizes {lab.block_sizes()}")
     return EXIT_OK
 
@@ -129,6 +130,7 @@ def cmd_exponents(args) -> int:
         maybe = peo_exponents(g)
         if maybe is None:
             from .strong_chordal import strongly_chordal_obstruction
+            from .witness import _witness_json
 
             kind, cycle = strongly_chordal_obstruction(g)
             _emit(args, {"error": "graph is not chordal and no labeling given",
@@ -149,7 +151,7 @@ def cmd_exponents(args) -> int:
 
 def cmd_poset(args) -> int:
     from .errors import NotStronglyChordalError
-    from .io import poset_to_dot, poset_to_json_dict
+    from .formats import poset_to_dot, poset_to_json_dict
     from .poset import strongly_chordal_poset
 
     g = _load(args)
@@ -170,59 +172,9 @@ def cmd_poset(args) -> int:
 def cmd_selftest(args) -> int:
     if args.max_brute_edges < 0:
         raise ValueError(f"selftest: --max-brute-edges {args.max_brute_edges} is negative")
-    import random
+    from .oracle import selftest
 
-    from . import families
-    from .arrangement import (IntPolynomial, check_terao_factorization,
-                              chromatic_polynomial, dual_partition_exponents)
-    from .brute import brute_force_mat_labeling
-    from .chordal import is_chordal
-    from .construct import construct_mat_labeling
-    from .labeling import find_mat_peo, verify_mat_labeling
-    from .oracle import detect_induced_sun, find_any_crown
-    from .poset import build_poset
-    from .strong_chordal import is_strongly_chordal
-
-    rng = random.Random(args.seed)
-    mismatches = []
-    checked = 0
-    # recognizer three-way agreement on random graphs
-    for _ in range(60):
-        n = rng.randint(4, 7)
-        m = rng.randint(n - 1, min(n * (n - 1) // 2, 14))
-        g = families.random_graph(n, m, rng)
-        checked += 1
-        sc = is_strongly_chordal(g)
-        via_sun = is_chordal(g) and detect_induced_sun(g) is None
-        via_crown = is_chordal(g) and find_any_crown(build_poset(g)) is None
-        if not (sc == via_sun == via_crown):
-            mismatches.append({"graph": [list(e) for e in g.edges],
-                               "check": "recognizers"})
-    # construct and verify round trip on random strongly chordal graphs
-    for _ in range(20):
-        g = families.random_strongly_chordal(rng.randint(2, 12), rng=rng)
-        checked += 1
-        lab = construct_mat_labeling(g)
-        if verify_mat_labeling(lab) is not None or find_mat_peo(lab) is None:
-            mismatches.append({"graph": [list(e) for e in g.edges],
-                               "check": "construct"})
-        else:
-            # the root-multiset check against the deletion-contraction identity
-            exps = dual_partition_exponents(lab)
-            if not (check_terao_factorization(g, exps)
-                    and chromatic_polynomial(g) == IntPolynomial.from_roots(exps)):
-                mismatches.append({"graph": [list(e) for e in g.edges],
-                                   "check": "factorization"})
-    # existence oracle agreement on small graphs
-    for _ in range(15):
-        n = rng.randint(3, 6)
-        m = rng.randint(0, min(n * (n - 1) // 2, args.max_brute_edges))
-        g = families.random_graph(n, m, rng)
-        checked += 1
-        found = brute_force_mat_labeling(g, max_edges=args.max_brute_edges)
-        if (found is not None) != is_strongly_chordal(g):
-            mismatches.append({"graph": [list(e) for e in g.edges],
-                               "check": "brute-force"})
+    checked, mismatches = selftest(args.seed, args.max_brute_edges)
     _emit(args, {"checked": checked, "mismatches": mismatches,
                  "seed": args.seed})
     _say(args, f"selftest: {checked} checks, {len(mismatches)} mismatches")
@@ -269,36 +221,10 @@ class _UsageError(Exception):
         self.command = command
 
 
-def _metavar(option: str) -> str:
-    kind = _OPTIONS[option][2]
-    if kind is None:
-        return option
-    if isinstance(kind, tuple):
-        return f"{option} {{{','.join(kind)}}}"
-    return f"{option} {'INT' if kind is int else option[2:].upper()}"
+def _help(command: str | None) -> None:
+    from .formats import help_text
 
-
-def _usage(command: str | None = None) -> str:
-    if command is None:
-        return f"usage: matlabel {{{','.join(_COMMANDS)}}} ..."
-    _, positionals, options, _ = _COMMANDS[command]
-    words = [p.upper() for p in positionals] + [f"[{_metavar(o)}]" for o in options]
-    return " ".join(["usage: matlabel", command] + words)
-
-
-def _help(command: str | None) -> str:
-    names = [command] if command else list(_COMMANDS)
-    options = [o for o in _OPTIONS if any(o in _COMMANDS[name][2] for name in names)]
-    lines = [_usage(command), "", "Strongly chordal graphs and MAT-labelings", "",
-             "commands:"]
-    for name in names:
-        lines += [f"  {_usage(name)[len('usage: matlabel '):]}", f"      {_COMMANDS[name][3]}"]
-    lines += ["", "GRAPH is an edge list (.txt) or a JSON graph (.json); LABELING is a "
-                  "labeling JSON file.", "", "options:"]
-    lines += [f"  {_metavar(o):27} {_OPTIONS[o][3]}" for o in options]
-    lines += [f"  {'-h, --help':27} show this help and exit", "",
-              "Exit codes: 0 success, 1 input or usage error, 2 rejection with a witness."]
-    return "\n".join(lines) + "\n"
+    sys.stdout.write(help_text(_COMMANDS, _OPTIONS, command))
 
 
 def _is_option(word: str) -> bool:
@@ -314,7 +240,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
     """
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
-        sys.stdout.write(_help(None))
+        _help(None)
         return None
     if command not in _COMMANDS:
         raise _UsageError(f"unknown command {command!r}" if argv else "no command given")
@@ -327,7 +253,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
         if word == "--":
             given.extend(rest)
         elif word in ("-h", "--help"):
-            sys.stdout.write(_help(command))
+            _help(command)
             return None
         elif _is_option(word):
             name, eq, value = word.partition("=")
@@ -371,7 +297,9 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:  # usage errors are input errors: exit 1
-        print(_usage(exc.command), file=sys.stderr)
+        from .formats import usage
+
+        print(usage(_COMMANDS, _OPTIONS, exc.command), file=sys.stderr)
         print(f"matlabel: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args is None:
@@ -421,5 +349,7 @@ if __name__ == "__main__":
 # Each command imports the layers it runs when it is called, so `python -m
 # matlabel.cli` loads only those and exits above. A library import goes on
 # to load every layer: clibench/layers.py looks each one up in sys.modules
-# after `import matlabel.cli`, to wrap its functions for a traced run.
-from . import arrangement, chordal, construct, labeling, poset, strong_chordal  # noqa: E402,F401
+# after `import matlabel.cli`, to wrap its functions for a traced run
+# (unit_interval's two through strong_chordal's __getattr__).
+from . import (arrangement, chordal, construct, labeling, poset,  # noqa: E402,F401
+               strong_chordal, unit_interval)

@@ -1,8 +1,8 @@
 """Constructing MAT-labelings of strongly chordal graphs.
 
-Complete graphs are labeled directly (height labeling, or one-vertex-at-a-
-time extension along a greedy MAT-PEO read off the clique's top edges). Two
-compatibly labeled cliques merge into a labeling of their union clique. A
+A MAT-labeled clique extends to a larger one a vertex at a time, along a
+greedy MAT-PEO read off the clique's top edges, and two compatibly
+labeled cliques merge into a labeling of their union clique. A
 strongly chordal graph is then labeled by one edge -> label table, filled
 node by node over its clique intersection poset by merging each node's
 covers and extending to the whole node, and verified once. The
@@ -25,20 +25,6 @@ from .poset import CliquePoset, build_poset, leaf_pair, strongly_chordal_poset
 def _complete(vertices) -> Graph:
     vs = sorted(vertices)
     return Graph(vs, combinations(vs, 2))
-
-
-def height_labeling_complete(ell: int, vertices=None) -> EdgeLabeling:
-    """Label K_ell (default vertices 1..ell) by index distance j - i.
-
-    Block sizes are (ell-1, ell-2, ..., 1).
-    """
-    if ell < 1:
-        raise ValueError("need at least one vertex")
-    vs = sorted(vertices) if vertices is not None else list(range(1, ell + 1))
-    if len(vs) != ell:
-        raise ValueError(f"expected {ell} vertices, got {len(vs)}")
-    labels = {(u, v): j - i for (i, u), (j, v) in combinations(enumerate(vs), 2)}
-    return EdgeLabeling(_complete(vs), labels)
 
 
 def _require_valid_complete(lab: EdgeLabeling, what: str) -> None:

@@ -1,4 +1,5 @@
-"""Standard graph constructions and seeded random generators."""
+"""Standard graph constructions, the height labeling of a clique, and
+seeded random generators."""
 
 from __future__ import annotations
 
@@ -6,11 +7,14 @@ import random
 from itertools import combinations
 
 from .graph import Graph
-from .strong_chordal import claw, is_simple_vertex, is_strongly_chordal, n_sun, net
+from .labeling import EdgeLabeling
+from .strong_chordal import is_simple_vertex, is_strongly_chordal
+from .unit_interval import claw, net
+from .witness import n_sun
 
 __all__ = [
-    "claw", "complete_graph", "cycle_graph", "n_sun", "net", "path_graph",
-    "random_graph", "random_strongly_chordal", "rising_sun",
+    "claw", "complete_graph", "cycle_graph", "height_labeling_complete", "n_sun", "net",
+    "path_graph", "random_graph", "random_strongly_chordal", "rising_sun",
     "RISING_SUN_MARKED_EDGE",
 ]
 
@@ -20,6 +24,18 @@ def complete_graph(ell: int, vertices=None) -> Graph:
     if len(vs) != ell:
         raise ValueError(f"expected {ell} vertices, got {len(vs)}")
     return Graph(vs, combinations(vs, 2))
+
+
+def height_labeling_complete(ell: int, vertices=None) -> EdgeLabeling:
+    """Label K_ell (default vertices 1..ell) by index distance j - i.
+
+    Block sizes are (ell-1, ell-2, ..., 1).
+    """
+    if ell < 1:
+        raise ValueError("need at least one vertex")
+    g = complete_graph(ell, vertices)
+    labels = {(u, v): j - i for (i, u), (j, v) in combinations(enumerate(g.vertices), 2)}
+    return EdgeLabeling(g, labels)
 
 
 def path_graph(n: int) -> Graph:

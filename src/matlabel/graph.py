@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
@@ -105,11 +104,6 @@ class Graph:
     def common_neighbors(self, u: int, v: int) -> frozenset[int]:
         return self.neighborhood(u) & self.neighborhood(v)
 
-    def is_clique(self, s: Iterable[int]) -> bool:
-        """True iff the vertices of s are pairwise adjacent (vacuous for |s| <= 1)."""
-        vs = self._require_subset(s)
-        return all(self.has_edge(u, v) for u, v in combinations(sorted(vs), 2))
-
     # -- derived graphs ------------------------------------------------
 
     def induced_subgraph(self, s: Iterable[int]) -> "Graph":
@@ -132,14 +126,6 @@ class Graph:
         edges = [(x, y) for x, y in self.edges if v not in (x, y) and u not in (x, y)]
         edges.extend((u, w) for w in merged)
         return Graph(self.vertex_set - {v}, edges)
-
-    def add_vertex(self, v: int, neighbors: Iterable[int] = ()) -> "Graph":
-        """New graph with vertex v joined to the given existing vertices."""
-        nbrs = self._require_subset(neighbors)
-        if v in self._adj:
-            raise ValueError(f"vertex {v} already present")
-        _check_vertex_id(v)
-        return Graph(self.vertex_set | {v}, list(self.edges) + [(v, w) for w in nbrs])
 
     # -- connectivity --------------------------------------------------
 
@@ -243,58 +229,3 @@ def peel(g: Graph, removable: Callable[[dict[int, set[int]], int], bool]
                 heappush(ready, u)
                 seen.add(u)
     return removed, list(adj)
-
-
-def find_embedding(candidates: Callable[[list], Iterable], pattern: Sequence[Sequence],
-                   relation: Callable) -> list | None:
-    """First placement of the pattern's positions on distinct candidates, or None.
-
-    `candidates(image)` lists, in order, the candidates of the next
-    position, len(image), given the images of the earlier positions; the
-    search calls it each time it reaches that position and must not keep
-    or change the list it is handed. `relation(x)` returns the row of
-    candidate x, indexable by candidate: `relation(x)[v]` is how x relates
-    to v. `pattern[i]` lists, for each earlier position j < i, the value
-    the row of image[j] must hold at image[i]. Positions are placed in
-    order, each trying its candidates in the given order, and the search
-    backtracks on an explicit stack rather than by recursion, so the result
-    is the least image list in candidate order. A row is built once per
-    placement. Exponential in the worst case.
-    """
-    size = len(pattern)
-    if not size:
-        return []
-    image: list = []
-    rows: list = []
-    used: set = set()
-    stack = [iter(candidates(image))]
-    while stack:
-        want = pattern[len(image)]
-        for v in stack[-1]:
-            if v in used:
-                continue
-            for row, w in zip(rows, want):
-                if row[v] != w:
-                    break
-            else:
-                image.append(v)
-                if len(image) == size:
-                    return image
-                rows.append(relation(v))
-                used.add(v)
-                stack.append(iter(candidates(image)))
-                break
-        else:
-            stack.pop()
-            if image:
-                used.discard(image.pop())
-                rows.pop()
-    return None
-
-
-def iter_subsets(items: Iterable[int]) -> Iterator[frozenset[int]]:
-    """All subsets of items, smallest first, deterministic order."""
-    base = sorted(items)
-    for r in range(len(base) + 1):
-        for combo in combinations(base, r):
-            yield frozenset(combo)

@@ -1,29 +1,24 @@
-"""File formats: edge-list text, JSON graphs/labelings, DOT exports.
+"""The file formats of a `label` call: edge-list text in, labeling JSON out.
 
 Graph text format: one `u v` line per edge, `#` starts a comment, and an
-optional `vertices: u1 u2 ...` line declares isolated vertices. JSON graph
-format: {"vertices": [...], "edges": [[u, v], ...]}. Labeling JSON:
-{"edges": [{"u": int, "v": int, "label": int}, ...]}. All emitters sort
-keys and arrays so identical inputs serialize byte-identically.
+optional `vertices: u1 u2 ...` line declares isolated vertices. Labeling
+JSON: {"edges": [{"u": int, "v": int, "label": int}, ...]}, read by
+`verify` and `exponents`. load_graph reads a JSON graph, {"vertices":
+[...], "edges": [[u, v], ...]}, through matlabel.formats, which holds the
+formats a `label` of an edge list never uses. All emitters sort keys and
+arrays so identical inputs serialize byte-identically.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .graph import Graph, canonical_edge
+from .graph import Graph
 
 if TYPE_CHECKING:  # each command loads only the layers it runs
     from .labeling import EdgeLabeling
-    from .poset import CliquePoset
-
-# label colors cycle through 8 values; the first three follow the usual
-# black/red/blue drawing convention for labels 1, 2, 3
-LABEL_COLORS = ("black", "red", "blue", "forestgreen",
-                "darkorange", "purple", "saddlebrown", "deepskyblue")
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -66,6 +61,8 @@ def _load_json(text: str, what: str, pairs: bool = False):
     keys of the objects it reads.
     """
 
+    import json
+
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -79,19 +76,6 @@ def _load_json(text: str, what: str, pairs: bool = False):
         raise ValueError(f"{what} JSON is nested too deeply") from None
 
 
-def parse_graph_json(text: str) -> Graph:
-    data = _load_json(text, "graph")
-    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
-        raise ValueError('graph JSON needs an "edges" array')
-    vertices = data.get("vertices", [])
-    if not isinstance(vertices, list):
-        raise ValueError('graph JSON "vertices" must be an array')
-    for i, e in enumerate(data["edges"]):
-        if not isinstance(e, list) or len(e) != 2:
-            raise ValueError(f"graph JSON edges[{i}] must be a pair [u, v], got {e!r}")
-    return Graph(vertices, data["edges"])
-
-
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
     """Read a graph file; format from `fmt` or the file extension."""
     path = Path(path)
@@ -99,25 +83,12 @@ def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "edgelist"
     if fmt == "json":
+        from .formats import parse_graph_json
+
         return parse_graph_json(text)
     if fmt == "edgelist":
         return parse_graph_text(text)
     raise ValueError(f"unknown graph format {fmt!r}")
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
-
-
-def labeling_to_json_dict(lab: EdgeLabeling) -> dict:
-    return {
-        "edges": [
-            {"u": u, "v": v, "label": k} for (u, v), k in lab.items()
-        ]
-    }
-
-
-_ENTRY_KEYS = frozenset(("u", "v", "label"))
 
 
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
@@ -128,114 +99,59 @@ def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     labeling then takes as it is. An entry is read off the (key, value)
     pairs of its object in any key order, and a repeated key shows as a
     dict shorter than the pairs. The wording of an error is worked out only
-    once a fault is found, by _labeling_fault.
+    once a fault is found, by witness._labeling_fault.
     """
-    from .labeling import EdgeLabeling, _domain_error
+    from .labeling import EdgeLabeling
 
     data = _load_json(text, "labeling", pairs=True)
     top = dict(data) if type(data) is tuple else {}
     edges = top.get("edges")
-    if type(edges) is not list or len(top) != len(data):
-        raise _labeling_fault(text)
-    adj = g._adj
-    table = {}
-    known = True  # every entry so far is an edge of g
-    extra = len(top) > 1  # keys whose values are not read: check them at the end
-    for i, item in enumerate(edges):
-        entry = dict(item) if type(item) is tuple else {}
-        u, v, k = entry.get("u"), entry.get("v"), entry.get("label")
-        if not (type(u) is int and type(v) is int and type(k) is int
-                and u >= 0 and v >= 0 and u != v and k > 0 and len(entry) == len(item)):
-            raise _labeling_fault(text, i)
-        if len(entry) > 3:
-            extra = True
-        e = (u, v) if u < v else (v, u)
-        if e in table:
-            raise _labeling_fault(text, i)
-        table[e] = k
-        if v not in adj.get(u, ()):
-            known = False
-    if extra:
-        _load_json(text, "labeling")  # a repeated key in a value not read
-    if not known or len(table) != g.m:
-        raise _domain_error(g, table)
-    return EdgeLabeling._from_table(g, table)
+    fault = None  # the entry that fails a check, or None for the top level
+    if type(edges) is list and len(top) == len(data):
+        adj = g._adj
+        table = {}
+        known = True  # every entry so far is an edge of g
+        extra = len(top) > 1  # keys whose values are not read: check them at the end
+        for fault, item in enumerate(edges):
+            entry = dict(item) if type(item) is tuple else {}
+            u, v, k = entry.get("u"), entry.get("v"), entry.get("label")
+            if not (type(u) is int and type(v) is int and type(k) is int
+                    and u >= 0 and v >= 0 and u != v and k > 0 and len(entry) == len(item)):
+                break
+            if len(entry) > 3:
+                extra = True
+            e = (u, v) if u < v else (v, u)
+            if e in table:
+                break
+            table[e] = k
+            if v not in adj.get(u, ()):
+                known = False
+        else:  # every entry passed
+            if extra:
+                _load_json(text, "labeling")  # a repeated key in a value not read
+            if not known or len(table) != g.m:
+                from .witness import _domain_error
+
+                raise _domain_error(g, table)
+            return EdgeLabeling._from_table(g, table)
+    from .witness import _labeling_fault
+
+    raise _labeling_fault(text, fault)
 
 
-def _labeling_fault(text: str, i: int | None = None) -> ValueError:
-    """The error for labeling JSON whose top level (i None) or entry i
-    fails parse_labeling_json's checks.
-
-    The error names the fault that comes first in the order of the checks:
-    a repeated key anywhere (the text is decoded again, into dicts), the
-    top level, then the shape of every entry, its endpoints and an earlier
-    entry with the same (u, v), and only then the ids and label of entry i
-    and an earlier entry for the same edge. The entries before i passed
-    every check.
-    """
-    from .labeling import _check_entry
-
-    data = _load_json(text, "labeling")
-    if i is None:
-        return ValueError('labeling JSON needs an "edges" array')
-    seen = set()
-    for j, item in enumerate(data["edges"]):
-        if not isinstance(item, dict) or not item.keys() >= _ENTRY_KEYS:
-            return ValueError(f'labeling JSON edges[{j}] must be an object with '
-                              f'"u", "v" and "label", got {item!r}')
-        u, v = e = item["u"], item["v"]
-        if isinstance(u, (list, dict)) or isinstance(v, (list, dict)):
-            return ValueError(f"labeling JSON edges[{j}] has an array or object endpoint")
-        if e in seen:
-            return ValueError(f"duplicate labeling entry for edge {e}")
-        seen.add(e)
-    item = data["edges"][i]
-    _check_entry(item["u"], item["v"], item["label"])
-    return ValueError(f"duplicate label entry for edge {canonical_edge(item['u'], item['v'])}")
+# an entry of a labeling as json.dumps(..., sort_keys=True, indent=2) writes it
+_ENTRY = '    {\n      "label": %d,\n      "u": %d,\n      "v": %d\n    }'
 
 
-def labeling_to_dot(lab: EdgeLabeling) -> str:
-    lines = ["graph labeled {"]
-    for v in lab.graph.vertices:
-        lines.append(f"  {v};")
-    for (u, v), k in lab.items():
-        color = LABEL_COLORS[(k - 1) % len(LABEL_COLORS)]
-        lines.append(f'  {u} -- {v} [label={k}, color={color}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _node_name(node: frozenset[int]) -> str:
-    return "{" + ",".join(str(v) for v in sorted(node)) + "}"
-
-
-def poset_to_json_dict(p: CliquePoset) -> dict:
-    nodes = list(p.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    covers = sorted(
-        [index[low], index[high]]
-        for high in nodes for low in p.covers[high]
-    )
-    return {
-        "nodes": [sorted(node) for node in nodes],
-        "covers": covers,
-        "maximal": sorted(index[c] for c in p.maximal_nodes),
-    }
-
-
-def poset_to_dot(p: CliquePoset) -> str:
-    """Hasse diagram, drawn bottom-up, maximal cliques highlighted."""
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    index = {node: i for i, node in enumerate(p.nodes)}
-    for node, i in index.items():
-        style = ', style=filled, fillcolor=lightgrey' if node in p.maximal_nodes else ""
-        lines.append(f'  n{i} [label="{_node_name(node)}"{style}];')
-    for high in p.nodes:
-        for low in p.covers[high]:
-            lines.append(f"  n{index[low]} -> n{index[high]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def labeling_json(lab: EdgeLabeling) -> str:
+    """dump_json({"edges": [{"u": u, "v": v, "label": k}, ...]}) for lab,
+    written without json: the same bytes, an entry per edge in ascending
+    edge order."""
+    entries = ",\n".join([_ENTRY % (k, u, v) for (u, v), k in lab.items()])
+    return '{\n  "edges": [\n%s\n  ]\n}\n' % entries if entries else '{\n  "edges": []\n}\n'
 
 
 def dump_json(data) -> str:
+    import json
+
     return json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -1,4 +1,4 @@
-"""Edge labelings, the MAT-labeling verifier, and MAT-simplicial machinery.
+"""Edge labelings and the MAT-labeling verifier.
 
 A labeling maps every edge to a positive integer. Writing pi_k for the
 edges labeled k and E_k for the union of the first k blocks, a labeling is
@@ -11,15 +11,19 @@ a MAT-labeling when, for every k:
        edges are in E_{k-1}.
 
 Violations are reported as values, never exceptions: the verifier is a
-total function used to classify arbitrary labelings.
+total function used to classify arbitrary labelings. A violation and its
+paths are built in matlabel.witness, and the greedy MAT-PEO that
+cross-checks the verifier is in matlabel.oracle.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .graph import Graph, _check_vertex_id, canonical_edge, peel
+from .graph import Graph, canonical_edge
+
+if TYPE_CHECKING:  # a violation is built only when a check fails
+    from .witness import MatViolation
 
 
 class EdgeLabeling:
@@ -34,6 +38,8 @@ class EdgeLabeling:
         for (u, v), k in labels.items():
             if not (type(u) is int and type(v) is int and type(k) is int
                     and u >= 0 and v >= 0 and u != v and k > 0):
+                from .witness import _check_entry
+
                 _check_entry(u, v, k)
             e = (u, v) if u < v else (v, u)
             if e in table:
@@ -42,6 +48,8 @@ class EdgeLabeling:
             if v not in adj.get(u, ()):
                 known = False
         if not known or len(table) != graph.m:
+            from .witness import _domain_error
+
             raise _domain_error(graph, table)
         self.graph = graph
         self._labels = table
@@ -81,21 +89,6 @@ class EdgeLabeling:
         sub = self.graph.induced_subgraph(s)
         return EdgeLabeling(sub, {e: self._labels[e] for e in sub.edges})
 
-    def restrict_edges(self, edges: Iterable[tuple[int, int]]) -> "EdgeLabeling":
-        """Restriction to the subgraph (V, F) for an edge subset F."""
-        fs = {canonical_edge(*e) for e in edges}
-        unknown = fs - set(self._labels)
-        if unknown:
-            raise ValueError(f"not edges of the graph: {sorted(unknown)}")
-        sub = Graph(self.graph.vertices, fs)
-        return EdgeLabeling(sub, {e: self._labels[e] for e in fs})
-
-    def with_label(self, u: int, v: int, k: int) -> "EdgeLabeling":
-        """Copy with one edge relabeled (used for mutation testing)."""
-        labels = self.labels
-        labels[canonical_edge(u, v)] = k
-        return EdgeLabeling(self.graph, labels)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeLabeling):
             return NotImplemented
@@ -107,57 +100,6 @@ class EdgeLabeling:
     def __repr__(self) -> str:
         inner = ", ".join(f"{u}-{v}:{k}" for (u, v), k in self.items())
         return f"EdgeLabeling({inner})"
-
-
-def _check_entry(u, v, k) -> None:
-    """Raise the error for an entry (u, v) -> k that fails the fast check of
-    EdgeLabeling or io.parse_labeling_json: an id that is no nonnegative
-    int, a self-loop, or a label that is no positive int. Ids and labels of
-    an int subclass other than bool pass, and then it returns.
-    """
-    e = canonical_edge(_check_vertex_id(u), _check_vertex_id(v))
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"label of {e} must be a positive integer, got {k!r}")
-
-
-def _domain_error(graph: Graph, table: Mapping[tuple[int, int], int]) -> ValueError:
-    """The error for a canonical label table whose edges are not those of graph."""
-    edges = set(graph.edges)
-    return ValueError(
-        f"label domain must equal the edge set "
-        f"(missing {sorted(edges.difference(table))}, extra {sorted(table.keys() - edges)})"
-    )
-
-
-class MatViolation(NamedTuple):
-    """A checkable witness that a labeling or vertex fails one condition.
-
-    kind is one of ML1-cycle, ML2-closure, ML3-triangle-count, MS1, MS2,
-    MS3; level is the block index (or offending label) involved.
-    """
-
-    kind: str
-    level: int
-    edges: tuple[tuple[int, int], ...] = ()
-    vertices: tuple[int, ...] = ()
-    detail: str = ""
-
-    def as_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "level": self.level,
-            "edges": [list(e) for e in self.edges],
-            "vertices": list(self.vertices),
-            "detail": self.detail,
-        }
-
-
-def _path_edges(edges, a, b):
-    """The edges of a shortest a-b path in the graph of `edges`."""
-    from .chordal import _shortest_path  # only a violation's witness needs it
-
-    path = _shortest_path(Graph.from_edges(edges), a, b, ())
-    return tuple(canonical_edge(x, y) for x, y in zip(path, path[1:]))
 
 
 def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
@@ -205,13 +147,9 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
             while parent[b] != b:
                 parent[b] = b = parent[parent[b]]
             if a == b:
-                u, v = cycle_edge = (vertices[e[0]], vertices[e[1]])
-                return MatViolation(
-                    "ML1-cycle", k,
-                    edges=_path_edges(set(_edge_ids(vertices, pi_k)) - {cycle_edge}, u, v)
-                    + (cycle_edge,),
-                    detail=f"edges labeled {k} contain a cycle",
-                )
+                from .witness import _cycle_violation
+
+                return _cycle_violation(vertices, pi_k, e, k)
             parent[a] = b
         forest = set().union(*pi_k)
         roots = []
@@ -223,14 +161,10 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
             roots.append(r)
         closing = [(x, r) for x, r in zip(forest, roots) if below[x] & tree[r]]
         if closing:
+            from .witness import _closure_violation
+
             x, r = min(closing)
-            hits = below[x] & tree[r]
-            x, y = vertices[x], vertices[(hits & -hits).bit_length() - 1]
-            return MatViolation(
-                "ML2-closure", k, edges=((x, y),) + _path_edges(_edge_ids(vertices, pi_k), x, y),
-                detail=f"edge {(x, y)} labeled {lab.label(x, y)} is spanned by "
-                       f"edges labeled {k}",
-            )
+            return _closure_violation(lab, vertices, pi_k, k, x, below[x] & tree[r])
         for x in forest:
             parent[x] = x
             tree[x] = 0
@@ -238,106 +172,16 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
         for a, b in pi_k:
             count = (below[a] & below[b]).bit_count()
             if count != need:
-                e = (vertices[a], vertices[b])
-                return MatViolation(
-                    "ML3-triangle-count", k, edges=(e,),
-                    detail=f"edge {e} labeled {k} closes {count} triangles "
-                           f"with earlier labels, needs {need}",
-                )
+                from .witness import _triangle_violation
+
+                return _triangle_violation((vertices[a], vertices[b]), k, count)
         for a, b in pi_k:
             below[a] |= 1 << b
             below[b] |= 1 << a
     return None
 
 
-def _edge_ids(vertices, pairs) -> list[tuple[int, int]]:
-    """The edges, in vertex ids, of a list of vertex-number pairs."""
-    return [(vertices[a], vertices[b]) for a, b in pairs]
-
-
-def mat_simplicial_violation(lab: EdgeLabeling, v: int) -> MatViolation | None:
-    """First failed MAT-simpliciality condition at vertex v, or None.
-
-    MS1: v is simplicial. MS2: the labels incident to v are exactly
-    1..deg(v). MS3: every edge inside N(v) is labeled strictly below the
-    larger of its endpoints' labels toward v. Only lab.label and lab.graph[x]
-    are read, so find_mat_peo and is_mat_peo pass a namespace whose graph
-    is a {vertex: neighbours} dict of the vertices left.
-    """
-    g = lab.graph
-    nbrs = sorted(g[v])
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in g[a]:
-                return MatViolation(
-                    "MS1", 0, vertices=(v, a, b),
-                    detail=f"neighbors {a}, {b} of {v} are nonadjacent",
-                )
-    incident = sorted(lab.label(u, v) for u in nbrs)
-    if incident != list(range(1, len(nbrs) + 1)):
-        return MatViolation(
-            "MS2", 0, vertices=(v,),
-            detail=f"labels at {v} are {incident}, need 1..{len(nbrs)}",
-        )
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            bound = max(lab.label(a, v), lab.label(b, v))
-            if lab.label(a, b) >= bound:
-                return MatViolation(
-                    "MS3", lab.label(a, b), edges=(canonical_edge(a, b),),
-                    vertices=(v,),
-                    detail=f"label {lab.label(a, b)} of {canonical_edge(a, b)} "
-                           f"not below max({lab.label(a, v)}, {lab.label(b, v)})",
-                )
-    return None
-
-
 def is_mat_simplicial(lab: EdgeLabeling, v: int) -> bool:
+    from .oracle import mat_simplicial_violation
+
     return mat_simplicial_violation(lab, v) is None
-
-
-def _mat_simplicial_left(lab: EdgeLabeling):
-    """graph.peel's predicate: v is MAT-simplicial in lab restricted to the
-    vertices left, whose adjacency dict stands in for lab.graph."""
-    return lambda adj, v: mat_simplicial_violation(
-        SimpleNamespace(graph=adj, label=lab.label), v) is None
-
-
-def find_mat_peo(lab: EdgeLabeling) -> list[int] | None:
-    """The greedy MAT-PEO of lab, or None.
-
-    graph.peel removes the smallest MAT-simplicial vertex of the vertices
-    left while there is one; the ordering is the removal reversed. Removing
-    a MAT-simplicial vertex preserves validity and invalidity alike, so the
-    search succeeds exactly when lab is a MAT-labeling.
-
-    The predicate reads only N(v), the adjacency among it and its labels,
-    and it meets peel's other condition: if v and w are MAT-simplicial, v
-    stays so when w is removed. MS1 and MS3 only lose vertices; MS2 needs
-    j = label(v, w) to be d = deg v. Were j < d, the neighbour u with
-    label(u, v) = d would be adjacent to w (MS1 at v), MS3 at v would give
-    label(u, w) < d, and MS3 at w, where label(u, w) and j are both below
-    d, would give d = label(u, v) < max(label(u, w), j) < d.
-    """
-    removal, left = peel(lab.graph, _mat_simplicial_left(lab))
-    return None if left else removal[::-1]
-
-
-def is_mat_peo(lab: EdgeLabeling, order) -> bool:
-    """Check the MAT-PEO condition on every prefix of an ordering.
-
-    Peels the order from its end. Whether a vertex is next does not stay
-    true under removals, so this is a plain loop and not graph.peel.
-    """
-    seq = list(order)
-    if sorted(seq) != list(lab.graph.vertices):
-        raise ValueError("ordering is not a permutation of the vertex set")
-    ok = _mat_simplicial_left(lab)
-    adj = {v: set(lab.graph[v]) for v in lab.graph.vertices}
-    for v in reversed(seq):
-        if not ok(adj, v):
-            return False
-        for u in adj.pop(v):
-            adj[u].discard(v)
-    return True
-

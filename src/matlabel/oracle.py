@@ -1,20 +1,35 @@
-"""Brute-force oracles for tests, acceptance checks and `matlabel selftest`.
+"""Oracles and cross-checks for tests, acceptance checks and `matlabel selftest`.
 
 Deliberately naive and implemented apart from the production recognizers:
 these share only the graph primitives and the pattern search behind the
 claw and net witnesses, so agreement between an oracle and a production
 path is meaningful evidence. The scans carry a fixed size guard; the sun
-and crown searches are exponential in the worst case and have none.
+and crown searches are exponential in the worst case and have none. The
+PEO and greedy MAT-PEO checks decide PEOs and MAT-labelings apart from
+the recognizers and the verifier, and `selftest` samples the
+cross-checks at run time.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, find_embedding, iter_subsets, sorted_sets
-from .poset import CliquePoset, CrownWitness
-from .strong_chordal import SunWitness, find_induced_subgraph, n_sun
+from .chordal import _peo_violation
+from .graph import Graph, canonical_edge, peel, sorted_sets
+from .labeling import EdgeLabeling
+from .poset import CliquePoset
+from .unit_interval import find_embedding, find_induced_subgraph
+from .witness import CrownWitness, MatViolation, SunWitness, n_sun
+
+
+def iter_subsets(items: Iterable[int]) -> Iterator[frozenset[int]]:
+    """All subsets of items, smallest first, deterministic order."""
+    base = sorted(items)
+    for r in range(len(base) + 1):
+        for combo in combinations(base, r):
+            yield frozenset(combo)
 
 
 def enumerate_graphs(
@@ -201,3 +216,172 @@ def brute_minimal_separators(g: Graph) -> frozenset[frozenset[int]]:
 
 def _separates(g, s, a, b):
     return b not in g.induced_subgraph(g.vertex_set - s).component_of(a)
+
+
+# -- PEOs and MAT-PEOs ---------------------------------------------------------
+
+
+def is_simplicial(g: Graph, v: int) -> bool:
+    """True iff N(v) is a clique; g may also be graph.peel's adjacency dict."""
+    return all(g[v] <= g[u] | {u} for u in g[v])
+
+
+def is_peo(g: Graph, order: Sequence[int]) -> bool:
+    """Check the PEO condition on every prefix of `order`, in O(n + m).
+
+    Raises ValueError if `order` is not a permutation of the vertices.
+    """
+    seq = list(order)
+    if sorted(seq) != list(g.vertices):
+        raise ValueError("ordering is not a permutation of the vertex set")
+    return _peo_violation(g, seq) is None
+
+
+def mat_simplicial_violation(lab: EdgeLabeling, v: int) -> MatViolation | None:
+    """First failed MAT-simpliciality condition at vertex v, or None.
+
+    MS1: v is simplicial. MS2: the labels incident to v are exactly
+    1..deg(v). MS3: every edge inside N(v) is labeled strictly below the
+    larger of its endpoints' labels toward v. Only lab.label and lab.graph[x]
+    are read, so find_mat_peo and is_mat_peo pass a namespace whose graph
+    is a {vertex: neighbours} dict of the vertices left.
+    """
+    g = lab.graph
+    nbrs = sorted(g[v])
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if b not in g[a]:
+                return MatViolation(
+                    "MS1", 0, vertices=(v, a, b),
+                    detail=f"neighbors {a}, {b} of {v} are nonadjacent",
+                )
+    incident = sorted(lab.label(u, v) for u in nbrs)
+    if incident != list(range(1, len(nbrs) + 1)):
+        return MatViolation(
+            "MS2", 0, vertices=(v,),
+            detail=f"labels at {v} are {incident}, need 1..{len(nbrs)}",
+        )
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            bound = max(lab.label(a, v), lab.label(b, v))
+            if lab.label(a, b) >= bound:
+                return MatViolation(
+                    "MS3", lab.label(a, b), edges=(canonical_edge(a, b),),
+                    vertices=(v,),
+                    detail=f"label {lab.label(a, b)} of {canonical_edge(a, b)} "
+                           f"not below max({lab.label(a, v)}, {lab.label(b, v)})",
+                )
+    return None
+
+
+def _mat_simplicial_left(lab: EdgeLabeling):
+    """graph.peel's predicate: v is MAT-simplicial in lab restricted to the
+    vertices left, whose adjacency dict stands in for lab.graph."""
+    return lambda adj, v: mat_simplicial_violation(
+        SimpleNamespace(graph=adj, label=lab.label), v) is None
+
+
+def find_mat_peo(lab: EdgeLabeling) -> list[int] | None:
+    """The greedy MAT-PEO of lab, or None.
+
+    graph.peel removes the smallest MAT-simplicial vertex of the vertices
+    left while there is one; the ordering is the removal reversed. Removing
+    a MAT-simplicial vertex preserves validity and invalidity alike, so the
+    search succeeds exactly when lab is a MAT-labeling.
+
+    The predicate reads only N(v), the adjacency among it and its labels,
+    and it meets peel's other condition: if v and w are MAT-simplicial, v
+    stays so when w is removed. MS1 and MS3 only lose vertices; MS2 needs
+    j = label(v, w) to be d = deg v. Were j < d, the neighbour u with
+    label(u, v) = d would be adjacent to w (MS1 at v), MS3 at v would give
+    label(u, w) < d, and MS3 at w, where label(u, w) and j are both below
+    d, would give d = label(u, v) < max(label(u, w), j) < d.
+    """
+    removal, left = peel(lab.graph, _mat_simplicial_left(lab))
+    return None if left else removal[::-1]
+
+
+def is_mat_peo(lab: EdgeLabeling, order) -> bool:
+    """Check the MAT-PEO condition on every prefix of an ordering.
+
+    Peels the order from its end. Whether a vertex is next does not stay
+    true under removals, so this is a plain loop and not graph.peel.
+    """
+    seq = list(order)
+    if sorted(seq) != list(lab.graph.vertices):
+        raise ValueError("ordering is not a permutation of the vertex set")
+    ok = _mat_simplicial_left(lab)
+    adj = {v: set(lab.graph[v]) for v in lab.graph.vertices}
+    for v in reversed(seq):
+        if not ok(adj, v):
+            return False
+        for u in adj.pop(v):
+            adj[u].discard(v)
+    return True
+
+
+# -- the sampled cross-checks of `matlabel selftest` ---------------------------
+
+
+def selftest(seed: int, max_brute_edges: int) -> tuple[int, list[dict]]:
+    """(checks made, mismatches) of the sampled cross-checks from seed.
+
+    The three recognizers agree on random graphs; construct's labelings of
+    random strongly chordal graphs verify, have a MAT-PEO, and their
+    exponents factor the chromatic polynomial expanded by
+    deletion-contraction; and the exhaustive labeling search finds a
+    labeling exactly of the strongly chordal graphs among small random ones.
+    """
+    import random
+
+    from . import families
+    from .arrangement import (IntPolynomial, check_terao_factorization,
+                              chromatic_polynomial, dual_partition_exponents)
+    from .brute import brute_force_mat_labeling
+    from .chordal import is_chordal
+    from .construct import construct_mat_labeling
+    from .labeling import verify_mat_labeling
+    from .poset import build_poset
+    from .strong_chordal import is_strongly_chordal
+
+    rng = random.Random(seed)
+    mismatches = []
+    checked = 0
+    # recognizer three-way agreement on random graphs
+    for _ in range(60):
+        n = rng.randint(4, 7)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 14))
+        g = families.random_graph(n, m, rng)
+        checked += 1
+        sc = is_strongly_chordal(g)
+        via_sun = is_chordal(g) and detect_induced_sun(g) is None
+        via_crown = is_chordal(g) and find_any_crown(build_poset(g)) is None
+        if not (sc == via_sun == via_crown):
+            mismatches.append({"graph": [list(e) for e in g.edges],
+                               "check": "recognizers"})
+    # construct and verify round trip on random strongly chordal graphs
+    for _ in range(20):
+        g = families.random_strongly_chordal(rng.randint(2, 12), rng=rng)
+        checked += 1
+        lab = construct_mat_labeling(g)
+        if verify_mat_labeling(lab) is not None or find_mat_peo(lab) is None:
+            mismatches.append({"graph": [list(e) for e in g.edges],
+                               "check": "construct"})
+        else:
+            # the root-multiset check against the deletion-contraction identity
+            exps = dual_partition_exponents(lab)
+            if not (check_terao_factorization(g, exps)
+                    and chromatic_polynomial(g) == IntPolynomial.from_roots(exps)):
+                mismatches.append({"graph": [list(e) for e in g.edges],
+                                   "check": "factorization"})
+    # existence oracle agreement on small graphs
+    for _ in range(15):
+        n = rng.randint(3, 6)
+        m = rng.randint(0, min(n * (n - 1) // 2, max_brute_edges))
+        g = families.random_graph(n, m, rng)
+        checked += 1
+        found = brute_force_mat_labeling(g, max_edges=max_brute_edges)
+        if (found is not None) != is_strongly_chordal(g):
+            mismatches.append({"graph": [list(e) for e in g.edges],
+                               "check": "brute-force"})
+    return checked, mismatches

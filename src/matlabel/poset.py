@@ -5,14 +5,14 @@ nonempty family of maximal cliques, ordered by inclusion. Its minimum is
 the intersection of all maximal cliques (possibly the empty set). Crowns
 in this poset are exactly the obstruction to strong chordality; the one
 gate, strongly_chordal_poset, lifts one from an induced sun before any
-poset is built, and the exhaustive crown search is an oracle
-(matlabel.oracle).
+poset is built (witness.crown_from_sun), and the exhaustive crown search
+is an oracle (matlabel.oracle).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .chordal import find_peo
 from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
@@ -120,67 +120,12 @@ def strongly_chordal_poset(g: Graph) -> CliquePoset:
     """
     kind, hit = strongly_chordal_obstruction(g) or (None, None)
     if kind == "sun":
+        from .witness import crown_from_sun
+
         kind, hit = "crown", crown_from_sun(maximal_cliques(g), hit)
     if kind is not None:
         raise NotStronglyChordalError(kind, hit)
     return build_poset(g)
-
-
-class CrownWitness(NamedTuple):
-    """An induced k-crown: lower[i] < upper[i] and lower[i] < upper[i+1]
-    (cyclically) are the only comparabilities."""
-
-    k: int
-    lower: tuple[frozenset[int], ...]
-    upper: tuple[frozenset[int], ...]
-
-    def as_json(self) -> dict:
-        return {
-            "kind": "crown",
-            "k": self.k,
-            "lower": [sorted(x) for x in self.lower],
-            "upper": [sorted(y) for y in self.upper],
-        }
-
-
-def crown_from_sun(cliques: Iterable[frozenset[int]], sun) -> CrownWitness:
-    """The k-crown forced by an induced k-sun in the clique intersection
-    poset of a chordal graph with the given maximal cliques.
-
-    With inner vertices i_0..i_(k-1) and outer vertex o_j adjacent to i_j
-    and i_(j+1) (indices mod k), let M_C be the first maximal clique that
-    contains the inner clique and M_j the first one that contains
-    {i_j, i_(j+1), o_j}. Then upper[j] = M_j & M_C and lower[j] =
-    upper[j] & upper[j+1]. All are intersections of maximal cliques, so
-    poset nodes.
-
-    Proof that this is an induced crown. On the sun S, a clique meets S in
-    a clique of S. M_C meets S in the inner clique (an outer vertex misses
-    k - 2 >= 1 inner ones) and M_j in {i_j, i_(j+1), o_j} (the only sun
-    neighbours of o_j). So upper[j] meets S in {i_j, i_(j+1)} and lower[j]
-    in {i_(j+1)}. Two uppers (two lowers) have distinct traces of one
-    size, so neither layer has a comparable pair. lower[j] < upper[l]
-    needs i_(j+1) in upper[l]'s trace, so l in {j, j+1}; both hold by
-    construction, strictly as the traces differ. No upper lies below a
-    lower, its trace being larger. These are exactly the k-crown's
-    comparabilities.
-    """
-    cliques = sorted_sets(cliques)
-
-    def first_containing(vs) -> frozenset[int]:
-        found = next((c for c in cliques if c >= vs), None)
-        if found is None:
-            raise ValueError(f"no maximal clique contains {sorted(vs)}: "
-                             f"not a sun of the poset's graph")
-        return found
-
-    k, inner, outer = sun.n, sun.inner, sun.outer
-    m_c = first_containing(frozenset(inner))
-    upper = tuple(
-        first_containing(frozenset((inner[j], inner[(j + 1) % k], outer[j]))) & m_c
-        for j in range(k))
-    lower = tuple(upper[j] & upper[(j + 1) % k] for j in range(k))
-    return CrownWitness(k, lower, upper)
 
 
 def leaf_pair(

@@ -1,0 +1,69 @@
+"""Helpers that only the tests use, kept out of the library's modules."""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+from typing import Iterable
+
+from matlabel.graph import Graph, _check_vertex_id, canonical_edge, peel
+from matlabel.labeling import EdgeLabeling
+from matlabel.oracle import is_simplicial
+
+
+def add_vertex(g: Graph, v: int, neighbors: Iterable[int] = ()) -> Graph:
+    """New graph with vertex v joined to the given existing vertices of g."""
+    nbrs = g._require_subset(neighbors)
+    if g.has_vertex(v):
+        raise ValueError(f"vertex {v} already present")
+    _check_vertex_id(v)
+    return Graph(g.vertex_set | {v}, list(g.edges) + [(v, w) for w in nbrs])
+
+
+def is_clique(g: Graph, s: Iterable[int]) -> bool:
+    """True iff the vertices of s are pairwise adjacent (vacuous for |s| <= 1)."""
+    vs = g._require_subset(s)
+    return all(g.has_edge(u, v) for u, v in combinations(sorted(vs), 2))
+
+
+def restrict_edges(lab: EdgeLabeling, edges: Iterable[tuple[int, int]]) -> EdgeLabeling:
+    """Restriction of lab to the subgraph (V, F) for an edge subset F."""
+    fs = {canonical_edge(*e) for e in edges}
+    unknown = fs - set(lab.labels)
+    if unknown:
+        raise ValueError(f"not edges of the graph: {sorted(unknown)}")
+    return EdgeLabeling(Graph(lab.graph.vertices, fs), {e: lab.label(*e) for e in fs})
+
+
+def with_label(lab: EdgeLabeling, u: int, v: int, k: int) -> EdgeLabeling:
+    """Copy of lab with one edge relabeled (for mutation testing)."""
+    labels = lab.labels
+    labels[canonical_edge(u, v)] = k
+    return EdgeLabeling(lab.graph, labels)
+
+
+def random_peo(g: Graph, rng: random.Random) -> list[int] | None:
+    """A haphazard valid PEO, or None: graph.peel's simplicial removal under
+    a random relabeling of g, which can give every PEO of g."""
+    ids = rng.sample(g.vertices, g.n)  # vertex ids[i] is relabeled i
+    to = {v: i for i, v in enumerate(ids)}
+    removal, left = peel(Graph(range(g.n), [(to[u], to[v]) for u, v in g.edges]),
+                         is_simplicial)
+    return None if left else [ids[i] for i in reversed(removal)]
+
+
+def graph_to_json_dict(g: Graph) -> dict:
+    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
+
+
+def evaluate(poly, t: int) -> int:
+    """The value of an IntPolynomial at t, by Horner's rule."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def degree(poly) -> int:
+    """The degree of an IntPolynomial; -1 for the zero polynomial."""
+    return len(poly.coeffs) - 1 if poly.coeffs else -1

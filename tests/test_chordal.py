@@ -14,7 +14,7 @@ from matlabel import (
     peo_exponents,
 )
 from matlabel import Graph
-from matlabel.chordal import _mcs_order, exponents_along, random_peo
+from matlabel.chordal import _mcs_order, exponents_along
 from matlabel.families import (
     claw,
     complete_graph,
@@ -25,6 +25,8 @@ from matlabel.families import (
     random_strongly_chordal,
 )
 from matlabel.oracle import brute_induced_cycles
+
+from .helpers import is_clique, random_peo
 
 
 def test_is_simplicial():
@@ -174,7 +176,7 @@ def _is_peo_by_cliques(g, order):
     """Reference PEO check: every earlier neighborhood is a clique."""
     position = {v: i for i, v in enumerate(order)}
     return all(
-        g.is_clique([u for u in g.neighborhood(v) if position[u] < i])
+        is_clique(g, [u for u in g.neighborhood(v) if position[u] < i])
         for i, v in enumerate(order)
     )
 

@@ -115,16 +115,16 @@ def test_classify_claw_needs_no_sun_search(capsys, tmp_path, monkeypatch):
     # the claw and net patterns are searched for, and chordality is not
     # tested again by a cycle search
     _forbid_oracles(monkeypatch)
-    from matlabel import strong_chordal
+    from matlabel import unit_interval
 
     searched = []
-    real_search = strong_chordal.find_induced_subgraph
+    real_search = unit_interval.find_induced_subgraph
 
     def spy(g, pattern):
         searched.append(pattern.n)
         return real_search(g, pattern)
 
-    monkeypatch.setattr(strong_chordal, "find_induced_subgraph", spy)
+    monkeypatch.setattr(unit_interval, "find_induced_subgraph", spy)
     _forbid(monkeypatch, "matlabel.chordal.find_chordless_cycle")
     path = tmp_path / "claw.txt"
     path.write_text("1 2\n1 3\n1 4\n")
@@ -187,7 +187,7 @@ def test_large_sun_is_answered_without_an_exhaustive_search(
     # the exhaustive sun and crown searches would run for minutes on the
     # 12-sun; the witnesses come from find_sun and crown_from_sun instead
     _forbid_oracles(monkeypatch)
-    _forbid(monkeypatch, "matlabel.graph.find_embedding")
+    _forbid(monkeypatch, "matlabel.unit_interval.find_embedding")
     path = tmp_path / "sun12.txt"
     path.write_text("".join(f"{u} {v}\n" for u, v in n_sun(12).edges))
     code, report = run_cli(capsys, command, str(path))
@@ -404,7 +404,7 @@ def test_poset_answers_strongly_chordal_input_without_search(
     # the poset of a strongly chordal graph is crown-free, so no crown is
     # built; test_poset_json_and_crown_flag shows the 3-sun is rejected with one
     _forbid_oracles(monkeypatch)
-    _forbid(monkeypatch, "matlabel.poset.crown_from_sun")
+    _forbid(monkeypatch, "matlabel.witness.crown_from_sun")
     code, report = run_cli(capsys, "poset", str(ui7_file))
     assert code == 0
     assert report["crown_free"] is True and report["crown"] is None
@@ -564,7 +564,7 @@ def test_label_verify_round_trip_sampled(capsys, tmp_path):
     import random
 
     from matlabel.families import random_strongly_chordal
-    from matlabel.io import graph_to_json_dict
+    from .helpers import graph_to_json_dict
 
     rng = random.Random(8)
     for i in range(8):

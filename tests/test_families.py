@@ -5,10 +5,12 @@ import random
 from matlabel import Graph, is_simple_vertex, is_strongly_chordal
 from matlabel.families import random_strongly_chordal
 
+from .helpers import add_vertex
+
 
 def _grown_by_add_vertex(n, rng, grow_bias=0.6):
     """Reference generator: the same draws, with every attempt built as a new
-    Graph by Graph.add_vertex and tested there."""
+    Graph by add_vertex and tested there."""
     g = Graph([1])
     for v in range(2, n + 1):
         placed = None
@@ -20,12 +22,12 @@ def _grown_by_add_vertex(n, rng, grow_bias=0.6):
                 w = rng.choice(sorted(pool))
                 clique.add(w)
                 pool &= g.neighborhood(w)
-            candidate = g.add_vertex(v, clique)
+            candidate = add_vertex(g, v, clique)
             if is_simple_vertex(candidate, v):
                 placed = candidate
                 break
         if placed is None:
-            placed = g.add_vertex(v, [rng.choice(g.vertices)])
+            placed = add_vertex(g, v, [rng.choice(g.vertices)])
         g = placed
     assert is_strongly_chordal(g)
     return g
@@ -43,10 +45,17 @@ def test_random_strongly_chordal_matches_the_rebuilding_generator():
 
 
 def test_random_strongly_chordal_grows_without_add_vertex(monkeypatch):
-    # Graph.add_vertex copies every edge, so a call per attempt is quadratic
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Graph.add_vertex was called")
+    # add_vertex copies every edge into a new Graph, so a Graph per attempt
+    # is quadratic; the generator grows one dict and builds one Graph
+    from matlabel import families
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Graph(*args)
 
     g = random_strongly_chordal(40, seed=3)
-    monkeypatch.setattr(Graph, "add_vertex", forbidden)
+    monkeypatch.setattr(families, "Graph", counting)
     assert random_strongly_chordal(40, seed=3) == g
+    assert len(built) == 1

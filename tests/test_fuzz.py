@@ -10,12 +10,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from matlabel.cli import main
-from matlabel.io import (
-    graph_to_json_dict,
-    parse_graph_json,
-    parse_graph_text,
-    parse_labeling_json,
-)
+from matlabel.formats import parse_graph_json
+from matlabel.io import parse_graph_text, parse_labeling_json
+
+from .helpers import graph_to_json_dict
 
 FUZZ = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])

@@ -5,8 +5,10 @@ from enum import IntEnum
 import pytest
 
 from matlabel import Graph, canonical_edge, is_strongly_chordal
-from matlabel.graph import find_embedding
 from matlabel.families import claw, complete_graph, n_sun, path_graph, rising_sun
+from matlabel.unit_interval import find_embedding
+
+from .helpers import add_vertex, is_clique
 
 
 def test_canonical_edge():
@@ -107,10 +109,10 @@ def test_neighborhood_symmetry():
 
 def test_is_clique():
     s = n_sun(3)
-    assert s.is_clique({1, 2, 3})
-    assert not s.is_clique({4, 5})
-    assert s.is_clique({4})
-    assert s.is_clique(())
+    assert is_clique(s, {1, 2, 3})
+    assert not is_clique(s, {4, 5})
+    assert is_clique(s, {4})
+    assert is_clique(s, ())
 
 
 def test_contract_edge():
@@ -126,7 +128,7 @@ def test_contract_rising_sun_marked_edge_gives_sun():
     contracted = rising_sun().contract_edge((1, 2))
     # relabel to check isomorphism with the standard 3-sun layout
     assert contracted.n == 6 and contracted.m == 9
-    assert contracted.is_clique({1, 3, 4})
+    assert is_clique(contracted, {1, 3, 4})
     for outer, inner in ((5, {1, 3}), (6, {3, 4}), (7, {1, 4})):
         assert contracted.neighborhood(outer) == inner
 
@@ -155,12 +157,12 @@ def test_value_semantics():
 
 
 def test_add_vertex():
-    g = path_graph(2).add_vertex(3, [2])
+    g = add_vertex(path_graph(2), 3, [2])
     assert g == path_graph(3)
     with pytest.raises(ValueError):
-        g.add_vertex(3, [1])
+        add_vertex(g, 3, [1])
     with pytest.raises(ValueError):
-        g.add_vertex(9, [77])
+        add_vertex(g, 9, [77])
 
 
 def test_find_embedding_order_and_backtracking():

@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 
 from matlabel import EdgeLabeling, Graph, build_poset
 from matlabel.families import complete_graph
+from matlabel.formats import labeling_to_dot, parse_graph_json, poset_to_dot, poset_to_json_dict
 from matlabel.io import (
     _vertex_token,
     dump_json,
-    graph_to_json_dict,
-    labeling_to_dot,
-    labeling_to_json_dict,
+    labeling_json,
     load_graph,
-    parse_graph_json,
     parse_graph_text,
     parse_labeling_json,
-    poset_to_dot,
-    poset_to_json_dict,
 )
 
 from .conftest import UI7_EDGES, UI7_LABELS
+from .helpers import graph_to_json_dict
 from .test_fuzz import _json_texts, edge_list_texts, labeling_objects
 
 
@@ -80,10 +77,26 @@ def test_load_graph_formats(tmp_path):
 
 
 def test_labeling_json_round_trip(ui7_labeling):
-    data = labeling_to_json_dict(ui7_labeling)
-    text = dump_json(data)
+    text = labeling_json(ui7_labeling)
     parsed = parse_labeling_json(ui7_labeling.graph, text)
     assert parsed == ui7_labeling
+
+
+def test_labeling_json_is_what_json_writes(corpus6_facts):
+    # label writes its labeling without json; the text must stay the bytes
+    # that json.dumps(..., sort_keys=True, indent=2) gives
+    from matlabel import construct_mat_labeling, height_labeling_complete
+    from matlabel.families import random_strongly_chordal
+
+    labelings = [EdgeLabeling(Graph(), {}), EdgeLabeling(Graph([7]), {}),
+                 EdgeLabeling(Graph.from_edges([(3, 10 ** 12)]), {(3, 10 ** 12): 10 ** 20}),
+                 height_labeling_complete(30)]
+    labelings += [construct_mat_labeling(random_strongly_chordal(n, seed=n))
+                  for n in (50, 120)]
+    labelings += [f.constructed for f in corpus6_facts if f.constructed is not None]
+    for lab in labelings:
+        data = {"edges": [{"u": u, "v": v, "label": k} for (u, v), k in lab.items()]}
+        assert labeling_json(lab) == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def test_labeling_json_domain_mismatch():
@@ -395,7 +408,7 @@ def test_labeling_json_makes_no_python_call_per_entry():
 
     for ell in (10, 40):
         lab = height_labeling_complete(ell)
-        text = dump_json(labeling_to_json_dict(lab))
+        text = labeling_json(lab)
         parsed, calls = _python_calls(parse_labeling_json, lab.graph, text)
         assert parsed == lab
         assert calls < 20, (ell, calls)  # 45 and 780 entries

@@ -22,7 +22,9 @@ from matlabel import (
 from matlabel.construct import _mat_peo
 from matlabel.families import complete_graph, path_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge
-from matlabel.labeling import _path_edges
+from matlabel.witness import _path_edges
+
+from .helpers import restrict_edges, with_label
 
 
 def all_ones(g):
@@ -131,7 +133,7 @@ def test_verify_reports_mutations(ui7_labeling):
         for k in range(1, 5):
             if k == old:
                 continue
-            violation = verify_mat_labeling(ui7_labeling.with_label(u, v, k))
+            violation = verify_mat_labeling(with_label(ui7_labeling, u, v, k))
             if violation is not None:
                 seen += 1
                 assert violation.kind in (
@@ -223,11 +225,11 @@ def test_restrict_vertices(ui7_labeling):
 
 
 def test_restrict_edges(ui7_labeling):
-    sub = ui7_labeling.restrict_edges([(4, 5), (5, 6), (1, 2)])
+    sub = restrict_edges(ui7_labeling, [(4, 5), (5, 6), (1, 2)])
     assert sub.graph.m == 3
     assert sub.label(1, 2) == 3
     with pytest.raises(ValueError):
-        ui7_labeling.restrict_edges([(1, 7)])
+        restrict_edges(ui7_labeling, [(1, 7)])
 
 
 def _blocks_by_level(lab):
@@ -337,7 +339,7 @@ def _labelings_to_verify(rng):
         top = lab.max_label + 2
         edges = list(g.edges)
         for _ in range(6):
-            yield lab.with_label(*rng.choice(edges), rng.randint(1, top))
+            yield with_label(lab, *rng.choice(edges), rng.randint(1, top))
         labels = lab.labels
         for e in rng.sample(edges, min(2, len(edges))):
             labels[e] = rng.randint(1, top)
@@ -352,7 +354,7 @@ def _labelings_to_verify(rng):
         lab = height_labeling_complete(ell)
         yield lab
         for _ in range(4):
-            yield lab.with_label(*rng.choice(lab.graph.edges), rng.randint(1, ell))
+            yield with_label(lab, *rng.choice(lab.graph.edges), rng.randint(1, ell))
 
 
 def test_verifier_matches_the_sorted_scan():
@@ -451,7 +453,7 @@ def _large_labelings_to_verify(rng):
         yield lab
         edges = list(g.edges)
         for _ in range(20):
-            yield lab.with_label(*rng.choice(edges), rng.randint(1, lab.max_label + 1))
+            yield with_label(lab, *rng.choice(edges), rng.randint(1, lab.max_label + 1))
 
 
 def test_verifier_matches_the_table_verifier_at_scale():
@@ -493,7 +495,7 @@ def test_verifier_matches_the_table_verifier_on_moved_edges():
             k = lab.label(*e)
             divisors = [j for j in range(1, k) if k % j == 0]
             j = rng.choice(divisors) if rng.random() < 0.35 else rng.randint(1, k - 1)
-            moved = lab.with_label(*e, j)
+            moved = with_label(lab, *e, j)
             got = verify_mat_labeling(moved)
             assert got == _verify_by_table(moved)
             kinds[got.kind] += 1

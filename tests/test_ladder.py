@@ -11,16 +11,19 @@ from types import SimpleNamespace
 
 import matlabel
 from matlabel import Graph, cli, poset
-from matlabel.chordal import _shortest_path, find_chordless_cycle, find_peo, random_peo
+from matlabel.chordal import find_chordless_cycle, find_peo
 from matlabel.cli import main
 from matlabel.construct import construct_mat_labeling
 from matlabel.errors import NotChordalError, NotStronglyChordalError
 from matlabel.families import n_sun, random_graph, random_strongly_chordal
-from matlabel.io import poset_to_json_dict
+from matlabel.formats import poset_to_json_dict
 from matlabel.oracle import enumerate_graphs
-from matlabel.poset import build_poset, crown_from_sun, maximal_cliques
-from matlabel.strong_chordal import claw_or_net, find_sun, unit_interval_obstruction
+from matlabel.poset import build_poset, maximal_cliques
+from matlabel.strong_chordal import find_sun
+from matlabel.unit_interval import claw_or_net, unit_interval_obstruction
+from matlabel.witness import _shortest_path, crown_from_sun
 
+from .helpers import random_peo
 from .test_construct import d_graph
 
 
@@ -120,16 +123,16 @@ def test_one_mcs_pass_per_cycle(monkeypatch):
 def test_ladder_reads_the_sun_before_any_pattern_search(monkeypatch):
     # a 3-sun on 41..46 hangs off the end of the path 1..40 at inner vertex
     # 41, which also makes 41 the centre of a claw; the sun rung comes first
-    from matlabel import strong_chordal
+    from matlabel import unit_interval
 
     searched = []
-    real_search = strong_chordal.find_induced_subgraph
+    real_search = unit_interval.find_induced_subgraph
 
     def spy(g, pattern):
         searched.append(pattern)
         return real_search(g, pattern)
 
-    monkeypatch.setattr(strong_chordal, "find_induced_subgraph", spy)
+    monkeypatch.setattr(unit_interval, "find_induced_subgraph", spy)
     edges = [(i, i + 1) for i in range(1, 41)]
     edges += [(41, 42), (41, 43), (42, 43), (41, 44), (42, 44),
               (42, 45), (43, 45), (41, 46), (43, 46)]
@@ -144,7 +147,7 @@ def test_ladder_reads_the_sun_before_any_pattern_search(monkeypatch):
 
 
 def test_no_closing_path_is_one_internal_error_line(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("matlabel.chordal._shortest_path", lambda g, s, t, f: None)
+    monkeypatch.setattr("matlabel.witness._shortest_path", lambda g, s, t, f: None)
     path = tmp_path / "c4.txt"
     path.write_text("1 2\n2 3\n3 4\n1 4\n")
     code = main(["classify", str(path)])

@@ -16,10 +16,12 @@ from matlabel import (EdgeLabeling, Graph, construct_mat_labeling, find_mat_peo,
 from matlabel.construct import _label_table, _mat_peo
 from matlabel.families import n_sun, path_graph, random_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge, peel
-from matlabel.labeling import _mat_simplicial_left
+from matlabel.oracle import _mat_simplicial_left
 from matlabel.oracle import enumerate_graphs
 from matlabel.poset import build_poset
 from matlabel.strong_chordal import find_sun, simple_elimination
+
+from .helpers import with_label
 
 
 def rescan_peel(g: Graph, removable):
@@ -171,7 +173,7 @@ def labelings(seed: int, count: int):
         yield lab
         if lab.graph.m:
             u, v = rng.choice(lab.graph.edges)
-            yield lab.with_label(u, v, rng.randint(1, lab.max_label + 1))
+            yield with_label(lab, u, v, rng.randint(1, lab.max_label + 1))
 
 
 def test_worklist_peel_matches_the_rescan_on_labelings():
@@ -316,7 +318,7 @@ def test_find_sun_builds_two_graphs_per_residue_vertex(built):
 
 def test_mat_peo_peels_build_no_labeling(built):
     lab = construct_mat_labeling(random_strongly_chordal(40, seed=4, grow_bias=0.9))
-    mutant = lab.with_label(*lab.graph.edges[0], lab.max_label + 1)
+    mutant = with_label(lab, *lab.graph.edges[0], lab.max_label + 1)
     built.update(Graph=0, EdgeLabeling=0)
     order = find_mat_peo(lab)
     assert order is not None and is_mat_peo(lab, order)

@@ -17,7 +17,6 @@ from matlabel import (
     leaf_pair,
     maximal_cliques,
 )
-from matlabel.chordal import random_peo
 from matlabel.families import (
     complete_graph,
     cycle_graph,
@@ -30,6 +29,7 @@ from matlabel.graph import sorted_sets
 from matlabel.oracle import brute_minimal_separators, enumerate_graphs
 
 from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
+from .helpers import is_clique, random_peo
 
 
 def test_maximal_cliques_complete():
@@ -66,12 +66,12 @@ def test_maximal_cliques_brute_agreement():
             continue
         # an independent check: every reported set is a maximal clique and
         # every vertex subset that is a maximal clique is reported
-        from matlabel.graph import iter_subsets
+        from matlabel.oracle import iter_subsets
 
         expect = set()
         for s in iter_subsets(g.vertices):
-            if s and g.is_clique(s) and not any(
-                g.is_clique(s | {v}) for v in g.vertex_set - s
+            if s and is_clique(g, s) and not any(
+                is_clique(g, s | {v}) for v in g.vertex_set - s
             ):
                 expect.add(s)
         assert set(cliques) == expect
@@ -239,7 +239,7 @@ def test_poset_invariants_sampled():
         for x in p.nodes:
             for y in p.nodes:
                 assert x & y in nodes  # closed under intersection
-            assert g.is_clique(x)
+            assert is_clique(g, x)
         bottoms = [x for x in p.nodes if not p.covers[x]]
         assert bottoms == [p.nodes[0]]
         # the minimum node is exactly the set of dominating vertices

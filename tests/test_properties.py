@@ -20,6 +20,8 @@ from matlabel import (
 )
 from matlabel.families import random_strongly_chordal
 
+from .helpers import restrict_edges, with_label
+
 SLOTS6 = list(combinations(range(6), 2))
 
 
@@ -101,7 +103,7 @@ def test_union_of_valid_node_restrictions_valid(seed, n):
     y = rng.choice(nodes)
     edges_x = set(g.induced_subgraph(x).edges)
     edges_y = set(g.induced_subgraph(y).edges)
-    assert verify_mat_labeling(lab.restrict_edges(edges_x | edges_y)) is None
+    assert verify_mat_labeling(restrict_edges(lab, edges_x | edges_y)) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,5 +158,5 @@ def test_verifier_matches_mat_peo_search_on_mutations(seed):
         return
     (u, v), old = rng.choice(lab.items())
     candidates = [k for k in range(1, lab.max_label + 2) if k != old]
-    mutant = lab.with_label(u, v, rng.choice(candidates))
+    mutant = with_label(lab, u, v, rng.choice(candidates))
     assert (verify_mat_labeling(mutant) is None) == (find_mat_peo(mutant) is not None)

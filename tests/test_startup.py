@@ -1,5 +1,6 @@
 """Start-up cost: each CLI command imports only the layers it runs."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -66,7 +67,8 @@ def test_command_imports_only_its_layers(files, argv, forbidden):
 
 def test_classify_of_one_vertex_loads_four_layers_and_errors(files):
     modules = imported_by("classify", files["one"])
-    assert _layers(modules) <= {"graph", "io", "chordal", "strong_chordal", "errors"}
+    assert _layers(modules) <= {"graph", "io", "chordal", "strong_chordal", "unit_interval",
+                                "errors"}
     assert "dataclasses" not in modules
 
 
@@ -76,3 +78,31 @@ def test_importing_the_package_loads_no_submodule():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=SRC, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def _ast_nodes(module: str) -> int:
+    """The nodes of a matlabel module's syntax tree: what compiling it walks."""
+    *package, name = module.split(".")
+    path = Path(SRC, *package, f"{name}.py") if package else Path(SRC, name, "__init__.py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(), str(path))))
+
+
+# what a call compiles when no bytecode is cached (clibench runs with
+# PYTHONDONTWRITEBYTECODE=1): the matlabel modules -X importtime lists, and
+# cli, which runs as __main__ and is not listed; at the commit before the
+# cold code moved out, the one-vertex calls compiled 14,302 / 9,211 / 9,208
+# nodes
+@pytest.mark.parametrize("argv, bound, never", [
+    (("label", "one"), 9_350, {"json", "matlabel.witness", "matlabel.formats",
+                                "matlabel.unit_interval"}),
+    (("verify", "one", "empty"), 9_211, {"matlabel.witness", "matlabel.formats",
+                                         "matlabel.unit_interval"}),
+    (("classify", "one"), 9_208, {"matlabel.witness", "matlabel.formats"}),
+], ids=["label", "verify", "classify"])
+def test_a_call_that_succeeds_compiles_no_cold_code(tmp_path, argv, bound, never):
+    (tmp_path / "one").write_text("vertices: 1\n")
+    (tmp_path / "empty").write_text('{"edges": []}')
+    modules = imported_by(argv[0], *(tmp_path / name for name in argv[1:]))
+    assert modules & never == set()
+    compiled = {m for m in modules if m.split(".")[0] == "matlabel"} | {"matlabel.cli"}
+    assert sum(map(_ast_nodes, compiled)) <= bound

@@ -31,11 +31,12 @@ from matlabel.families import (
     random_strongly_chordal,
     rising_sun,
 )
-from matlabel.graph import find_embedding
 from matlabel.oracle import enumerate_graphs
-from matlabel.strong_chordal import claw as claw_pattern
 from matlabel.strong_chordal import simple_elimination
+from matlabel.unit_interval import claw as claw_pattern
+from matlabel.unit_interval import find_embedding
 
+from .helpers import add_vertex
 from .test_construct import _assert_induced_crown
 
 
@@ -126,7 +127,7 @@ def _assert_induced_sun(g, w):
 
 
 def test_sun_witness_is_checkable():
-    g = n_sun(4).add_vertex(100, [1, 2, 3, 4])  # bury the sun a little
+    g = add_vertex(n_sun(4), 100, [1, 2, 3, 4])  # bury the sun a little
     for w in (detect_induced_sun(g), find_sun(g)):
         assert w is not None
         _assert_induced_sun(g, w)
@@ -290,10 +291,10 @@ def test_neighbourhood_candidates_keep_the_least_map():
 def test_claw_and_net_search_scans_a_path_once(monkeypatch):
     # every pattern position after the first draws its candidates from a
     # neighbourhood, so only the first position scans the whole path
-    from matlabel import strong_chordal
+    from matlabel import unit_interval
 
     offered = []
-    real_search = strong_chordal.find_embedding
+    real_search = unit_interval.find_embedding
 
     def counting(candidates, pattern, relation):
         def counted(image):
@@ -302,7 +303,7 @@ def test_claw_and_net_search_scans_a_path_once(monkeypatch):
             return got
         return real_search(counted, pattern, relation)
 
-    monkeypatch.setattr(strong_chordal, "find_embedding", counting)
+    monkeypatch.setattr(unit_interval, "find_embedding", counting)
     long = path_graph(3000)
     assert unit_interval_obstruction(long) is None
     assert offered.count(3000) == 2  # the first position of the claw and the net
