@@ -1,14 +1,17 @@
 """Exhaustive search for MAT-labelings, independent of the constructor.
 
-Backtracks over label assignments with ascending label values, pruning
-with incremental forms of the three labeling conditions only: per-level
-component tracking for the forest and closure conditions, and per-edge
-label bounds propagated through triangle-count budgets. Edges whose
-envelope leaves a single feasible label are assigned immediately; forced
-values belong to every valid completion, so with canonical branching the
-first complete assignment found is the lexicographically least valid
-labeling. Serves as the existence oracle against which the
-polynomial-time recognizer and the constructor are cross-checked.
+Backtracks over label assignments with ascending label values. The forest
+and closure conditions (ML1, ML2) are kept by per-level components: an
+unassigned edge's floor lies above every level at which its ends are
+already joined, and each union checks that the merged block spans no
+edge of an earlier label. The count condition (ML3) is kept by the bounds
+fixpoint alone, which propagates per-edge label bounds through
+triangle-count budgets. Edges whose envelope leaves a single feasible
+label are assigned immediately; forced values belong to every valid
+completion, so with canonical branching the first complete assignment
+found is the lexicographically least valid labeling. Serves as the
+existence oracle against which the polynomial-time recognizer and the
+constructor are cross-checked.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ class _Levels:
         self.members = [[[v] for v in range(n)] for _ in range(levels + 1)]
         self.trail: list[tuple[int, int, int]] = []
 
-    def connected(self, k, u, v):
-        row = self.comp[k]
-        return row[u] == row[v]
-
     def union(self, k, u, v):
         """Merge the components of u and v at level k; they must differ.
 
@@ -64,6 +63,9 @@ class _Levels:
         comp = self.comp[k]
         members = self.members[k]
         cu, cv = comp[u], comp[v]
+        if cu == cv:
+            # merging a component into itself would extend the list it walks
+            raise RuntimeError(f"union of {u} and {v} at level {k}: already joined")
         if len(members[cu]) > len(members[cv]):
             cu, cv = cv, cu
         small = members[cu]
@@ -112,44 +114,12 @@ class _Search:
         # most the number of triangles in the graph
         self.triangle_budget = sum(len(t) for t in self.triangles) // 3
         self.labels = [0] * self.m
-        # per assigned edge: closed = triangles already counting toward its
-        # quota of label-1 many, open_ = triangles that may still count
-        self.closed = [0] * self.m
-        self.open_ = [0] * self.m
         self.levels = _Levels(self.n, max_label)
-        self.deltas: list[tuple[int, int, int]] = []  # (edge, dclosed, dopen)
-        self.trail: list[tuple[int, int, int, int]] = []  # (e, k, lv_mark, d_mark)
-
-    # -- bookkeeping ---------------------------------------------------
-
-    def _adjust(self, f, dc, do):
-        self.closed[f] += dc
-        self.open_[f] += do
-        self.deltas.append((f, dc, do))
-        k = self.labels[f]
-        return self.closed[f] <= k - 1 <= self.closed[f] + self.open_[f]
-
-    def _retick(self, other, k, mate):
-        """Refresh `other`'s counters after a triangle side of it got k."""
-        lo = self.labels[other]
-        lm = self.labels[mate]
-        if lm:
-            if lm >= lo:
-                return True  # triangle was already dead
-            if k < lo:
-                return self._adjust(other, +1, -1)
-            return self._adjust(other, 0, -1)
-        if k >= lo:
-            return self._adjust(other, 0, -1)
-        return True  # still open, pending the mate
+        self.trail: list[tuple[int, int]] = []  # (edge, levels trail mark)
 
     def undo_to(self, trail_mark):
         while len(self.trail) > trail_mark:
-            e, k, lv_mark, delta_mark = self.trail.pop()
-            while len(self.deltas) > delta_mark:
-                f, dc, do = self.deltas.pop()
-                self.closed[f] -= dc
-                self.open_[f] -= do
+            e, lv_mark = self.trail.pop()
             self.labels[e] = 0
             self.levels.undo(lv_mark)
 
@@ -165,6 +135,12 @@ class _Search:
         at most k - 1 and the possible count at least k - 1. The global
         triangle budget caps sum(label - 1). Every deduction discards only
         labels no valid completion of the current assignment can use.
+
+        This is the search's only check of the count condition on assigned
+        edges, and it misses no refutation that counting the assigned
+        triangles would find: an assigned edge with label k has lb = ub = k,
+        so each triangle whose other two sides are assigned below k is
+        forced, and none with a side assigned at k or above is possible.
 
         Returns None on contradiction, else per-edge feasible label lists
         (assigned edges map to their label).
@@ -241,50 +217,28 @@ class _Search:
                 return options
 
     def assign(self, e, k):
-        """Apply labels[e] = k with all incremental checks."""
+        """Apply labels[e] = k; False if block k now spans an earlier edge.
+
+        k is always one of the options that the last bounds fixpoint gave
+        e in the current state, and those start at e's floor, above every
+        level at which e's ends are joined: block k gains no cycle and no
+        later block spans e. The triangle counts of e and of the assigned
+        edges around it are left to the fixpoint that follows every
+        assign before the search branches (see _bounds_fixpoint).
+        """
         u, v = self.edges[e]
         levels = self.levels
-        if levels.connected(k, u, v):
-            return False  # cycle inside block k
-        for j in range(k + 1, self.max_label + 1):
-            if levels.connected(j, u, v):
-                return False  # e would be spanned by a later block
         lv_mark = len(levels.trail)
-        delta_mark = len(self.deltas)
         side_a, side_b = levels.union(k, u, v)
-        labels = self.labels
-        eid = self.eid
-        spans_earlier = False
+        labels, eid = self.labels, self.eid
         for x in side_a:  # only pairs across the merged sides are new
             for y in side_b:
                 f = eid.get((x, y))
-                if f is not None and labels[f] and labels[f] < k:
-                    spans_earlier = True
-                    break
-            if spans_earlier:
-                break
-        if spans_earlier:
-            levels.undo(lv_mark)
-            return False  # block k now spans an earlier edge
+                if f is not None and 0 < labels[f] < k:
+                    levels.undo(lv_mark)
+                    return False  # block k now spans an earlier edge
         labels[e] = k
-        self.trail.append((e, k, lv_mark, delta_mark))
-        c = o = 0
-        for f1, f2 in self.triangles[e]:
-            l1, l2 = labels[f1], labels[f2]
-            if l1 and l2:
-                if l1 < k and l2 < k:
-                    c += 1
-            elif (l1 and l1 >= k) or (l2 and l2 >= k):
-                pass  # a fixed side at or above k kills the triangle
-            else:
-                o += 1
-        if not self._adjust(e, c, o):
-            return False
-        for f1, f2 in self.triangles[e]:
-            if labels[f1] and not self._retick(f1, k, f2):
-                return False
-            if labels[f2] and not self._retick(f2, k, f1):
-                return False
+        self.trail.append((e, lv_mark))
         return True
 
     def _propagate(self):

@@ -170,11 +170,9 @@ def cmd_poset(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if args.max_brute_edges < 0:
-        raise ValueError(f"selftest: --max-brute-edges {args.max_brute_edges} is negative")
     from .oracle import selftest
 
-    checked, mismatches = selftest(args.seed, args.max_brute_edges)
+    checked, mismatches = selftest(args.seed)
     _emit(args, {"checked": checked, "mismatches": mismatches,
                  "seed": args.seed})
     _say(args, f"selftest: {checked} checks, {len(mismatches)} mismatches")
@@ -188,8 +186,6 @@ _OPTIONS = {
     "--out": ("out", None, str, "write JSON here instead of stdout"),
     "--dot": ("dot", None, str, "also write a DOT rendering here"),
     "--seed": ("seed", 0, int, "seed of the sampled checks"),
-    "--max-brute-edges": ("max_brute_edges", 18, int,
-                          "edge bound of the exhaustive existence search"),
     "--verbose": ("verbose", False, None, "human-readable summary on stderr"),
 }
 
@@ -208,7 +204,7 @@ _COMMANDS = {
                   "arrangement exponents and factorization check"),
     "poset": (cmd_poset, ("graph",), _INPUT_OPTIONS,
               "clique intersection poset (JSON, or DOT via --out x.dot)"),
-    "selftest": (cmd_selftest, (), ("--seed", "--max-brute-edges", "--out", "--verbose"),
+    "selftest": (cmd_selftest, (), ("--seed", "--out", "--verbose"),
                  "sampled cross-checks of the recognizers"),
 }
 

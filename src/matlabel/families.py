@@ -38,7 +38,13 @@ def height_labeling_complete(ell: int, vertices=None) -> EdgeLabeling:
     return EdgeLabeling(g, labels)
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"a graph cannot have {n} vertices")
+
+
 def path_graph(n: int) -> Graph:
+    _check_size(n)
     return Graph(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
 
 
@@ -65,6 +71,7 @@ RISING_SUN_MARKED_EDGE = (1, 2)
 
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     """Uniform graph with n vertices 1..n and m edges."""
+    _check_size(n)
     slots = list(combinations(range(1, n + 1), 2))
     if m > len(slots):
         raise ValueError(f"at most {len(slots)} edges on {n} vertices")
@@ -82,6 +89,9 @@ def random_strongly_chordal(n: int, seed=None, rng: random.Random | None = None,
     rejected attachment is undone, and becomes a Graph at the end. The
     output is re-checked with the recognizer.
     """
+    _check_size(n)
+    if n == 0:
+        return Graph()
     if rng is None:
         rng = random.Random(seed)
     adj: dict[int, set[int]] = {1: set()}

@@ -323,7 +323,7 @@ def is_mat_peo(lab: EdgeLabeling, order) -> bool:
 # -- the sampled cross-checks of `matlabel selftest` ---------------------------
 
 
-def selftest(seed: int, max_brute_edges: int) -> tuple[int, list[dict]]:
+def selftest(seed: int) -> tuple[int, list[dict]]:
     """(checks made, mismatches) of the sampled cross-checks from seed.
 
     The three recognizers agree on random graphs; construct's labelings of
@@ -374,13 +374,13 @@ def selftest(seed: int, max_brute_edges: int) -> tuple[int, list[dict]]:
                     and chromatic_polynomial(g) == IntPolynomial.from_roots(exps)):
                 mismatches.append({"graph": [list(e) for e in g.edges],
                                    "check": "factorization"})
-    # existence oracle agreement on small graphs
+    # existence oracle agreement on small graphs; n <= 6 keeps m within
+    # the 18-edge guard of brute_force_mat_labeling
     for _ in range(15):
         n = rng.randint(3, 6)
-        m = rng.randint(0, min(n * (n - 1) // 2, max_brute_edges))
-        g = families.random_graph(n, m, rng)
+        g = families.random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
         checked += 1
-        found = brute_force_mat_labeling(g, max_edges=max_brute_edges)
+        found = brute_force_mat_labeling(g)
         if (found is not None) != is_strongly_chordal(g):
             mismatches.append({"graph": [list(e) for e in g.edges],
                                "check": "brute-force"})

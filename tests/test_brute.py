@@ -13,7 +13,7 @@ from matlabel import (
     is_strongly_chordal,
     verify_mat_labeling,
 )
-from matlabel.brute import _clique_number
+from matlabel.brute import _clique_number, _Levels
 from matlabel.families import complete_graph, cycle_graph, n_sun, random_graph
 from matlabel.oracle import enumerate_graphs
 
@@ -30,6 +30,16 @@ def naive_search(g):
         if verify_mat_labeling(lab) is None:
             return lab
     return None
+
+
+def assert_matches_naive(g):
+    """brute_force_mat_labeling(g) is naive_search(g); returns it."""
+    fast = brute_force_mat_labeling(g)
+    slow = naive_search(g)
+    assert (fast is None) == (slow is None), g.edges
+    if fast is not None:
+        assert fast.items() == slow.items(), g.edges  # lexicographically least
+    return fast
 
 
 def test_complete_graph():
@@ -60,25 +70,42 @@ def test_clique_number_helper():
     assert _clique_number(Graph([3])) == 1
 
 
+def test_a_union_of_joined_ends_raises_instead_of_looping():
+    levels = _Levels(3, 2)
+    levels.union(2, 0, 1)
+    levels.union(2, 1, 2)
+    with pytest.raises(RuntimeError, match="at level 2"):
+        levels.union(2, 2, 0)
+    levels.union(1, 2, 0)  # other levels are apart
+
+
 def test_matches_naive_enumeration_exhaustive():
     for n in range(5):
         for g in enumerate_graphs(n):
-            fast = brute_force_mat_labeling(g)
-            slow = naive_search(g)
-            assert (fast is None) == (slow is None)
-            if fast is not None:
-                assert fast.items() == slow.items()  # lexicographically least
+            assert_matches_naive(g)
 
 
 def test_matches_naive_enumeration_random():
     rng = random.Random(63)
     for _ in range(60):
-        g = random_graph(5, rng.randint(0, 9), rng)
-        fast = brute_force_mat_labeling(g)
-        slow = naive_search(g)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            assert fast.items() == slow.items()
+        assert_matches_naive(random_graph(5, rng.randint(0, 9), rng))
+
+
+def test_matches_naive_enumeration_on_six_and_seven_vertices():
+    # graphs whose enumeration holds at most 60,000 labelings; seed 66 gives
+    # label bounds 1, 2, 3, 5 and 6, nine non-chordal graphs and nine
+    # graphs without a labeling
+    rng = random.Random(66)
+    checked = nones = 0
+    while checked < 60:
+        n = rng.randint(6, 7)
+        g = random_graph(n, rng.randint(n - 2, 14), rng)
+        bound = (_clique_number(g) - 1) if is_chordal(g) else (n - 1)
+        if max(bound, 1) ** g.m > 60_000:
+            continue
+        checked += 1
+        nones += assert_matches_naive(g) is None
+    assert 0 < nones < checked
 
 
 def test_dense_nonchordal_refutation():

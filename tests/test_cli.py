@@ -606,15 +606,6 @@ def test_selftest_cross_check_does_not_read_a_peo(capsys, monkeypatch):
     assert {m["check"] for m in report["mismatches"]} == {"factorization"}
 
 
-@pytest.mark.parametrize("argv", [["--max-brute-edges", "-1"], ["--max-brute-edges=-7"]])
-def test_selftest_rejects_a_negative_edge_bound_before_sampling(capsys, argv):
-    code = main(["selftest", *argv])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == (f"matlabel: error: selftest: --max-brute-edges "
-                            f"{argv[-1].rpartition('=')[2]} is negative\n")
-
-
 def test_usage_error_exit_code():
     result = subprocess.run(
         [sys.executable, "-m", "matlabel.cli", "frobnicate"],
@@ -689,7 +680,6 @@ def _reference_parser():
         p.set_defaults(func=func)
     p = sub.add_parser("selftest")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-brute-edges", type=int, default=18)
     p.add_argument("--out", default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cli.cmd_selftest)
@@ -697,7 +687,7 @@ def _reference_parser():
 
 
 OPTION_VALUES = {"--format": "json", "--out": "o.json", "--dot": "d.dot",
-                 "--seed": "7", "--max-brute-edges": "12"}
+                 "--seed": "7"}
 
 
 def _valid_argvs():
@@ -711,7 +701,7 @@ def _valid_argvs():
                 ("exponents", ["g.txt"], input_options),
                 ("exponents", ["g.json", "l.json"], input_options),
                 ("poset", ["g.txt"], input_options),
-                ("selftest", [], ["--seed", "--max-brute-edges", "--out", "--verbose"])]
+                ("selftest", [], ["--seed", "--out", "--verbose"])]
     for command, positionals, options in commands:
         for mask in range(1 << len(options)):
             chosen = [o for b, o in enumerate(options) if mask >> b & 1]

@@ -2,8 +2,10 @@
 
 import random
 
+import pytest
+
 from matlabel import Graph, is_simple_vertex, is_strongly_chordal
-from matlabel.families import random_strongly_chordal
+from matlabel.families import path_graph, random_graph, random_strongly_chordal
 
 from .helpers import add_vertex
 
@@ -11,6 +13,8 @@ from .helpers import add_vertex
 def _grown_by_add_vertex(n, rng, grow_bias=0.6):
     """Reference generator: the same draws, with every attempt built as a new
     Graph by add_vertex and tested there."""
+    if n == 0:
+        return Graph()
     g = Graph([1])
     for v in range(2, n + 1):
         placed = None
@@ -59,3 +63,15 @@ def test_random_strongly_chordal_grows_without_add_vertex(monkeypatch):
     monkeypatch.setattr(families, "Graph", counting)
     assert random_strongly_chordal(40, seed=3) == g
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("make", [
+    path_graph,
+    lambda n: random_graph(n, 0, random.Random(0)),
+    lambda n: random_strongly_chordal(n, seed=0),
+], ids=["path_graph", "random_graph", "random_strongly_chordal"])
+def test_generators_reject_a_negative_size_and_give_the_empty_graph_at_zero(make):
+    assert make(0) == Graph()
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=f"{n} vertices"):
+            make(n)
