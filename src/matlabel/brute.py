@@ -20,27 +20,6 @@ from .graph import Graph
 from .labeling import EdgeLabeling
 
 
-def _clique_number(g: Graph) -> int:
-    """Exact clique number by plain branch and bound (self-contained)."""
-    adj = {v: g.neighborhood(v) for v in g.vertices}
-    best = 1 if g.n else 0
-
-    def grow(clique_size, candidates):
-        nonlocal best
-        if not candidates:
-            best = max(best, clique_size)
-            return
-        rest = sorted(candidates)
-        while rest:
-            if clique_size + len(rest) <= best:
-                return
-            v = rest.pop()
-            grow(clique_size + 1, [u for u in rest if u in adj[v]])
-
-    grow(0, list(g.vertices))
-    return best
-
-
 class _Levels:
     """Connected components of every label block, with O(1) queries.
 
@@ -225,6 +204,17 @@ class _Search:
         later block spans e. The triangle counts of e and of the assigned
         edges around it are left to the fixpoint that follows every
         assign before the search branches (see _bounds_fixpoint).
+
+        The check at the union only prunes: ML1 and ML3 at every level
+        imply ML2. Let ML1-3 hold below k. Then the edges labeled below k
+        carry a MAT-labeling of (V, E_(k-1)), which has a MAT-PEO (see
+        oracle.find_mat_peo); by MS2 each vertex has at most k - 1 earlier
+        neighbours along it, so E_(k-1) is chordal and colouring along the
+        PEO properly k-colours it. By ML3 the ends a, b of an edge labeled
+        k have k - 1 common neighbours in E_(k-1); they form a clique (two
+        non-adjacent ones would close a chordless 4-cycle with a and b), so
+        a and b both take the one colour it misses. A path labeled k keeps
+        one colour, and an edge of E_(k-1) has two: ML2 holds at level k.
         """
         u, v = self.edges[e]
         levels = self.levels
@@ -305,9 +295,13 @@ def brute_force_mat_labeling(
         return EdgeLabeling(g, {})
 
     if max_label is None:
-        from .chordal import is_chordal
+        from .chordal import peo_exponents
 
-        max_label = (_clique_number(g) - 1) if is_chordal(g) else (g.n - 1)
+        # a vertex and its earlier neighbours along a PEO form a clique, and a
+        # largest clique's last vertex has the rest earlier: omega(g) - 1 is
+        # the largest count
+        exponents = peo_exponents(g)
+        max_label = g.n - 1 if exponents is None else exponents[-1]
     if max_label < 1:
         return None
 

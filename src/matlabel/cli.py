@@ -89,7 +89,8 @@ def cmd_label(args) -> int:
 
         Path(args.dot).write_text(labeling_to_dot(lab))
     _write(args, labeling_json(lab))
-    _say(args, f"{args.graph}: labeled, block sizes {lab.block_sizes()}")
+    if args.verbose:  # block_sizes is a pass over the edges
+        _say(args, f"{args.graph}: labeled, block sizes {lab.block_sizes()}")
     return EXIT_OK
 
 

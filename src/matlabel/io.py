@@ -94,49 +94,36 @@ def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     """Labeling from JSON; the edge set must match the graph exactly.
 
-    One loop over the entries makes the checks of the JSON shape and those
-    of EdgeLabeling, and writes the canonical {edge: label} table that the
-    labeling then takes as it is. An entry is read off the (key, value)
-    pairs of its object in any key order, and a repeated key shows as a
-    dict shorter than the pairs. The wording of an error is worked out only
-    once a fault is found, by witness._labeling_fault.
+    One loop takes a top level of exactly {"edges": [...]} whose entries
+    are objects of exactly three int pairs "u", "v" and "label", in any key
+    order, that pass EdgeLabeling's checks and cover g's edges, and writes
+    the canonical table that the labeling takes as it is. Any other text,
+    a fault, an extra key or a domain mismatch, goes to the plain reader
+    witness._read_labeling, which words the fault.
     """
     from .labeling import EdgeLabeling
 
     data = _load_json(text, "labeling", pairs=True)
-    top = dict(data) if type(data) is tuple else {}
-    edges = top.get("edges")
-    fault = None  # the entry that fails a check, or None for the top level
-    if type(edges) is list and len(top) == len(data):
+    edges = dict(data).get("edges") if type(data) is tuple else None
+    if type(edges) is list and len(data) == 1:
         adj = g._adj
         table = {}
-        known = True  # every entry so far is an edge of g
-        extra = len(top) > 1  # keys whose values are not read: check them at the end
-        for fault, item in enumerate(edges):
+        for item in edges:
             entry = dict(item) if type(item) is tuple else {}
             u, v, k = entry.get("u"), entry.get("v"), entry.get("label")
             if not (type(u) is int and type(v) is int and type(k) is int
-                    and u >= 0 and v >= 0 and u != v and k > 0 and len(entry) == len(item)):
+                    and u >= 0 and v >= 0 and u != v and k > 0 and len(item) == 3):
                 break
-            if len(entry) > 3:
-                extra = True
             e = (u, v) if u < v else (v, u)
-            if e in table:
+            if e in table or v not in adj.get(u, ()):
                 break
             table[e] = k
-            if v not in adj.get(u, ()):
-                known = False
-        else:  # every entry passed
-            if extra:
-                _load_json(text, "labeling")  # a repeated key in a value not read
-            if not known or len(table) != g.m:
-                from .witness import _domain_error
+        else:
+            if len(table) == g.m:
+                return EdgeLabeling._from_table(g, table)
+    from .witness import _read_labeling
 
-                raise _domain_error(g, table)
-            return EdgeLabeling._from_table(g, table)
-    from .witness import _labeling_fault
-
-    raise _labeling_fault(text, fault)
+    return _read_labeling(g, text)
 
 
 # an entry of a labeling as json.dumps(..., sort_keys=True, indent=2) writes it

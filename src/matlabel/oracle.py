@@ -101,12 +101,19 @@ def detect_induced_sun(g: Graph) -> SunWitness | None:
 def find_crown(p: CliquePoset | Sequence[frozenset[int]], k: int) -> CrownWitness | None:
     """An induced subposet isomorphic to the k-crown, or None.
 
-    A graph.find_embedding over the nodes in canonical order: the k lower
+    A find_embedding over the nodes in canonical order: the k lower
     elements are placed first, pairwise incomparable, then the k upper ones,
     each above exactly its two lower elements and incomparable to the other
     upper ones. The rows are those of a comparison matrix over node
     indices, built once per call. The first hit is the lexicographically
     least witness. Exponential worst case, fine at desk scale.
+
+    A position is offered, in ascending order, only the nodes that can
+    complete the image so far: upper i the nodes above lower i, and lower
+    i >= 1 the nodes incomparable to lower i - 1 that share a strict upper
+    bound with it, as upper i lies above both. Every node dropped fails in
+    each completion, so the search meets the kept ones in the same order
+    as over all nodes, and its first hit is the same least image.
     """
     if k < 3:
         raise ValueError("crowns are searched for k >= 3")
@@ -115,10 +122,25 @@ def find_crown(p: CliquePoset | Sequence[frozenset[int]], k: int) -> CrownWitnes
         return None
     # compare[a][b] is 1 when nodes[a] < nodes[b], -1 when nodes[b] < nodes[a]
     compare = [[(x < y) - (y < x) for y in nodes] for x in nodes]
+    above = [[b for b, c in enumerate(row) if c == 1] for row in compare]
+    ups = [sum(1 << b for b in row) for row in above]  # above, as bitsets
+    mates = {}  # lower i - 1 -> the candidates of lower i
+
+    def candidates(image):
+        i = len(image)
+        if i == 0:
+            return range(len(nodes))
+        if i >= k:
+            return above[image[i - k]]
+        a = image[-1]
+        if a not in mates:
+            mates[a] = [b for b, c in enumerate(compare[a]) if c == 0 and ups[a] & ups[b]]
+        return mates[a]
+
     pattern = [(0,) * i for i in range(k)]
     pattern += [tuple(int(j == i or (j + 1) % k == i) for j in range(k)) + (0,) * i
                 for i in range(k)]
-    image = find_embedding(lambda image: range(len(nodes)), pattern, compare.__getitem__)
+    image = find_embedding(candidates, pattern, compare.__getitem__)
     if image is None:
         return None
     return CrownWitness(k, tuple(nodes[a] for a in image[:k]),

@@ -1,11 +1,12 @@
 """Witnesses of a rejection, and the wording of input errors.
 
 A command loads this module only when it rejects its input, finds it
-malformed, or reports why a graph is not unit interval (`classify`), so
-a call that succeeds compiles none of it. It holds the chordless cycle's
-closing path, the sun read off an elimination residue and the crown
-lifted from it, the violations of ML1-3 with their paths, the errors of a
-malformed labeling, and the JSON of each witness kind.
+malformed, reads a labeling with keys that `label` does not write, or
+reports why a graph is not unit interval (`classify`). It holds the
+chordless cycle's closing path, the sun read off an elimination residue
+and the crown lifted from it, the violations of ML1-3 with their paths,
+the plain reader of labeling JSON, which words the errors of a malformed
+labeling, and the JSON of each witness kind.
 """
 
 from __future__ import annotations
@@ -244,9 +245,9 @@ def _triangle_violation(e, k, count) -> MatViolation:
 
 def _check_entry(u, v, k) -> None:
     """Raise the error for an entry (u, v) -> k that fails the fast check of
-    EdgeLabeling or io.parse_labeling_json: an id that is no nonnegative
-    int, a self-loop, or a label that is no positive int. Ids and labels of
-    an int subclass other than bool pass, and then it returns.
+    EdgeLabeling: an id that is no nonnegative int, a self-loop, or a label
+    that is no positive int. Ids and labels of an int subclass other than
+    bool pass, and then it returns.
     """
     e = canonical_edge(_check_vertex_id(u), _check_vertex_id(v))
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -265,33 +266,25 @@ def _domain_error(graph: Graph, table: Mapping[tuple[int, int], int]) -> ValueEr
 _ENTRY_KEYS = frozenset(("u", "v", "label"))
 
 
-def _labeling_fault(text: str, i: int | None = None) -> ValueError:
-    """The error for labeling JSON whose top level (i None) or entry i
-    fails io.parse_labeling_json's checks.
-
-    The error names the fault that comes first in the order of the checks:
-    a repeated key anywhere (the text is decoded again, into dicts), the
-    top level, then the shape of every entry, its endpoints and an earlier
-    entry with the same (u, v), and only then the ids and label of entry i
-    and an earlier entry for the same edge. The entries before i passed
-    every check.
-    """
+def _read_labeling(g: Graph, text: str):
+    """io.parse_labeling_json's labeling of g, or the error of the first
+    fault: a repeated key, the top level, then the shape and endpoints of
+    every entry and a repeated (u, v); EdgeLabeling words the rest."""
     from .io import _load_json
+    from .labeling import EdgeLabeling
 
     data = _load_json(text, "labeling")
-    if i is None:
-        return ValueError('labeling JSON needs an "edges" array')
-    seen = set()
-    for j, item in enumerate(data["edges"]):
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+        raise ValueError('labeling JSON needs an "edges" array')
+    labels = {}
+    for i, item in enumerate(data["edges"]):
         if not isinstance(item, dict) or not item.keys() >= _ENTRY_KEYS:
-            return ValueError(f'labeling JSON edges[{j}] must be an object with '
-                              f'"u", "v" and "label", got {item!r}')
+            raise ValueError(f'labeling JSON edges[{i}] must be an object with '
+                             f'"u", "v" and "label", got {item!r}')
         u, v = e = item["u"], item["v"]
         if isinstance(u, (list, dict)) or isinstance(v, (list, dict)):
-            return ValueError(f"labeling JSON edges[{j}] has an array or object endpoint")
-        if e in seen:
-            return ValueError(f"duplicate labeling entry for edge {e}")
-        seen.add(e)
-    item = data["edges"][i]
-    _check_entry(item["u"], item["v"], item["label"])
-    return ValueError(f"duplicate label entry for edge {canonical_edge(item['u'], item['v'])}")
+            raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")
+        if e in labels:
+            raise ValueError(f"duplicate labeling entry for edge {e}")
+        labels[e] = item["label"]
+    return EdgeLabeling(g, labels)

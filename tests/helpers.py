@@ -6,9 +6,11 @@ import random
 from itertools import combinations
 from typing import Iterable
 
-from matlabel.graph import Graph, _check_vertex_id, canonical_edge, peel
+from matlabel.graph import Graph, _check_vertex_id, canonical_edge, peel, sorted_sets
 from matlabel.labeling import EdgeLabeling
 from matlabel.oracle import is_simplicial
+from matlabel.unit_interval import find_embedding
+from matlabel.witness import CrownWitness
 
 
 def add_vertex(g: Graph, v: int, neighbors: Iterable[int] = ()) -> Graph:
@@ -67,3 +69,20 @@ def evaluate(poly, t: int) -> int:
 def degree(poly) -> int:
     """The degree of an IntPolynomial; -1 for the zero polynomial."""
     return len(poly.coeffs) - 1 if poly.coeffs else -1
+
+
+def all_nodes_crown(p, k: int) -> CrownWitness | None:
+    """oracle.find_crown as it was before it drew candidates that can
+    complete: every node is offered at every position."""
+    nodes = tuple(p.nodes) if hasattr(p, "nodes") else sorted_sets(set(map(frozenset, p)))
+    if len(nodes) < 2 * k:
+        return None
+    compare = [[(x < y) - (y < x) for y in nodes] for x in nodes]
+    pattern = [(0,) * i for i in range(k)]
+    pattern += [tuple(int(j == i or (j + 1) % k == i) for j in range(k)) + (0,) * i
+                for i in range(k)]
+    image = find_embedding(lambda image: range(len(nodes)), pattern, compare.__getitem__)
+    if image is None:
+        return None
+    return CrownWitness(k, tuple(nodes[a] for a in image[:k]),
+                        tuple(nodes[a] for a in image[k:]))

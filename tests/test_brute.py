@@ -1,7 +1,7 @@
 """The exhaustive labeling search, cross-checked against naive enumeration."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,18 +11,30 @@ from matlabel import (
     brute_force_mat_labeling,
     is_chordal,
     is_strongly_chordal,
+    peo_exponents,
     verify_mat_labeling,
 )
-from matlabel.brute import _clique_number, _Levels
+from matlabel.brute import _Levels
 from matlabel.families import complete_graph, cycle_graph, n_sun, random_graph
 from matlabel.oracle import enumerate_graphs
+
+
+def clique_number(g):
+    """The size of a largest clique, by a scan of the vertex subsets."""
+    return max((r for r in range(g.n + 1) for s in combinations(g.vertices, r)
+                if all(g.has_edge(u, v) for u, v in combinations(s, 2))), default=0)
+
+
+def naive_bound(g):
+    """The label bound of the exhaustive search: omega - 1 if g is chordal."""
+    return clique_number(g) - 1 if is_chordal(g) else g.n - 1
 
 
 def naive_search(g):
     """First valid labeling in lexicographic order, by full enumeration."""
     if g.m == 0:
         return EdgeLabeling(g, {})
-    bound = (_clique_number(g) - 1) if is_chordal(g) else (g.n - 1)
+    bound = naive_bound(g)
     if bound < 1:
         return None
     for combo in product(range(1, bound + 1), repeat=g.m):
@@ -63,11 +75,19 @@ def test_edge_guard():
 
 
 def test_clique_number_helper():
-    assert _clique_number(complete_graph(5)) == 5
-    assert _clique_number(cycle_graph(5)) == 2
-    assert _clique_number(n_sun(3)) == 3
-    assert _clique_number(Graph()) == 0
-    assert _clique_number(Graph([3])) == 1
+    # the subset scan, and the search's default bound for a chordal graph: the
+    # largest PEO exponent is the clique number less one
+    assert clique_number(complete_graph(5)) == 5
+    assert clique_number(cycle_graph(5)) == 2
+    assert clique_number(n_sun(3)) == 3
+    assert clique_number(Graph()) == 0
+    assert clique_number(Graph([3])) == 1
+    checked = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, is_chordal):
+            assert peo_exponents(g)[-1] == clique_number(g) - 1, g.edges
+            checked += 1
+    assert checked == 19_048  # the labeled chordal graphs on 1..6 vertices
 
 
 def test_a_union_of_joined_ends_raises_instead_of_looping():
@@ -100,7 +120,7 @@ def test_matches_naive_enumeration_on_six_and_seven_vertices():
     while checked < 60:
         n = rng.randint(6, 7)
         g = random_graph(n, rng.randint(n - 2, 14), rng)
-        bound = (_clique_number(g) - 1) if is_chordal(g) else (n - 1)
+        bound = naive_bound(g)
         if max(bound, 1) ** g.m > 60_000:
             continue
         checked += 1

@@ -241,6 +241,18 @@ def test_label_dot_to_an_unwritable_path_prints_no_json(capsys, ui7_file, tmp_pa
     assert captured.err.startswith("matlabel: error: ") and captured.err.count("\n") == 1
 
 
+def test_label_counts_its_blocks_only_under_verbose(capsys, ui7_file, monkeypatch):
+    from matlabel.labeling import EdgeLabeling
+
+    sizes = EdgeLabeling.block_sizes
+    monkeypatch.setattr(EdgeLabeling, "block_sizes", lambda lab: pytest.fail("called"))
+    assert main(["label", str(ui7_file)]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(EdgeLabeling, "block_sizes", sizes)
+    assert main(["label", str(ui7_file), "--verbose"]) == 0
+    assert capsys.readouterr().err == f"{ui7_file}: labeled, block sizes (6, 5, 2)\n"
+
+
 def test_label_tree_all_ones(capsys, tmp_path):
     path = tmp_path / "tree.txt"
     path.write_text("1 2\n2 3\n3 4\n")

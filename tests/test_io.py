@@ -385,6 +385,41 @@ def test_labeling_json_faults_keep_their_messages(text, message):
     assert _assert_read_alike(P3, text) == ("error", message)
 
 
+def test_only_text_the_loop_does_not_take_reaches_the_plain_reader(monkeypatch):
+    from matlabel import height_labeling_complete, witness
+
+    reached = []
+    plain = witness._read_labeling
+
+    def recorded(g, text):
+        reached.append(text)
+        return plain(g, text)
+
+    monkeypatch.setattr(witness, "_read_labeling", recorded)
+    labelings = [EdgeLabeling(UI7, UI7_LABELS), height_labeling_complete(10),
+                 EdgeLabeling(Graph([3]), {})]
+    for lab in labelings:
+        assert parse_labeling_json(lab.graph, labeling_json(lab)) == lab
+    for text in ('{"edges": [{"label": 1, "u": 1, "v": 2}, {"v": 2, "u": 3, "label": 2}]}',
+                 '{"edges":[{"u":2,"v":1,"label":1},{"u":2,"v":3,"label":2}]}'):
+        assert _assert_read_alike(P3, text) == ("ok", {(1, 2): 1, (2, 3): 2})
+    assert reached == []
+    # an extra entry key, an extra top-level key, then domain mismatches
+    for text, outcome in [
+        ('{"edges": [{"u": 1, "v": 2, "label": 1, "note": 0}, {"u": 2, "v": 3, "label": 2}]}',
+         ("ok", {(1, 2): 1, (2, 3): 2})),
+        ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}], "meta": 0}',
+         ("ok", {(1, 2): 1, (2, 3): 2})),
+        ('{"edges": [{"u": 1, "v": 2, "label": 1}]}',
+         ("error", "label domain must equal the edge set (missing [(2, 3)], extra [])")),
+        ('{"edges": [{"u": 1, "v": 3, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
+         ("error", "label domain must equal the edge set (missing [(1, 2)], extra [(1, 3)])")),
+    ]:
+        reached.clear()
+        assert _assert_read_alike(P3, text) == outcome
+        assert reached == [text]
+
+
 def _python_calls(fn, *args):
     """The number of Python function calls made while fn(*args) runs."""
     import sys

@@ -130,3 +130,27 @@ def test_brute_minimal_separators_basics():
 def test_separator_guard():
     with pytest.raises(ValueError):
         brute_minimal_separators(complete_graph(9))
+
+
+def test_crown_candidates_keep_the_least_image():
+    # find_crown offers a position only the nodes that can complete the
+    # image; the search over every node must find the same least crown
+    from .helpers import all_nodes_crown
+
+    rng = random.Random(31)
+    graphs = [g for n in range(6) for g in enumerate_graphs(n, is_chordal)]
+    graphs += [n_sun(k) for k in (3, 4, 5)]
+    while len(graphs) < 1_100:
+        n = rng.randint(7, 9)
+        g = random_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+        if is_chordal(g):
+            graphs.append(g)
+    calls = hits = 0
+    for g in graphs:
+        p = build_poset(g)
+        for k in range(3, len(p.nodes) // 2 + 1):
+            got = find_crown(p, k)
+            assert got == all_nodes_crown(p, k), (g.edges, k)
+            calls += 1
+            hits += got is not None
+    assert (calls, hits) == (848, 7)  # the scan meets crowns and crown-free posets

@@ -25,7 +25,6 @@ def test_no_assert_for_internal_invariants():
 # exhaustive oracles, and chromatic deletion-contraction behind its size guard
 RECURSION_ALLOWED = {
     "arrangement.py:_deletion_contraction",
-    "brute.py:_clique_number.grow",
     "brute.py:_Search.run",
     "oracle.py:brute_induced_subposet.place",
 }

@@ -91,13 +91,13 @@ def _ast_nodes(module: str) -> int:
 # PYTHONDONTWRITEBYTECODE=1): the matlabel modules -X importtime lists, and
 # cli, which runs as __main__ and is not listed; at the commit before the
 # cold code moved out, the one-vertex calls compiled 14,302 / 9,211 / 9,208
-# nodes
+# nodes, and 9,279 / 5,996 / 6,405 before io's labeling faults moved out
 @pytest.mark.parametrize("argv, bound, never", [
-    (("label", "one"), 9_350, {"json", "matlabel.witness", "matlabel.formats",
+    (("label", "one"), 9_203, {"json", "matlabel.witness", "matlabel.formats",
                                 "matlabel.unit_interval"}),
-    (("verify", "one", "empty"), 9_211, {"matlabel.witness", "matlabel.formats",
+    (("verify", "one", "empty"), 5_920, {"matlabel.witness", "matlabel.formats",
                                          "matlabel.unit_interval"}),
-    (("classify", "one"), 9_208, {"matlabel.witness", "matlabel.formats"}),
+    (("classify", "one"), 6_329, {"matlabel.witness", "matlabel.formats"}),
 ], ids=["label", "verify", "classify"])
 def test_a_call_that_succeeds_compiles_no_cold_code(tmp_path, argv, bound, never):
     (tmp_path / "one").write_text("vertices: 1\n")
