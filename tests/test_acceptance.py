@@ -6,6 +6,7 @@ appear; without -s pytest shows them for failing criteria only.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -170,6 +171,23 @@ def test_criterion_5_main_equivalence(corpus6_facts, random78_facts):
     report(5, "recognizer vs exhaustive labeling search",
            mismatches == 0 and construct_failures == 0,
            f"{total} graphs, {mismatches} mismatches")
+
+
+# sha256 over one line per corpus graph, repr(lab.items()) or repr(None), of
+# the exhaustive search's outputs; 14,473 of the 28,476 graphs have none
+CORPUS_BRUTE_DIGEST = "01c68dd67cf153f4dae86e36238dc80fa9d10f909f421f665a4f1685bd564fda"
+
+
+def test_exhaustive_search_outputs_are_pinned(corpus6_facts, random78_facts):
+    # the lexicographically least labelings, also on 7 and 8 vertices where
+    # naive enumeration cannot reach; a faster search must keep every one
+    corpus = corpus6_facts + random78_facts
+    digest = hashlib.sha256()
+    for facts in corpus:
+        out = None if facts.brute is None else facts.brute.items()
+        digest.update((repr(out) + "\n").encode())
+    assert sum(facts.brute is None for facts in corpus) == 14_473
+    assert digest.hexdigest() == CORPUS_BRUTE_DIGEST
 
 
 def test_criterion_6_factorization(corpus6_facts, random78_facts):

@@ -14,7 +14,7 @@ from matlabel import (
     peo_exponents,
     verify_mat_labeling,
 )
-from matlabel.brute import _Levels
+from matlabel.brute import _Search
 from matlabel.families import complete_graph, cycle_graph, n_sun, random_graph
 from matlabel.oracle import enumerate_graphs
 
@@ -90,13 +90,23 @@ def test_clique_number_helper():
     assert checked == 19_048  # the labeled chordal graphs on 1..6 vertices
 
 
-def test_a_union_of_joined_ends_raises_instead_of_looping():
-    levels = _Levels(3, 2)
-    levels.union(2, 0, 1)
-    levels.union(2, 1, 2)
+def test_an_assign_between_joined_ends_raises():
+    search = _Search(complete_graph(3), 2)
+    e12, e13, e23 = (search.gedges.index(e) for e in [(1, 2), (1, 3), (2, 3)])
+    assert search.assign(e12, 2) and search.assign(e23, 2)
     with pytest.raises(RuntimeError, match="at level 2"):
-        levels.union(2, 2, 0)
-    levels.union(1, 2, 0)  # other levels are apart
+        search.assign(e13, 2)
+    assert search.assign(e13, 1)  # other levels are apart
+
+
+def test_an_assign_that_would_span_an_earlier_edge_changes_nothing():
+    search = _Search(complete_graph(3), 2)
+    e12, e13, e23 = (search.gedges.index(e) for e in [(1, 2), (1, 3), (2, 3)])
+    assert search.assign(e13, 1) and search.assign(e12, 2)
+    before = (list(search.labels), [list(row) for row in search.comp], list(search.trail))
+    # block 2 would hold 1, 2 and 3, and so span the edge 1-3 labeled 1
+    assert search.assign(e23, 2) is False
+    assert (search.labels, search.comp, search.trail) == before
 
 
 def test_matches_naive_enumeration_exhaustive():

@@ -158,6 +158,20 @@ def test_construct_reads_mat_peos_off_the_top_edge():
     assert "_mat_peo" in names  # the check still sees the constructor's MAT-PEOs
 
 
+def test_the_exhaustive_search_imports_only_its_inputs_and_bound():
+    # brute is the independent existence oracle: it takes the graph and the
+    # labeling type, and its label bound (omega - 1 on a chordal graph) is
+    # the largest PEO exponent; any other import could share a fault with
+    # the code it checks
+    path = next(p for p in SOURCES if p.name == "brute.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {f"{'.' * node.level}{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert imported == {".graph.Graph", ".labeling.EdgeLabeling", ".chordal.peo_exponents"}
+
 def _benchmark_spans() -> dict[str, list[str]]:
     """clibench/layers.py's SPANS: layer module -> the functions it wraps."""
     layers = Path(__file__).resolve().parents[1] / "clibench" / "layers.py"
