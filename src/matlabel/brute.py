@@ -141,16 +141,7 @@ class _Search:
         edges around it are left to the options pass that follows every
         assign before the search branches (see _options).
 
-        The check at the merge only prunes: ML1 and ML3 at every level
-        imply ML2. Let ML1-3 hold below k. Then the edges labeled below k
-        carry a MAT-labeling of (V, E_(k-1)), which has a MAT-PEO (see
-        oracle.find_mat_peo); by MS2 each vertex has at most k - 1 earlier
-        neighbours along it, so E_(k-1) is chordal and colouring along the
-        PEO properly k-colours it. By ML3 the ends a, b of an edge labeled
-        k have k - 1 common neighbours in E_(k-1); they form a clique (two
-        non-adjacent ones would close a chordless 4-cycle with a and b), so
-        a and b both take the one colour it misses. A path labeled k keeps
-        one colour, and an edge of E_(k-1) has two: ML2 holds at level k.
+        The check at the merge only prunes (see labeling.verify_mat_labeling).
         """
         u, v = self.edges[e]
         row, labels = self.comp[k], self.labels

@@ -118,12 +118,21 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
     share a root closes a cycle, and the level resets only the entries it
     touched. Walking the levels upward, an int bitset below[x] holds the
     neighbours joined to x by a label below k. ML3 counts the triangles of
-    an edge (x, y) of pi_k as the set bits of below[x] & below[y]. ML2
-    reports the least edge f = (x, y) of E_{k-1} whose ends are joined in
-    the forest pi_k. Both ends are then vertices of the forest with the same
-    root, so with one bitset per tree of the forest, f comes from the least
-    forest vertex x whose below[x] meets its tree, and y is the least vertex
-    of that meet (a smaller one would have found x first).
+    an edge (x, y) of pi_k as the set bits of below[x] & below[y].
+
+    ML2 is decided only where an ML3 count fails (witness._count_violation),
+    because ML1-3 below k and ML3 at k imply ML2 at k. Proof: the edges
+    labeled below k carry a MAT-labeling of (V, E_(k-1)), which has a
+    MAT-PEO (see oracle.find_mat_peo); by MS2 each vertex has at most k - 1
+    earlier neighbours along it, so E_(k-1) is chordal and colouring along
+    the PEO properly k-colours it. By ML3 the ends a, b of an edge labeled k
+    have k - 1 common neighbours in E_(k-1); they form a clique (two
+    non-adjacent ones would close a chordless 4-cycle with a and b), so a
+    and b both take the one colour it misses. A path labeled k keeps one
+    colour, and an edge of E_(k-1) has two: ML2 holds at level k. So ML1
+    and ML3 at every level imply ML2, and at the first level with a
+    violation ML2 fails only where an ML3 count fails too: the reports are
+    those of checking ML2 at every level.
     """
     vertices = lab.graph.vertices
     index = {v: i for i, v in enumerate(vertices)}
@@ -135,7 +144,6 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
             levels[k] = [(index[u], index[v])]
     n = len(vertices)
     parent = list(range(n))
-    tree = [0] * n  # at a root: the vertices of its tree, as a bitset
     below = [0] * n
     for k in sorted(levels):
         pi_k = levels[k]
@@ -151,33 +159,17 @@ def verify_mat_labeling(lab: EdgeLabeling) -> MatViolation | None:
 
                 return _cycle_violation(vertices, pi_k, e, k)
             parent[a] = b
-        forest = set().union(*pi_k)
-        roots = []
-        for x in forest:
-            r = x
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            tree[r] |= 1 << x
-            roots.append(r)
-        closing = [(x, r) for x, r in zip(forest, roots) if below[x] & tree[r]]
-        if closing:
-            from .witness import _closure_violation
-
-            x, r = min(closing)
-            return _closure_violation(lab, vertices, pi_k, k, x, below[x] & tree[r])
-        for x in forest:
-            parent[x] = x
-            tree[x] = 0
         need = k - 1
         for a, b in pi_k:
-            count = (below[a] & below[b]).bit_count()
-            if count != need:
-                from .witness import _triangle_violation
+            if (below[a] & below[b]).bit_count() != need:
+                from .witness import _count_violation
 
-                return _triangle_violation((vertices[a], vertices[b]), k, count)
+                return _count_violation(lab, vertices, pi_k, k, parent, below, (a, b))
         for a, b in pi_k:
             below[a] |= 1 << b
             below[b] |= 1 << a
+            parent[a] = a
+            parent[b] = b
     return None
 
 

@@ -221,21 +221,34 @@ def _cycle_violation(vertices, pi_k, e, k) -> MatViolation:
                         detail=f"edges labeled {k} contain a cycle")
 
 
-def _closure_violation(lab, vertices, pi_k, k, x, hits) -> MatViolation:
-    """ML2 at level k: vertex number x is joined below k to the vertices of
-    its tree of pi_k in the bitset hits, the least of which ends the edge."""
-    x, y = vertices[x], vertices[(hits & -hits).bit_length() - 1]
+def _count_violation(lab, vertices, pi_k, k, parent, below, e) -> MatViolation:
+    """The violation at level k, where ML1-3 hold below k, pi_k is a forest
+    of union-find parent and its edge e, a pair of vertex numbers, fails its
+    triangle count: ML2 at the least edge (x, y) of E_(k-1) inside a tree of
+    pi_k, if any, else ML3 at e. x is the least forest vertex whose below[x]
+    meets its tree, and y the least vertex of that meet."""
+    root, tree = {}, {}  # tree[r]: the vertices of r's tree, as a bitset
+    for x in set().union(*pi_k):
+        r = x
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        root[x] = r
+        tree[r] = tree.get(r, 0) | 1 << x
+    for x in sorted(root):
+        hits = below[x] & tree[root[x]]
+        if hits:
+            x, y = vertices[x], vertices[(hits & -hits).bit_length() - 1]
+            return MatViolation(
+                "ML2-closure", k,
+                edges=((x, y),) + _path_edges(_edge_ids(vertices, pi_k), x, y),
+                detail=f"edge {(x, y)} labeled {lab.label(x, y)} is spanned by edges labeled {k}",
+            )
+    a, b = e
+    u, v = vertices[a], vertices[b]
+    count = (below[a] & below[b]).bit_count()
     return MatViolation(
-        "ML2-closure", k, edges=((x, y),) + _path_edges(_edge_ids(vertices, pi_k), x, y),
-        detail=f"edge {(x, y)} labeled {lab.label(x, y)} is spanned by edges labeled {k}",
-    )
-
-
-def _triangle_violation(e, k, count) -> MatViolation:
-    """ML3 at level k: edge e of pi_k closes `count` triangles, not k - 1."""
-    return MatViolation(
-        "ML3-triangle-count", k, edges=(e,),
-        detail=f"edge {e} labeled {k} closes {count} triangles "
+        "ML3-triangle-count", k, edges=((u, v),),
+        detail=f"edge {(u, v)} labeled {k} closes {count} triangles "
                f"with earlier labels, needs {k - 1}",
     )
 
