@@ -14,7 +14,7 @@ function of the input graph.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import NoLeafPairError
 from .graph import Graph, canonical_edge
@@ -36,8 +36,8 @@ def _require_valid_complete(lab: EdgeLabeling, what: str) -> None:
         raise ValueError(f"{what} is not a MAT-labeling: {violation.detail}")
 
 
-def _mat_peo(table, vs, prefix, stage: str) -> list[int]:
-    """The greedy MAT-PEO from `prefix` of the clique on vs labeled by table.
+def _mat_peo(table, vs, kept, stage: str) -> list[int]:
+    """vs - kept in the greedy MAT-PEO order of the clique on vs in table.
 
     Lemma: in a MAT-labeled clique K on r >= 2 vertices, (a) along a
     MAT-PEO v_1..v_r the labels from v_i back are 1..i-1, so one edge, the
@@ -53,30 +53,28 @@ def _mat_peo(table, vs, prefix, stage: str) -> list[int]:
     u (MS2) and pairs {a, v_r} labeled <= r - 2 < r - 1 (MS3).
 
     Removing a MAT-simplicial vertex leaves a MAT-labeling, so the greedy
-    peels the smaller end outside `prefix` of the top edge of the vertices
+    peels the smaller end outside kept of the top edge of the vertices
     left: the first edge, in descending label order, with both ends left.
-    If it is not labeled (vertices left - 1), or both its ends are in the
-    prefix, no MAT-PEO starts with the prefix.
+    If it is not labeled (vertices left - 1), or both its ends are kept,
+    no MAT-PEO starts with the kept vertices.
     """
-    left, kept = set(vs), set(prefix)
+    left = set(vs)
     top = iter(sorted(combinations(sorted(vs), 2), key=table.__getitem__, reverse=True))
     removal = []
-    while len(left) > len(kept):
-        if len(left) > 1:
-            u, v = next(e for e in top if e[0] in left and e[1] in left)
-            if table[u, v] != len(left) - 1 or (u in kept and v in kept):
-                raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
-            peeled = v if u in kept else u
-            left.remove(peeled)
-            removal.append(peeled)
-        else:
-            removal.append(left.pop())
-    return list(prefix) + removal[::-1]
+    while len(left) > max(len(kept), 1):
+        u, v = next(e for e in top if e[0] in left and e[1] in left)
+        if table[u, v] != len(left) - 1 or (u in kept and v in kept):
+            raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
+        peeled = v if u in kept else u
+        left.remove(peeled)
+        removal.append(peeled)
+    removal.extend(left - kept)
+    return removal[::-1]
 
 
 def _extend_into(table, w, vs) -> None:
     """Label the edges at vs - w, given the clique on w labeled in table."""
-    order = _mat_peo(table, w, (), "extension")
+    order = _mat_peo(table, w, frozenset(), "extension")
     for v in sorted(vs - w):
         for i, u in enumerate(order, start=1):
             table[canonical_edge(u, v)] = i
@@ -84,13 +82,21 @@ def _extend_into(table, w, vs) -> None:
 
 
 def _merge_into(table, a, b) -> None:
-    """Label the edges between a - b and b - a, given a and b labeled in table."""
-    shared_order = _mat_peo(table, a & b, (), "merge")
-    order_a = _mat_peo(table, a, shared_order, "merge")
-    order_b = _mat_peo(table, b, shared_order, "merge")
-    p = len(shared_order)
-    for i, x in enumerate(order_a[p:], start=1):
-        for j, y in enumerate(order_b[p:], start=1):
+    """Label the edges between a - b and b - a, given a and b labeled in table.
+
+    {x_i, y_j} gets p + i + j - 1, for p = |a & b| and x, y the greedy orders
+    of a - b and b - a peeled down to a & b. The merge lemma needs a MAT-PEO
+    sigma of a & b that starts both full orders: a & b is MAT-labeled as a is
+    (oracle.find_mat_peo), and being MAT-simplicial depends only on the
+    vertices before it, so sigma + x and sigma + y are MAT-PEOs of a and b for
+    every MAT-PEO sigma of a & b. No label reads sigma, so none is computed.
+    """
+    shared = a & b
+    p = len(shared)
+    order_a = _mat_peo(table, a, shared, "merge")
+    order_b = _mat_peo(table, b, shared, "merge")
+    for i, x in enumerate(order_a, start=1):
+        for j, y in enumerate(order_b, start=1):
             table[canonical_edge(x, y)] = p + i + j - 1
 
 
@@ -112,14 +118,10 @@ def extend_labeling_complete(
     is (o_1, ..., o_(m-1)).
     """
     w = frozenset(w)
-    if vertices is None:
-        vs = set(w)
-        candidate = 1
-        while len(vs) < ell:
-            vs.add(candidate)
-            candidate += 1
-    else:
-        vs = set(vertices)
+    vs = set(w if vertices is None else vertices)
+    fresh = count(1)
+    while vertices is None and len(vs) < ell:
+        vs.add(next(fresh))
     if len(vs) != ell or not w <= vs:
         raise ValueError("target vertex set must have size ell and contain w")
     if lab_w.graph.vertex_set != w:
@@ -133,24 +135,21 @@ def extend_labeling_complete(
 def merge_complete(a, b, lab_a: EdgeLabeling, lab_b: EdgeLabeling) -> EdgeLabeling:
     """Merge MAT-labelings of the cliques on a and b into one of K_(a | b).
 
-    Requires agreement on the shared clique a & b. A common MAT-PEO
-    (a_1..a_p) of the shared part is extended to both sides; the cross
-    edge {a_(p+i), b_j} then gets label p + i + j - 1. The result restricts
-    to lab_a on a and lab_b on b.
+    Requires agreement on the shared clique a & b. The cross edges are
+    labeled by `_merge_into`; the result restricts to lab_a and lab_b.
     """
     a, b = frozenset(a), frozenset(b)
     if lab_a.graph.vertex_set != a or lab_b.graph.vertex_set != b:
         raise ValueError("labelings must live on the cliques over a and b")
     _require_valid_complete(lab_a, "lab_a")
     _require_valid_complete(lab_b, "lab_b")
-    for u, v in _complete(a & b).edges:
+    for u, v in combinations(sorted(a & b), 2):
         if lab_a.label(u, v) != lab_b.label(u, v):
             raise ValueError(
                 f"labelings disagree on shared edge {(u, v)}: "
                 f"{lab_a.label(u, v)} vs {lab_b.label(u, v)}"
             )
-    labels = lab_a.labels
-    labels.update(lab_b.labels)
+    labels = lab_a.labels | lab_b.labels
     _merge_into(labels, a, b)
     return EdgeLabeling(_complete(a | b), labels)
 

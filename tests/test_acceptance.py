@@ -190,6 +190,23 @@ def test_exhaustive_search_outputs_are_pinned(corpus6_facts, random78_facts):
     assert digest.hexdigest() == CORPUS_BRUTE_DIGEST
 
 
+# the same over the constructor's outputs; 14,003 corpus graphs are strongly
+# chordal and get one
+CORPUS_CONSTRUCT_DIGEST = "51e7e7a2dbd50b0264e65e9c99338a38cd0e52d86f4b66d73a64ebc01d304739"
+
+
+def test_constructor_outputs_are_pinned(corpus6_facts, random78_facts):
+    # the constructor is a deterministic function of the graph; a change to
+    # how it reads its orders must keep every labeling
+    corpus = corpus6_facts + random78_facts
+    digest = hashlib.sha256()
+    for facts in corpus:
+        out = None if facts.constructed is None else facts.constructed.items()
+        digest.update((repr(out) + "\n").encode())
+    assert sum(facts.constructed is not None for facts in corpus) == 14_003
+    assert digest.hexdigest() == CORPUS_CONSTRUCT_DIGEST
+
+
 def test_criterion_6_factorization(corpus6_facts, random78_facts):
     bad = 0
     checked = 0

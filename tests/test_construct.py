@@ -132,26 +132,27 @@ def test_extend_from_empty_is_height_labeling():
 def test_extend_peels_one_mat_peo(monkeypatch):
     seen = []
 
-    def counting(table, vs, prefix, stage):
-        seen.append((set(vs), tuple(prefix), stage))
-        return _mat_peo(table, vs, prefix, stage)
+    def counting(table, vs, kept, stage):
+        seen.append((set(vs), set(kept), stage))
+        return _mat_peo(table, vs, kept, stage)
 
     monkeypatch.setattr("matlabel.construct._mat_peo", counting)
     lab = extend_labeling_complete(12, {3, 7}, height_labeling_complete(2, [3, 7]))
-    assert seen == [({3, 7}, (), "extension")]
+    assert seen == [({3, 7}, set(), "extension")]
     assert lab == _extend_by_repeel({3, 7}, height_labeling_complete(2, [3, 7]),
                                     range(1, 13))
 
 
 def test_failed_mat_peo_of_a_verified_clique_is_an_internal_error():
     # merges and extensions only meet MAT-labeled cliques; a clique without
-    # a MAT-PEO from its prefix is a bug, reported with the stage
+    # a MAT-PEO that starts with its kept vertices is a bug, reported with
+    # the stage
     ones = dict.fromkeys(combinations((1, 2, 3), 2), 1)
     with pytest.raises(RuntimeError, match="extension: no MAT-PEO of a clique of size 3"):
-        _mat_peo(ones, {1, 2, 3}, (), "extension")
+        _mat_peo(ones, {1, 2, 3}, frozenset(), "extension")
     height = height_labeling_complete(3, vertices=[3, 4, 5]).labels
     with pytest.raises(RuntimeError, match="merge: no MAT-PEO of a clique of size 3"):
-        _mat_peo(height, {3, 4, 5}, [3, 5], "merge")
+        _mat_peo(height, {3, 4, 5}, {3, 5}, "merge")
 
 
 def test_extend_validation():
@@ -262,6 +263,40 @@ def test_node_family_merges_as_the_recursive_peel(monkeypatch):
             if poset.covers[x]:
                 recursive(poset, poset.covers[x], expected)
         assert merged == expected
+
+
+# strongly chordal; its poset node {1, 3, 4, 5} merges {3, 4, 5} and {1, 3}
+# over {3}, and {1, 2, 3, 4, 5} merges its covers over the triangle {3, 4, 5}
+SC8_EDGES = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (2, 3), (2, 4), (2, 5),
+             (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7),
+             (5, 6), (5, 7)]
+
+
+def test_a_merge_peels_two_greedy_orders(monkeypatch):
+    # the cross labels read |a & b| and the orders of a - b and b - a only,
+    # so no order of the shared clique is computed
+    import matlabel.construct as construct
+
+    peeled, merges = [], []
+    real_peo, real_merge = construct._mat_peo, construct._merge_into
+
+    def peeling(table, vs, kept, stage):
+        peeled.append((frozenset(vs), frozenset(kept), stage))
+        return real_peo(table, vs, kept, stage)
+
+    def merging(table, a, b):
+        start = len(peeled)
+        real_merge(table, a, b)
+        merges.append((frozenset(a), frozenset(b), peeled[start:]))
+
+    monkeypatch.setattr(construct, "_mat_peo", peeling)
+    monkeypatch.setattr(construct, "_merge_into", merging)
+    construct_mat_labeling(Graph.from_edges(SC8_EDGES))
+    assert [(set(a), set(b)) for a, b, _ in merges] == [({3, 4, 5}, {1, 3}),
+                                                        ({2, 3, 4, 5}, {1, 3, 4, 5})]
+    for a, b, calls in merges:
+        assert calls == [(a, a & b, "merge"), (b, a & b, "merge")]
+    assert sum(stage == "merge" for *_, stage in peeled) == 2 * len(merges)
 
 
 def test_node_family_complete():

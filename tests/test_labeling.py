@@ -195,16 +195,17 @@ def test_find_mat_peo_rejects_invalid():
 def test_find_mat_peo_with_prefix(ui7_labeling):
     clique = ui7_labeling.restrict_vertices({2, 3, 4, 5})
     assert find_mat_peo(clique) == [5, 4, 3, 2]
-    # the constructor's greedy from a prefix: the smaller end outside the
-    # prefix of the top edge goes first
+    # the constructor's greedy down to a kept set: the smaller end outside
+    # the kept set of the top edge goes first; the peeled vertices come back
+    # in MAT-PEO order, without the kept ones
     table, vs = clique.labels, clique.graph.vertex_set
-    assert _mat_peo(table, vs, [2], "merge") == [2, 4, 3, 5]
-    assert _mat_peo(table, vs, (4, 5), "merge") == [4, 5, 3, 2]
-    assert _mat_peo(table, vs, [5, 4, 3, 2], "merge") == [5, 4, 3, 2]
+    assert _mat_peo(table, vs, {2}, "merge") == [4, 3, 5]
+    assert _mat_peo(table, vs, {4, 5}, "merge") == [3, 2]
+    assert _mat_peo(table, vs, {2, 3, 4, 5}, "merge") == []
     assert is_mat_peo(clique, [2, 4, 3, 5])
-    # edge 2-3 is labeled 2, so the prefix (2, 3) is no MAT-PEO and stays stuck
+    # edge 2-3 is labeled 2, so no MAT-PEO starts with {2, 3} and the peel is stuck
     with pytest.raises(RuntimeError, match="merge: no MAT-PEO of a clique of size 4"):
-        _mat_peo(table, vs, [2, 3], "merge")
+        _mat_peo(table, vs, {2, 3}, "merge")
 
 
 def test_find_mat_peo_single_vertex():

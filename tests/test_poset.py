@@ -230,6 +230,33 @@ def test_poset_matches_the_fixpoint_and_pairwise_scan():
         CliquePoset([])
 
 
+def _meets_of_vertices_and_edges(g, cliques):
+    """K(S) for every vertex and edge S of g, where K(S) is the meet of the
+    cliques that contain S."""
+    through = {v: [c for c in cliques if v in c] for v in g.vertices}
+    meets = {frozenset.intersection(*through[v]) for v in g.vertices}
+    meets |= {frozenset.intersection(*(c for c in through[u] if v in c))
+              for u, v in g.edges}
+    return meets
+
+
+def test_strongly_chordal_poset_nodes_are_meets_of_vertices_and_edges(corpus6_facts):
+    # the lemma in CliquePoset's docstring: N <= n + m + 1
+    rng = random.Random(61)
+    graphs = [facts.graph for facts in corpus6_facts if facts.strongly_chordal]
+    graphs += [random_strongly_chordal(rng.randint(1, 40), rng=rng,
+                                       grow_bias=(0.3, 0.6, 0.9)[i % 3]) for i in range(300)]
+    graphs.append(Graph.from_edges([(1, v) for v in range(2, 52)]))  # star(50)
+    for g in graphs:
+        p = build_poset(g)
+        assert set(p.nodes) - {frozenset()} == _meets_of_vertices_and_edges(g, p.maximal_nodes)
+        assert len(p.nodes) <= g.n + g.m + 1
+    assert len(graphs) > 300
+    # D_8 is chordal, not strongly chordal, and has more
+    d8 = _d(8)
+    assert (len(build_poset(d8).nodes), d8.n + d8.m + 1) == (264, 101)
+
+
 def test_poset_invariants_sampled():
     rng = random.Random(31)
     for _ in range(40):
