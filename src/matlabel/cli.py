@@ -126,16 +126,15 @@ def cmd_exponents(args) -> int:
         exps = dual_partition_exponents(lab)
         factors_check = check_terao_factorization(g, exps)
     else:
-        from .chordal import peo_exponents
+        from .chordal import find_chordless_cycle, peo_exponents
 
         maybe = peo_exponents(g)
         if maybe is None:
-            from .strong_chordal import strongly_chordal_obstruction
             from .witness import _witness_json
 
-            kind, cycle = strongly_chordal_obstruction(g)
             _emit(args, {"error": "graph is not chordal and no labeling given",
-                         "witness": _witness_json(kind, cycle)})
+                         "witness": _witness_json("chordless-cycle",
+                                                  find_chordless_cycle(g))})
             return EXIT_REJECT
         exps = maybe
         # chi(G) is prod (t - e) over the exponents along a PEO, so these

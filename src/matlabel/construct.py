@@ -54,20 +54,24 @@ def _mat_peo(table, vs, kept, stage: str) -> list[int]:
 
     Removing a MAT-simplicial vertex leaves a MAT-labeling, so the greedy
     peels the smaller end outside kept of the top edge of the vertices
-    left: the first edge, in descending label order, with both ends left.
-    If it is not labeled (vertices left - 1), or both its ends are kept,
-    no MAT-PEO starts with the kept vertices.
+    left. One max over the clique's pairs finds the first top edge; after
+    that no pair is searched. The end left behind was MAT-simplicial (c),
+    so it still is in the vertices left, and MS2 puts it on their top
+    edge: the next top edge is the largest label on its row. If a top edge
+    is not labeled (vertices left - 1), or both its ends are kept, no
+    MAT-PEO starts with the kept vertices.
     """
     left = set(vs)
-    top = iter(sorted(combinations(sorted(vs), 2), key=table.__getitem__, reverse=True))
+    row = combinations(sorted(vs), 2)
     removal = []
     while len(left) > max(len(kept), 1):
-        u, v = next(e for e in top if e[0] in left and e[1] in left)
+        u, v = max(row, key=table.__getitem__)
         if table[u, v] != len(left) - 1 or (u in kept and v in kept):
             raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
-        peeled = v if u in kept else u
+        peeled, end = (v, u) if u in kept else (u, v)
         left.remove(peeled)
         removal.append(peeled)
+        row = (canonical_edge(end, z) for z in left if z != end)
     removal.extend(left - kept)
     return removal[::-1]
 

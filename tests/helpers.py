@@ -22,6 +22,13 @@ def add_vertex(g: Graph, v: int, neighbors: Iterable[int] = ()) -> Graph:
     return Graph(g.vertex_set | {v}, list(g.edges) + [(v, w) for w in nbrs])
 
 
+def band(n: int, w: int) -> Graph:
+    """Vertices 1..n, ij an edge iff 0 < |i - j| <= w: a unit interval graph
+    whose maximal cliques are its windows of w + 1 consecutive vertices."""
+    return Graph(range(1, n + 1), [(i, j) for i in range(1, n + 1)
+                                   for j in range(i + 1, min(n, i + w) + 1)])
+
+
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True iff the vertices of s are pairwise adjacent (vacuous for |s| <= 1)."""
     vs = g._require_subset(s)
@@ -52,6 +59,23 @@ def random_peo(g: Graph, rng: random.Random) -> list[int] | None:
     removal, left = peel(Graph(range(g.n), [(to[u], to[v]) for u, v in g.edges]),
                          is_simplicial)
     return None if left else [ids[i] for i in reversed(removal)]
+
+
+def sorted_scan_mat_peo(table, vs, kept, stage: str) -> list[int]:
+    """construct._mat_peo as it was before it walked the top edge: all
+    pairs of the clique sorted by label, scanned for each step's top edge."""
+    left = set(vs)
+    top = iter(sorted(combinations(sorted(vs), 2), key=table.__getitem__, reverse=True))
+    removal = []
+    while len(left) > max(len(kept), 1):
+        u, v = next(e for e in top if e[0] in left and e[1] in left)
+        if table[u, v] != len(left) - 1 or (u in kept and v in kept):
+            raise RuntimeError(f"{stage}: no MAT-PEO of a clique of size {len(vs)}")
+        peeled = v if u in kept else u
+        left.remove(peeled)
+        removal.append(peeled)
+    removal.extend(left - kept)
+    return removal[::-1]
 
 
 def graph_to_json_dict(g: Graph) -> dict:

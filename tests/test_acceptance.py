@@ -45,7 +45,7 @@ from matlabel.families import (
 from matlabel.oracle import enumerate_graphs
 
 from .conftest import UI7_EDGES, UI7_EXPONENTS, UI7_POSET_COVERS, UI7_POSET_NODES
-from .helpers import with_label
+from .helpers import band, with_label
 
 
 def report(num, name, ok, detail=""):
@@ -205,6 +205,24 @@ def test_constructor_outputs_are_pinned(corpus6_facts, random78_facts):
         digest.update((repr(out) + "\n").encode())
     assert sum(facts.constructed is not None for facts in corpus) == 14_003
     assert digest.hexdigest() == CORPUS_CONSTRUCT_DIGEST
+
+
+# the same over dense graphs, where the greedy MAT-PEOs walk many steps:
+# bands band(n, n // 2) and band(60, w), complete graphs and SC graphs on 80
+# vertices at bias 0.9, 35 graphs and 14,547 edges in all
+DENSE_CONSTRUCT_DIGEST = "e9dd953749ec8bec338e5d2de7278064cab9bbcbccc7e33543e109e14cf199a4"
+
+
+def test_dense_constructor_outputs_are_pinned():
+    graphs = [band(n, n // 2) for n in range(4, 61, 4)]
+    graphs += [band(60, w) for w in (5, 10, 20, 40)]
+    graphs += [complete_graph(n) for n in (5, 10, 20, 30)]
+    graphs += [random_strongly_chordal(80, seed=s, grow_bias=0.9) for s in range(12)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update((repr(construct_mat_labeling(g).items()) + "\n").encode())
+    assert (len(graphs), sum(g.m for g in graphs)) == (35, 14_547)
+    assert digest.hexdigest() == DENSE_CONSTRUCT_DIGEST
 
 
 def test_criterion_6_factorization(corpus6_facts, random78_facts):

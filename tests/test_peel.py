@@ -21,7 +21,7 @@ from matlabel.oracle import enumerate_graphs
 from matlabel.poset import build_poset
 from matlabel.strong_chordal import find_sun, simple_elimination
 
-from .helpers import with_label
+from .helpers import sorted_scan_mat_peo, with_label
 
 
 def rescan_peel(g: Graph, removable):
@@ -229,7 +229,8 @@ def mat_labelings_of_cliques(top: int):
 
 
 def test_construct_mat_peo_matches_the_rebuild_loop_on_every_small_clique():
-    # the top-edge lemma of construct._mat_peo against the search it replaced
+    # the top-edge walk of construct._mat_peo against the search it replaced,
+    # and against the sort over all pairs that the walk replaced
     rng = random.Random(97)
     counts, stuck = Counter(), 0
     for m, table in mat_labelings_of_cliques(6):
@@ -243,11 +244,13 @@ def test_construct_mat_peo_matches_the_rebuild_loop_on_every_small_clique():
             expected = rebuild_find_mat_peo(lab, prefix)
             if expected is None:
                 stuck += 1
-                with pytest.raises(RuntimeError, match=f"merge: no MAT-PEO of a clique "
-                                                       f"of size {m}$"):
-                    _mat_peo(labels, vs, set(prefix), "merge")
+                for mat_peo in (_mat_peo, sorted_scan_mat_peo):
+                    with pytest.raises(RuntimeError, match=f"merge: no MAT-PEO of a "
+                                                           f"clique of size {m}$"):
+                        mat_peo(labels, vs, set(prefix), "merge")
             else:
-                assert _mat_peo(labels, vs, set(prefix), "merge") == expected[len(prefix):]
+                for mat_peo in (_mat_peo, sorted_scan_mat_peo):
+                    assert mat_peo(labels, vs, set(prefix), "merge") == expected[len(prefix):]
     # 2^((m-1)(m-2)/2) MAT-labelings of K_m along 1..m, 1100 in all
     assert counts == {m: 2 ** ((m - 1) * (m - 2) // 2) for m in range(1, 7)}
     assert stuck >= 1000

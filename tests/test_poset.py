@@ -29,7 +29,7 @@ from matlabel.graph import sorted_sets
 from matlabel.oracle import brute_minimal_separators, enumerate_graphs
 
 from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
-from .helpers import is_clique, random_peo
+from .helpers import band, is_clique, random_peo
 
 
 def test_maximal_cliques_complete():
@@ -172,13 +172,6 @@ def _worklist_poset(cliques):
     return [(x, sorted_sets(covers[x])) for x in sorted_sets(covers)]
 
 
-def _band(n, w):
-    """Vertices 1..n, ij an edge iff 0 < |i - j| <= w: a unit interval graph
-    whose maximal cliques are its windows of w + 1 consecutive vertices."""
-    return Graph(range(1, n + 1), [(i, j) for i in range(1, n + 1)
-                                   for j in range(i + 1, min(n, i + w) + 1)])
-
-
 def _d(t):
     """D_t: a clique on 1..t, and t + i adjacent to every clique vertex but
     i. Chordal, not strongly chordal for t >= 3, about 2^t poset nodes."""
@@ -206,12 +199,12 @@ def test_poset_matches_the_fixpoint_and_pairwise_scan():
                Graph([7]), Graph([])]
     # bands have wide nodes, whose vertices lie in as many cliques in all as
     # there are cliques; D_t is not strongly chordal, and has about 2^t nodes
-    graphs += [_band(n, w) for n in (6, 11, 17, 24) for w in (1, 2, 3, 5, 8) if w < n]
+    graphs += [band(n, w) for n in (6, 11, 17, 24) for w in (1, 2, 3, 5, 8) if w < n]
     graphs += [_d(t) for t in range(3, 7)]
     # three or more components: the empty meet comes from a clique that
     # misses the node
     unions = [_disjoint_union([Graph([1])] * 3),
-              _disjoint_union([_d(3), path_graph(5), _band(9, 3)]),
+              _disjoint_union([_d(3), path_graph(5), band(9, 3)]),
               _disjoint_union([complete_graph(4), Graph([1]), n_sun(3), Graph([1, 2])])]
     unions += [_disjoint_union(random_strongly_chordal(rng.randint(1, 12), rng=rng)
                                for _ in range(rng.randint(3, 5))) for _ in range(30)]
