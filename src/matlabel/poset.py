@@ -12,7 +12,7 @@ is an oracle (matlabel.oracle).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chordal import find_peo
 from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
@@ -20,25 +20,35 @@ from .graph import Graph, sorted_sets
 from .strong_chordal import strongly_chordal_obstruction
 
 
-def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
-    """All maximal cliques of a chordal graph, canonically sorted.
+def clique_tree(g: Graph) -> tuple[list[frozenset[int]], list[int | None]]:
+    """Maximal cliques and a clique tree of a chordal graph; NotChordalError if not.
 
-    Computed from the MCS order that find_peo returns: each vertex together
-    with its earlier neighbors is a clique, every maximal clique arises this
-    way, and along an MCS order a candidate is maximal iff it is not a
-    proper subset of the next one (Blair & Peyton 1993). Raises
-    NotChordalError on non-chordal input.
+    parent[i] < i is the index of clique i's parent, None at each root. Each
+    vertex and its earlier neighbors in find_peo's MCS order form a clique,
+    maximal iff not a proper subset of the next: so a vertex joins the clique
+    being grown iff its earlier neighbors are that clique, else starts one
+    under the clique of its latest earlier neighbor (Blair & Peyton 1993).
     """
     order = find_peo(g)
     if order is None:
         raise NotChordalError("graph is not chordal")
     if g.n == 0:
-        return (frozenset(),)
-    position = {v: i for i, v in enumerate(order)}
-    candidates = [frozenset(u for u in g.neighborhood(v) if position[u] < i) | {v}
-                  for i, v in enumerate(order)]
-    return sorted_sets(c for c, after in zip(candidates, candidates[1:] + [frozenset()])
-                       if not c < after)
+        return [frozenset()], [None]
+    home = {}  # vertex -> the index of its clique, which grows along the order
+    cliques, parent = [], []
+    for v in order:
+        earlier = frozenset(u for u in g.neighborhood(v) if u in home)
+        if not cliques or earlier != cliques[-1]:
+            parent.append(max(map(home.__getitem__, earlier), default=None))
+            cliques.append(earlier)
+        cliques[-1] |= {v}
+        home[v] = len(cliques) - 1
+    return cliques, parent
+
+
+def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
+    """All maximal cliques of a chordal graph, canonically sorted; see clique_tree."""
+    return sorted_sets(clique_tree(g)[0])
 
 
 class CliquePoset:
@@ -57,13 +67,13 @@ class CliquePoset:
     every node. Meets are taken largest first, each kept unless it lies in
     a cover kept before it (a later meet is no larger, so contains none).
 
-    The meets of x are those with the cliques through its vertices, plus
-    the empty set when some clique misses x. Proof: a clique c that meets
-    x shares a vertex v of x, so an index from each vertex to the cliques
-    that contain it lists c under v; a clique c disjoint from x
-    contributes only x & c = the empty set. A wide node, whose vertices
-    lie in as many cliques in all (with repeats) as there are cliques, is
-    met with every clique instead: the index walk would visit no fewer.
+    Lemma: let `parent` make the cliques a clique tree T, as clique_tree
+    returns it. The meets of a nonempty x need only the cliques next to C_x
+    in T, plus the empty set when T is a forest, where the cliques through
+    x, C_x, are the intersection of its vertices' subtrees, so a subtree.
+    Proof: for a clique c outside C_x in the tree of C_x, the T-path from c
+    enters C_x through a neighbor c' of C_x, and every vertex of x & c lies
+    on that whole path, so x & c <= x & c'. Another tree's cliques miss x.
 
     Lemma: for the maximal cliques of a strongly chordal graph, every
     non-empty node x is K({u, v}) for some u, v in x, u = v allowed, where
@@ -84,16 +94,19 @@ class CliquePoset:
 
     __slots__ = ("nodes", "covers", "maximal_nodes")
 
-    def __init__(self, cliques: Iterable[frozenset[int]]):
+    def __init__(self, cliques: Sequence[frozenset[int]], parent: Sequence[int | None]):
         self.maximal_nodes: frozenset[frozenset[int]] = frozenset(cliques)
         if not self.maximal_nodes:
             raise ValueError("poset needs at least one maximal clique")
-        containing: dict[int, list[frozenset[int]]] = {}
-        for c in self.maximal_nodes:
+        through = {}  # vertex -> the indices of the cliques through it
+        near = [[] for _ in cliques]  # index -> its neighbors in the tree
+        for i, (c, up) in enumerate(zip(cliques, parent, strict=True)):
             for v in c:
-                containing.setdefault(v, []).append(c)
-        load = {v: len(cs) for v, cs in containing.items()}
-        n_cliques = len(self.maximal_nodes)
+                through.setdefault(v, set()).add(i)
+            if up is not None:
+                near[i].append(up)
+                near[up].append(i)
+        apart = {frozenset()} if parent.count(None) > 1 else set()  # other trees' meets
         covers: dict[frozenset[int], list[frozenset[int]]] = {}
         todo = list(self.maximal_nodes)
         while todo:
@@ -101,14 +114,11 @@ class CliquePoset:
             if x in covers:
                 continue
             kept = covers[x] = []
-            if sum(map(load.__getitem__, x)) < n_cliques:
-                through = {c for v in x for c in containing[v]}
-                meets = {x & c for c in through}
-                if len(through) < n_cliques:
-                    meets.add(frozenset())
-            else:
-                meets = {x & c for c in self.maximal_nodes}
-            meets.discard(x)  # x & c is x iff c >= x
+            if not x:
+                continue  # the least node
+            ids = [through[v] for v in x]
+            inside = min(ids, key=len).intersection(*ids)
+            meets = apart | {x & cliques[j] for i in inside for j in near[i] if j not in inside}
             for meet in sorted(meets, key=len, reverse=True):
                 if not any(meet < y for y in kept):
                     kept.append(meet)
@@ -123,7 +133,7 @@ class CliquePoset:
 
 def build_poset(g: Graph) -> CliquePoset:
     """Clique intersection poset of a chordal graph; NotChordalError if not."""
-    return CliquePoset(maximal_cliques(g))
+    return CliquePoset(*clique_tree(g))
 
 
 def strongly_chordal_poset(g: Graph) -> CliquePoset:

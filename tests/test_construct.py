@@ -397,9 +397,9 @@ def test_construct_rejects_before_building_the_poset(ui7, monkeypatch):
     built = []
     real = CliquePoset.__init__
 
-    def counting(self, cliques):
+    def counting(self, cliques, parent):
         built.append(cliques)
-        real(self, cliques)
+        real(self, cliques, parent)
 
     monkeypatch.setattr(CliquePoset, "__init__", counting)
     construct_mat_labeling(ui7)

@@ -27,6 +27,7 @@ from matlabel.families import (
 )
 from matlabel.graph import sorted_sets
 from matlabel.oracle import brute_minimal_separators, enumerate_graphs
+from matlabel.poset import clique_tree
 
 from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
 from .helpers import band, is_clique, random_peo
@@ -197,8 +198,9 @@ def test_poset_matches_the_fixpoint_and_pairwise_scan():
     graphs += [path_graph(300)] + [n_sun(k) for k in range(3, 7)]
     graphs += [Graph.from_edges([(1, 2), (3, 4), (4, 5)]), Graph([1, 2, 3], [(1, 2)]),
                Graph([7]), Graph([])]
-    # bands have wide nodes, whose vertices lie in as many cliques in all as
-    # there are cliques; D_t is not strongly chordal, and has about 2^t nodes
+    # a band's clique tree is a path and its nodes are runs of up to w + 1
+    # vertices, each met only with the windows at the two ends of the run's
+    # subpath; D_t is not strongly chordal, and has about 2^t nodes
     graphs += [band(n, w) for n in (6, 11, 17, 24) for w in (1, 2, 3, 5, 8) if w < n]
     graphs += [_d(t) for t in range(3, 7)]
     # three or more components: the empty meet comes from a clique that
@@ -220,7 +222,67 @@ def test_poset_matches_the_fixpoint_and_pairwise_scan():
     assert len(graphs) > 19000 and with_empty > 10000
     assert build_poset(Graph([])).nodes == (frozenset(),)
     with pytest.raises(ValueError):
-        CliquePoset([])
+        CliquePoset([], [])
+
+
+def _star(n):
+    return Graph.from_edges([(1, v) for v in range(2, n + 1)])
+
+
+def test_clique_tree_is_a_clique_tree():
+    rng = random.Random(67)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n, is_chordal)]
+    graphs += [random_strongly_chordal(rng.randint(1, 60), rng=rng,
+                                       grow_bias=(0.3, 0.6, 0.9)[i % 3]) for i in range(150)]
+    graphs += [_d(t) for t in range(3, 7)] + [_star(n) for n in (2, 3, 50)]
+    graphs += [band(n, w) for n in (6, 11, 17, 24) for w in (1, 2, 3, 5, 8) if w < n]
+    graphs += [_disjoint_union([_d(3), path_graph(5), band(9, 3), _star(6)]),
+               _disjoint_union([Graph([1])] * 3)]
+    graphs += [_disjoint_union(random_strongly_chordal(rng.randint(1, 12), rng=rng)
+                               for _ in range(rng.randint(2, 5))) for _ in range(30)]
+    small = rng.sample([g for g in graphs if 3 <= g.n <= 8], 150)
+    small += [g for g in (random_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+                          for n in (7, 8) for _ in range(150)) if is_chordal(g)]
+    for g in graphs + small:
+        cliques, parent = clique_tree(g)
+        assert len(set(cliques)) == len(cliques) == len(parent), g.edges
+        assert all(up is None or up < i for i, up in enumerate(parent)), g.edges
+        assert parent.count(None) == len(g.components()), g.edges
+        # the cliques through a vertex span a subtree: one fewer edge than cliques
+        for v in g.vertices:
+            through = {i for i, c in enumerate(cliques) if v in c}
+            edges = sum(parent[i] in through for i in through)
+            assert edges == len(through) - 1, (g.edges, v)
+    # the edge separators of a clique tree are the minimal separators (Ho & Lee)
+    for g in small:
+        cliques, parent = clique_tree(g)
+        separators = {cliques[i] & cliques[up] for i, up in enumerate(parent) if up is not None}
+        assert separators == brute_minimal_separators(g), g.edges
+    assert len(graphs) > 19000 and len(small) > 200
+
+
+def _meets_per_node(g):
+    meets = [0]
+
+    class Counted(frozenset):
+        """A clique that counts the meets taken with it."""
+
+        def __and__(self, other):
+            meets[0] += 1
+            return frozenset.__and__(self, other)
+
+        __rand__ = __and__
+
+    cliques, parent = clique_tree(g)
+    p = CliquePoset([Counted(c) for c in cliques], parent)
+    return meets[0] / len(p.nodes)
+
+
+def test_poset_meets_per_node_do_not_grow_with_the_graph():
+    # a rule that meets a node with the cliques through its vertices, or with
+    # every clique, takes twice the meets per node at twice the size
+    for smaller, larger in [(band(40, 20), band(80, 40)), (_star(400), _star(800))]:
+        assert _meets_per_node(larger) <= 1.5 * _meets_per_node(smaller)
 
 
 def _meets_of_vertices_and_edges(g, cliques):
