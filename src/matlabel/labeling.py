@@ -54,15 +54,6 @@ class EdgeLabeling:
         self.graph = graph
         self._labels = table
 
-    @classmethod
-    def _from_table(cls, graph: Graph, table: dict[tuple[int, int], int]) -> "EdgeLabeling":
-        """A labeling of graph by a canonical {edge: label} table that has
-        passed the checks of __init__ (io.parse_labeling_json makes them)."""
-        lab = object.__new__(cls)
-        lab.graph = graph
-        lab._labels = table
-        return lab
-
     def label(self, u: int, v: int) -> int:
         return self._labels[canonical_edge(u, v)]
 

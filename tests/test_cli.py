@@ -501,6 +501,19 @@ def test_parse_error_exit_code(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() converts strings of any length")
+def test_an_over_long_vertex_id_names_its_line(capsys, tmp_path):
+    # int() refuses a decimal string beyond the interpreter's digit limit;
+    # a plain `u v` line words that as every other unreadable line
+    path = tmp_path / "long.txt"
+    path.write_text("1 2\n1 " + "9" * 5_000 + "\n")
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("matlabel: error: line 2: cannot parse")
+
+
 # a valid labeling of the path 1-2-3, for cases where the graph file is at fault
 P3_LABELING = {"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 1}]}
 

@@ -404,20 +404,51 @@ def test_only_text_the_loop_does_not_take_reaches_the_plain_reader(monkeypatch):
                  '{"edges":[{"u":2,"v":1,"label":1},{"u":2,"v":3,"label":2}]}'):
         assert _assert_read_alike(P3, text) == ("ok", {(1, 2): 1, (2, 3): 2})
     assert reached == []
-    # an extra entry key, an extra top-level key, then domain mismatches
+    # every fault EdgeLabeling words: a label 0, a self-loop, a negative id,
+    # one edge in both orientations, then domain mismatches
     for text, outcome in [
-        ('{"edges": [{"u": 1, "v": 2, "label": 1, "note": 0}, {"u": 2, "v": 3, "label": 2}]}',
-         ("ok", {(1, 2): 1, (2, 3): 2})),
-        ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}], "meta": 0}',
-         ("ok", {(1, 2): 1, (2, 3): 2})),
+        ('{"edges": [{"u": 1, "v": 2, "label": 0}, {"u": 2, "v": 3, "label": 2}]}',
+         ("error", "label of (1, 2) must be a positive integer, got 0")),
+        ('{"edges": [{"u": 1, "v": 1, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
+         ("error", "self-loop at vertex 1")),
+        ('{"edges": [{"u": -1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
+         ("error", "vertex ids must be nonnegative integers, got -1")),
+        ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 1, "label": 1}]}',
+         ("error", "duplicate label entry for edge (1, 2)")),
         ('{"edges": [{"u": 1, "v": 2, "label": 1}]}',
          ("error", "label domain must equal the edge set (missing [(2, 3)], extra [])")),
         ('{"edges": [{"u": 1, "v": 3, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
          ("error", "label domain must equal the edge set (missing [(1, 2)], extra [(1, 3)])")),
     ]:
+        assert _assert_read_alike(P3, text) == outcome
+        assert reached == []
+    # an extra entry key, an extra top-level key, then a repeated (u, v)
+    for text, outcome in [
+        ('{"edges": [{"u": 1, "v": 2, "label": 1, "note": 0}, {"u": 2, "v": 3, "label": 2}]}',
+         ("ok", {(1, 2): 1, (2, 3): 2})),
+        ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}], "meta": 0}',
+         ("ok", {(1, 2): 1, (2, 3): 2})),
+        ('{"edges": [{"u": 2, "v": 1, "label": 1}, {"u": 2, "v": 1, "label": 2}]}',
+         ("error", "duplicate labeling entry for edge (2, 1)")),
+    ]:
         reached.clear()
         assert _assert_read_alike(P3, text) == outcome
         assert reached == [text]
+
+
+def test_the_loop_builds_its_labeling_through_edgelabeling(monkeypatch):
+    # EdgeLabeling.__init__ is the one owner of the entry checks
+    built = []
+    init = EdgeLabeling.__init__
+
+    def counted(self, graph, labels):
+        built.append(dict(labels))
+        init(self, graph, labels)
+
+    monkeypatch.setattr(EdgeLabeling, "__init__", counted)
+    text = '{"edges": [{"u": 2, "v": 1, "label": 1}, {"label": 2, "u": 2, "v": 3}]}'
+    assert parse_labeling_json(P3, text).labels == {(1, 2): 1, (2, 3): 2}
+    assert built == [{(2, 1): 1, (2, 3): 2}]
 
 
 def _python_calls(fn, *args):

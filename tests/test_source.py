@@ -173,6 +173,25 @@ def test_the_exhaustive_search_imports_only_its_inputs_and_bound():
             imported |= {a.name for a in node.names}
     assert imported == {".graph.Graph", ".labeling.EdgeLabeling", ".chordal.peo_exponents"}
 
+
+def test_every_labeling_is_checked_by_its_constructor():
+    # EdgeLabeling.__init__ is the one owner of the entry and domain checks:
+    # no module builds an instance around it, and the labeling reader does
+    # not test edges against the graph's adjacency itself
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.add(f"{path.name}:{node.lineno} object.__new__")
+            elif isinstance(node, ast.FunctionDef) and node.name == "_from_table":
+                found.add(f"{path.name}:{node.lineno} def _from_table")
+            elif (isinstance(node, ast.Attribute) and node.attr == "_adj"
+                    and path.name == "io.py"):
+                found.add(f"{path.name}:{node.lineno} ._adj")
+    assert "io.py" in {path.name for path in SOURCES} and sorted(found) == []
+
+
 def _benchmark_spans() -> dict[str, list[str]]:
     """clibench/layers.py's SPANS: layer module -> the functions it wraps."""
     layers = Path(__file__).resolve().parents[1] / "clibench" / "layers.py"
