@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: classify, label, verify, exponents, poset, selftest. Machine
-readable JSON goes to stdout (or --out); human summaries go to stderr
-under --verbose. Exit codes: 0 success, 1 input or usage error (or an
+readable JSON goes to stdout (or --out); stderr carries only errors. A
+graph file is read as JSON or as an edge list by its text (see
+io.load_graph). Exit codes: 0 success, 1 input or usage error (or an
 internal error, reported in one stderr line), 2 mathematical rejection
 with a machine-checkable witness.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
 
-from .io import dump_json, load_graph
+from .io import dump_json, load_graph, read_input
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -33,29 +34,19 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _say(args, message: str) -> None:
-    if args.verbose:
-        print(message, file=sys.stderr)
-
-
 def _reject(args, exc) -> int:
     """Emit a NotStronglyChordalError as the one rejection of label and poset."""
     from .witness import _witness_json
 
     _emit(args, {"error": "graph is not strongly chordal",
                  "witness": _witness_json(exc.kind, exc.witness)})
-    _say(args, f"{args.graph}: rejected ({exc.kind} witness)")
     return EXIT_REJECT
-
-
-def _load(args):
-    return load_graph(args.graph, args.format)
 
 
 def cmd_classify(args) -> int:
     from .unit_interval import unit_interval_obstruction
 
-    g = _load(args)
+    g = load_graph(args.graph)
     kind, hit = unit_interval_obstruction(g) or (None, None)
     witness = None
     if kind is not None:
@@ -69,8 +60,6 @@ def cmd_classify(args) -> int:
         "witness": witness,
     }
     _emit(args, report)
-    _say(args, f"{args.graph}: chordal={report['chordal']} "
-               f"strongly_chordal={report['strongly_chordal']}")
     return EXIT_OK
 
 
@@ -79,7 +68,7 @@ def cmd_label(args) -> int:
     from .errors import NotStronglyChordalError
     from .io import labeling_json
 
-    g = _load(args)
+    g = load_graph(args.graph)
     try:
         lab = construct_mat_labeling(g)
     except NotStronglyChordalError as exc:
@@ -89,8 +78,6 @@ def cmd_label(args) -> int:
 
         Path(args.dot).write_text(labeling_to_dot(lab))
     _write(args, labeling_json(lab))
-    if args.verbose:  # block_sizes is a pass over the edges
-        _say(args, f"{args.graph}: labeled, block sizes {lab.block_sizes()}")
     return EXIT_OK
 
 
@@ -98,26 +85,24 @@ def cmd_verify(args) -> int:
     from .io import parse_labeling_json
     from .labeling import verify_mat_labeling
 
-    g = _load(args)
-    lab = parse_labeling_json(g, Path(args.labeling).read_text())
+    g = load_graph(args.graph)
+    lab = parse_labeling_json(g, read_input(args.labeling))
     violation = verify_mat_labeling(lab)
     if violation is None:
         _emit(args, {"ok": True})
-        _say(args, f"{args.labeling}: valid MAT-labeling")
         return EXIT_OK
     _emit(args, {"ok": False, "violation": violation.as_json()})
-    _say(args, f"{args.labeling}: invalid ({violation.kind} at level {violation.level})")
     return EXIT_REJECT
 
 
 def cmd_exponents(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     if args.labeling:
         from .arrangement import check_terao_factorization, dual_partition_exponents
         from .io import parse_labeling_json
         from .labeling import verify_mat_labeling
 
-        lab = parse_labeling_json(g, Path(args.labeling).read_text())
+        lab = parse_labeling_json(g, read_input(args.labeling))
         violation = verify_mat_labeling(lab)
         if violation is not None:
             _emit(args, {"error": "labeling is not a MAT-labeling",
@@ -145,7 +130,6 @@ def cmd_exponents(args) -> int:
         "chromatic_factors_check": factors_check,
     }
     _emit(args, report)
-    _say(args, f"{args.graph}: exponents {list(exps)}")
     return EXIT_OK
 
 
@@ -154,7 +138,7 @@ def cmd_poset(args) -> int:
     from .formats import poset_to_dot, poset_to_json_dict
     from .poset import strongly_chordal_poset
 
-    g = _load(args)
+    g = load_graph(args.graph)
     try:
         p = strongly_chordal_poset(g)
     except NotStronglyChordalError as exc:
@@ -165,7 +149,6 @@ def cmd_poset(args) -> int:
         report = poset_to_json_dict(p)
         report.update(crown_free=True, crown=None)  # as strongly_chordal_poset's are
         _emit(args, report)
-    _say(args, f"{args.graph}: {len(p.nodes)} poset nodes, crown_free=True")
     return EXIT_OK
 
 
@@ -175,36 +158,29 @@ def cmd_selftest(args) -> int:
     checked, mismatches = selftest(args.seed)
     _emit(args, {"checked": checked, "mismatches": mismatches,
                  "seed": args.seed})
-    _say(args, f"selftest: {checked} checks, {len(mismatches)} mismatches")
     return EXIT_OK if not mismatches else EXIT_REJECT
 
 
-# option -> (attribute, default, what its value is: None for a flag, a tuple
-# of the allowed values, or a function that converts the text; help)
+# option -> (attribute, default, the function that converts its value; help)
 _OPTIONS = {
-    "--format": ("format", None, ("edgelist", "json"), "override input format detection"),
     "--out": ("out", None, str, "write JSON here instead of stdout"),
     "--dot": ("dot", None, str, "also write a DOT rendering here"),
     "--seed": ("seed", 0, int, "seed of the sampled checks"),
-    "--verbose": ("verbose", False, None, "human-readable summary on stderr"),
 }
-
-_INPUT_OPTIONS = ("--format", "--out", "--verbose")
 
 # command -> (handler, positionals, options, help); a positional in brackets
 # may be left out
 _COMMANDS = {
-    "classify": (cmd_classify, ("graph",), _INPUT_OPTIONS,
+    "classify": (cmd_classify, ("graph",), ("--out",),
                  "chordal / strongly chordal / unit interval"),
-    "label": (cmd_label, ("graph",), ("--format", "--out", "--dot", "--verbose"),
-              "construct a MAT-labeling"),
-    "verify": (cmd_verify, ("graph", "labeling"), _INPUT_OPTIONS,
+    "label": (cmd_label, ("graph",), ("--out", "--dot"), "construct a MAT-labeling"),
+    "verify": (cmd_verify, ("graph", "labeling"), ("--out",),
                "check a labeling against the three conditions"),
-    "exponents": (cmd_exponents, ("graph", "[labeling]"), _INPUT_OPTIONS,
+    "exponents": (cmd_exponents, ("graph", "[labeling]"), ("--out",),
                   "arrangement exponents and factorization check"),
-    "poset": (cmd_poset, ("graph",), _INPUT_OPTIONS,
+    "poset": (cmd_poset, ("graph",), ("--out",),
               "clique intersection poset (JSON, or DOT via --out x.dot)"),
-    "selftest": (cmd_selftest, (), ("--seed", "--out", "--verbose"),
+    "selftest": (cmd_selftest, (), ("--seed", "--out"),
                  "sampled cross-checks of the recognizers"),
 }
 
@@ -256,26 +232,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
             if name not in options:
                 raise _UsageError(f"unrecognized option {name!r}", command)
             attr, _, kind, _ = _OPTIONS[name]
-            if kind is None:
-                if eq:
-                    raise _UsageError(f"option {name} takes no value", command)
-                args[attr] = True
-                continue
             if not eq:
                 value = next(rest, None)
                 if value is None or _is_option(value):
                     raise _UsageError(f"option {name} expects a value", command)
-            if isinstance(kind, tuple):
-                if value not in kind:
-                    raise _UsageError(f"option {name}: invalid choice {value!r} "
-                                     f"(choose from {', '.join(kind)})", command)
-            else:
-                try:
-                    value = kind(value)
-                except ValueError:
-                    raise _UsageError(f"option {name}: invalid int value {value!r}",
-                                     command) from None
-            args[attr] = value
+            try:
+                args[attr] = kind(value)
+            except ValueError:
+                raise _UsageError(f"option {name}: invalid int value {value!r}",
+                                 command) from None
         else:
             given.append(word)
     required = [p for p in positionals if not p.startswith("[")]

@@ -1,11 +1,11 @@
 """The formats that a `label` of an edge list never reads or writes.
 
-Loaded by the calls that use one: JSON graphs (any `.json` graph), DOT
-drawings (`label --dot`, `poset --out x.dot`), the poset JSON (`poset`),
-and the help and usage text (`--help` and usage errors), which is read
-off the command line's tables of commands and options that cli passes
-in. matlabel.io holds the formats of a `label` call, and the labeling
-JSON that `verify` and `exponents` read.
+Loaded by the calls that use one: JSON graphs (a graph file whose text
+starts with `{` or `[`), DOT drawings (`label --dot`, `poset --out
+x.dot`), the poset JSON (`poset`), and the help and usage text (`--help`
+and usage errors), which is read off the command line's tables of
+commands and options that cli passes in. matlabel.io holds the formats of
+a `label` call, and the labeling JSON that `verify` and `exponents` read.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ LABEL_COLORS = ("black", "red", "blue", "forestgreen",
 
 
 def _metavar(options: dict, option: str) -> str:
-    kind = options[option][2]
-    if kind is None:
-        return option
-    if isinstance(kind, tuple):
-        return f"{option} {{{','.join(kind)}}}"
-    return f"{option} {'INT' if kind is int else option[2:].upper()}"
+    return f"{option} {'INT' if options[option][2] is int else option[2:].upper()}"
 
 
 def usage(commands: dict, options: dict, command: str | None) -> str:
@@ -64,8 +59,8 @@ def help_text(commands: dict, options: dict, command: str | None) -> str:
     for name in names:
         lines += [f"  {usage(commands, options, name)[len('usage: matlabel '):]}",
                   f"      {commands[name][3]}"]
-    lines += ["", "GRAPH is an edge list (.txt) or a JSON graph (.json); LABELING is a "
-                  "labeling JSON file.", "", "options:"]
+    lines += ["", "GRAPH is JSON if its text starts with { or [, and an edge list otherwise;",
+              "LABELING is a labeling JSON file.", "", "options:"]
     lines += [f"  {_metavar(options, o):27} {options[o][3]}" for o in shown]
     lines += [f"  {'-h, --help':27} show this help and exit", "",
               "Exit codes: 0 success, 1 input or usage error, 2 rejection with a witness."]

@@ -3,14 +3,17 @@
 Graph text format: one `u v` line per edge, `#` starts a comment, and an
 optional `vertices: u1 u2 ...` line declares isolated vertices. Labeling
 JSON: {"edges": [{"u": int, "v": int, "label": int}, ...]}, read by
-`verify` and `exponents`. load_graph reads a JSON graph, {"vertices":
+`verify` and `exponents`. load_graph reads a file whose first
+non-whitespace character is `{` or `[` as a JSON graph, {"vertices":
 [...], "edges": [[u, v], ...]}, through matlabel.formats, which holds the
-formats a `label` of an edge list never uses. All emitters sort keys and
+formats a `label` of an edge list never uses; no edge-list line starts
+with either. Input files are read as UTF-8. All emitters sort keys and
 arrays so identical inputs serialize byte-identically.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -53,8 +56,9 @@ def _vertex_token(tok: str) -> int:
 
 
 def _load_json(text: str, what: str, pairs: bool = False):
-    """json.loads, with a repeated object key or decoder recursion on deep
-    nesting as a ValueError.
+    """json.loads, with a repeated object key, decoder recursion on deep
+    nesting or an int literal beyond int()'s digit limit as a ValueError
+    that names the document.
 
     With pairs, every object is decoded as a tuple of its (key, value)
     pairs, by a hook that makes no Python call, and the caller checks the
@@ -74,21 +78,32 @@ def _load_json(text: str, what: str, pairs: bool = False):
         return json.loads(text, object_pairs_hook=tuple if pairs else unique_keys)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
+    except ValueError as exc:
+        if type(exc) is ValueError and not str(exc).startswith(what):
+            # neither a syntax error nor a repeated key: int() refused a literal
+            raise ValueError(f"{what} JSON has an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+        raise
 
 
-def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
-    """Read a graph file; format from `fmt` or the file extension."""
-    path = Path(path)
-    text = path.read_text()
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "edgelist"
-    if fmt == "json":
+def read_input(path: str | Path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def load_graph(path: str | Path) -> Graph:
+    """Read a graph file: JSON if its text starts with `{` or `[`, after
+    whitespace, and an edge list otherwise."""
+    text = read_input(path)
+    # the first character after whitespace, without the copy lstrip makes
+    if next((c for c in text if not c.isspace()), "") in ("{", "["):
         from .formats import parse_graph_json
 
         return parse_graph_json(text)
-    if fmt == "edgelist":
-        return parse_graph_text(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return parse_graph_text(text)
 
 
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:

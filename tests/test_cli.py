@@ -242,15 +242,13 @@ def test_label_dot_to_an_unwritable_path_prints_no_json(capsys, ui7_file, tmp_pa
 
 
 def test_label_counts_its_blocks_only_under_verbose(capsys, ui7_file, monkeypatch):
+    # block_sizes is a pass over the edges that no command's output needs:
+    # label never makes it, and writes nothing to stderr
     from matlabel.labeling import EdgeLabeling
 
-    sizes = EdgeLabeling.block_sizes
     monkeypatch.setattr(EdgeLabeling, "block_sizes", lambda lab: pytest.fail("called"))
     assert main(["label", str(ui7_file)]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(EdgeLabeling, "block_sizes", sizes)
-    assert main(["label", str(ui7_file), "--verbose"]) == 0
-    assert capsys.readouterr().err == f"{ui7_file}: labeled, block sizes (6, 5, 2)\n"
 
 
 def test_label_tree_all_ones(capsys, tmp_path):
@@ -483,7 +481,7 @@ def test_poset_computes_one_peo(capsys, ui7_file, c4_file, monkeypatch):
 
 
 def test_poset_dot_output(capsys, ui7_file, tmp_path):
-    # the suffix matches in any case, as load_graph matches a graph file's
+    # the suffix matches in any case
     for name in ("p.dot", "H.DOT"):
         out = tmp_path / name
         code = main(["poset", str(ui7_file), "--out", str(out)])
@@ -512,6 +510,57 @@ def test_an_over_long_vertex_id_names_its_line(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("matlabel: error: line 2: cannot parse")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() converts strings of any length")
+@pytest.mark.parametrize("deep", ["graph", "labeling"])
+def test_an_over_long_json_integer_names_its_document(capsys, tmp_path, deep):
+    long = "9" * 5_000
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(f'{{"edges": [[1, {long}]]}}' if deep == "graph"
+                          else '{"edges": [[1, 2]]}')
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_text(f'{{"edges": [{{"u": 1, "v": 2, "label": {long}}}]}}')
+    code = main(["classify", str(graph_file)] if deep == "graph"
+                else ["verify", str(graph_file), str(lab_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"matlabel: error: {deep} JSON has an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits\n")
+
+
+@pytest.mark.parametrize("bad", ["graph", "labeling"])
+def test_an_input_file_that_is_not_utf8_names_its_path(capsys, tmp_path, bad):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_bytes(b"\xff1 2\n" if bad == "graph" else b"1 2\n")
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_bytes(b"\xff" + json.dumps(P3_LABELING).encode())
+    for command in ("verify", "exponents"):
+        code = main([command, str(graph_file), str(lab_file)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        path = graph_file if bad == "graph" else lab_file
+        assert captured.err.startswith(f"matlabel: error: {path}: not UTF-8 text")
+        assert captured.err.count("\n") == 1
+
+
+def test_the_graph_format_is_read_off_the_text(capsys, tmp_path):
+    # JSON when the first character after whitespace is `{` or `[`, an edge
+    # list otherwise, whatever the file is called
+    as_text = tmp_path / "p3.json"
+    as_text.write_text("1 2\n2 3\n")
+    as_json = tmp_path / "p3.txt"
+    as_json.write_text('\n\n  {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}')
+    assert main(["label", str(as_text)]) == 0
+    expected = capsys.readouterr()
+    assert expected.err == "" and json.loads(expected.out)["edges"]
+    assert main(["label", str(as_json)]) == 0
+    assert capsys.readouterr() == expected
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    code, report = run_cli(capsys, "classify", str(empty))
+    assert code == 0 and report["unit_interval"] is True
 
 
 # a valid labeling of the path 1-2-3, for cases where the graph file is at fault
@@ -689,11 +738,9 @@ def _reference_parser():
         if labeling:
             p.add_argument("labeling", nargs="?" if labeling == "optional" else None,
                            default=None)
-        p.add_argument("--format", choices=["edgelist", "json"], default=None)
         p.add_argument("--out", default=None)
         if dot:
             p.add_argument("--dot", default=None)
-        p.add_argument("--verbose", action="store_true")
 
     for name, func, kwargs in [
             ("classify", cli.cmd_classify, {}), ("label", cli.cmd_label, {"dot": True}),
@@ -706,32 +753,29 @@ def _reference_parser():
     p = sub.add_parser("selftest")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cli.cmd_selftest)
     return parser
 
 
-OPTION_VALUES = {"--format": "json", "--out": "o.json", "--dot": "d.dot",
-                 "--seed": "7"}
+OPTION_VALUES = {"--out": "o.json", "--dot": "d.dot", "--seed": "7"}
 
 
 def _valid_argvs():
     """Every command with every subset of its options, each written as
     `--opt value` or as `--opt=value`, and split before and after the
     positionals at every place."""
-    input_options = ["--format", "--out", "--verbose"]
-    commands = [("classify", ["g.txt"], input_options),
-                ("label", ["g.txt"], input_options + ["--dot"]),
-                ("verify", ["g.txt", "l.json"], input_options),
-                ("exponents", ["g.txt"], input_options),
-                ("exponents", ["g.json", "l.json"], input_options),
-                ("poset", ["g.txt"], input_options),
-                ("selftest", [], ["--seed", "--out", "--verbose"])]
+    commands = [("classify", ["g.txt"], ["--out"]),
+                ("label", ["g.txt"], ["--out", "--dot"]),
+                ("verify", ["g.txt", "l.json"], ["--out"]),
+                ("exponents", ["g.txt"], ["--out"]),
+                ("exponents", ["g.json", "l.json"], ["--out"]),
+                ("poset", ["g.txt"], ["--out"]),
+                ("selftest", [], ["--seed", "--out"])]
     for command, positionals, options in commands:
         for mask in range(1 << len(options)):
             chosen = [o for b, o in enumerate(options) if mask >> b & 1]
             for joined in (False, True):
-                words = [[o] if o == "--verbose" else [f"{o}={OPTION_VALUES[o]}"] if joined
+                words = [[f"{o}={OPTION_VALUES[o]}"] if joined
                          else [o, OPTION_VALUES[o]] for o in chosen]
                 for before in range(len(words) + 1):
                     yield ([command] + sum(words[:before], []) + positionals
@@ -744,7 +788,9 @@ def test_the_command_table_parses_as_argparse_did():
     for argv in _valid_argvs():
         assert vars(cli.parse_args(argv)) == vars(reference.parse_args(argv)), argv
         count += 1
-    assert count > 300
+    # j chosen options give 2 * (j + 1) argvs: 2 + 4 for each of the five
+    # command lines with one option, 2 + 2 * 4 + 6 for label and selftest
+    assert count == 5 * 6 + 2 * 16
     # a negative number is a value, and `--` ends the options
     for argv in (["selftest", "--seed", "-3"], ["classify", "--", "-g.txt"],
                  ["verify", "--out", "-", "g", "l"]):
@@ -769,15 +815,25 @@ def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv):
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: matlabel ")
     assert error.startswith("matlabel: error: ")
-    if "--verb" in argv or "--form" in argv:
-        # argparse took these prefixes of --verbose and --format; options
-        # are now named in full
-        assert _reference_parser().parse_args(argv).func is not None
-    else:
-        with pytest.raises(SystemExit) as exit_:
-            _reference_parser().parse_args(argv)
-        assert exit_.value.code == 2  # argparse rejected each of them too
+    with pytest.raises(SystemExit) as exit_:
+        _reference_parser().parse_args(argv)
+    assert exit_.value.code == 2  # argparse rejected each of them too
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", [["--format", "json"], ["--format=edgelist"],
+                                    ["--verbose"]], ids=" ".join)
+def test_the_removed_options_are_usage_errors(capsys, option):
+    for command, positionals in [("classify", ["g.txt"]), ("label", ["g.txt"]),
+                                 ("verify", ["g.txt", "l.json"]),
+                                 ("exponents", ["g.txt"]), ("poset", ["g.txt"]),
+                                 ("selftest", [])]:
+        assert main([command, *positionals, *option]) == 1
+        captured = capsys.readouterr()
+        usage, error = captured.err.splitlines()
+        assert captured.out == "" and usage.startswith(f"usage: matlabel {command} ")
+        name = option[0].partition("=")[0]
+        assert error == f"matlabel: error: unrecognized option {name!r}"
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],

@@ -65,15 +65,20 @@ def test_graph_json_round_trip():
 
 
 def test_load_graph_formats(tmp_path):
-    txt = tmp_path / "g.txt"
-    txt.write_text("1 2\n")
-    assert load_graph(txt) == Graph.from_edges([(1, 2)])
-    js = tmp_path / "g.json"
-    js.write_text('{"vertices": [1, 2, 3], "edges": [[1, 2]]}')
-    assert load_graph(js).n == 3
-    assert load_graph(txt, fmt="edgelist").m == 1
-    with pytest.raises(ValueError):
-        load_graph(txt, fmt="weird")
+    # the format is read off the text, whatever the file's name: JSON when
+    # it starts with `{` or `[` after whitespace, an edge list otherwise
+    cases = [("1 2\n", Graph.from_edges([(1, 2)])),
+             ('{"vertices": [1, 2, 3], "edges": [[1, 2]]}', Graph([1, 2, 3], [(1, 2)])),
+             ('\n \n\t{"edges": [[4, 5]]}\n', Graph.from_edges([(4, 5)])),
+             ("# {a comment}\nvertices: 7\n", Graph([7])), ("", Graph()), (" \n", Graph())]
+    for text, graph in cases:
+        for name in ("g.txt", "g.json", "g"):
+            path = tmp_path / name
+            path.write_text(text)
+            assert load_graph(path) == graph, (name, text)
+    path.write_text("[]")
+    with pytest.raises(ValueError, match='graph JSON needs an "edges" array'):
+        load_graph(path)
 
 
 def test_labeling_json_round_trip(ui7_labeling):

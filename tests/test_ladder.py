@@ -283,9 +283,9 @@ def test_label_rejection_matches_the_old_one(monkeypatch):
 def test_poset_report_matches_the_old_one(monkeypatch):
     emitted = []
     monkeypatch.setattr(cli, "_emit", lambda args, data: emitted.append(data))
-    args = SimpleNamespace(graph="g", format=None, out=None, verbose=False)
+    args = SimpleNamespace(graph="g", out=None)
     for g in ladder_inputs():
-        monkeypatch.setattr(cli, "_load", lambda args: g)
+        monkeypatch.setattr(cli, "load_graph", lambda path: g)
         emitted.clear()
         code = cli.cmd_poset(args)
         expected = old_poset_report(g)

@@ -266,7 +266,6 @@ DEFAULTED_PARAMETERS = {
     "families.random_strongly_chordal(grow_bias)",
     "families.random_strongly_chordal(rng)", "families.random_strongly_chordal(seed)",
     "graph.Graph.__init__(edges)", "graph.Graph.__init__(vertices)",
-    "io.load_graph(fmt)",
     "oracle.enumerate_graphs(connected)", "oracle.enumerate_graphs(predicate)",
 }
 

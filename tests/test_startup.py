@@ -99,13 +99,15 @@ def _ast_nodes(module: str) -> int:
 # before poset read a clique tree off the MCS order and met each poset node
 # only with the cliques next to its subtree (+88), and all three
 # 9,061 / 5,728 / 6,318 before the labeling reader handed its table to
-# EdgeLabeling instead of copying the entry checks
+# EdgeLabeling instead of copying the entry checks, and 8,928 / 5,595 /
+# 6,242 before the graph format was read off the text and --format and
+# --verbose went
 @pytest.mark.parametrize("argv, bound, never", [
-    (("label", "one"), 8_928, {"json", "matlabel.witness", "matlabel.formats",
+    (("label", "one"), 8_695, {"json", "matlabel.witness", "matlabel.formats",
                                 "matlabel.unit_interval"}),
-    (("verify", "one", "empty"), 5_595, {"matlabel.witness", "matlabel.formats",
+    (("verify", "one", "empty"), 5_362, {"matlabel.witness", "matlabel.formats",
                                          "matlabel.unit_interval"}),
-    (("classify", "one"), 6_242, {"matlabel.witness", "matlabel.formats"}),
+    (("classify", "one"), 6_009, {"matlabel.witness", "matlabel.formats"}),
 ], ids=["label", "verify", "classify"])
 def test_a_call_that_succeeds_compiles_no_cold_code(tmp_path, argv, bound, never):
     (tmp_path / "one").write_text("vertices: 1\n")
