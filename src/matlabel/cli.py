@@ -1,9 +1,9 @@
 """Command line interface.
 
-Subcommands: classify, label, verify, exponents, poset, selftest. Machine
-readable JSON goes to stdout (or --out); stderr carries only errors. A
-graph file is read as JSON or as an edge list by its text (see
-io.load_graph). Exit codes: 0 success, 1 input or usage error (or an
+Subcommands: classify, label, verify, exponents, poset; options: --out,
+--dot. Machine readable JSON goes to stdout (or --out); stderr carries
+only errors. A graph file is read as JSON or as an edge list by its text
+(see io.load_graph). Exit codes: 0 success, 1 input or usage error (or an
 internal error, reported in one stderr line), 2 mathematical rejection
 with a machine-checkable witness.
 """
@@ -152,20 +152,10 @@ def cmd_poset(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    from .oracle import selftest
-
-    checked, mismatches = selftest(args.seed)
-    _emit(args, {"checked": checked, "mismatches": mismatches,
-                 "seed": args.seed})
-    return EXIT_OK if not mismatches else EXIT_REJECT
-
-
-# option -> (attribute, default, the function that converts its value; help)
+# option -> help; `--name VALUE` sets args.name, which is None when not given
 _OPTIONS = {
-    "--out": ("out", None, str, "write JSON here instead of stdout"),
-    "--dot": ("dot", None, str, "also write a DOT rendering here"),
-    "--seed": ("seed", 0, int, "seed of the sampled checks"),
+    "--out": "write JSON here instead of stdout",
+    "--dot": "also write a DOT rendering here",
 }
 
 # command -> (handler, positionals, options, help); a positional in brackets
@@ -180,8 +170,6 @@ _COMMANDS = {
                   "arrangement exponents and factorization check"),
     "poset": (cmd_poset, ("graph",), ("--out",),
               "clique intersection poset (JSON, or DOT via --out x.dot)"),
-    "selftest": (cmd_selftest, (), ("--seed", "--out"),
-                 "sampled cross-checks of the recognizers"),
 }
 
 
@@ -218,7 +206,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
         raise _UsageError(f"unknown command {command!r}" if argv else "no command given")
     func, positionals, options, _ = _COMMANDS[command]
     args = {"command": command, "func": func}
-    args.update((_OPTIONS[o][0], _OPTIONS[o][1]) for o in options)
+    args.update((o[2:], None) for o in options)
     given = []
     rest = iter(argv[1:])
     for word in rest:
@@ -231,16 +219,11 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
             name, eq, value = word.partition("=")
             if name not in options:
                 raise _UsageError(f"unrecognized option {name!r}", command)
-            attr, _, kind, _ = _OPTIONS[name]
             if not eq:
                 value = next(rest, None)
                 if value is None or _is_option(value):
                     raise _UsageError(f"option {name} expects a value", command)
-            try:
-                args[attr] = kind(value)
-            except ValueError:
-                raise _UsageError(f"option {name}: invalid int value {value!r}",
-                                 command) from None
+            args[name[2:]] = value
         else:
             given.append(word)
     required = [p for p in positionals if not p.startswith("[")]
@@ -260,7 +243,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:  # usage errors are input errors: exit 1
         from .formats import usage
 
-        print(usage(_COMMANDS, _OPTIONS, exc.command), file=sys.stderr)
+        print(usage(_COMMANDS, exc.command), file=sys.stderr)
         print(f"matlabel: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args is None:

@@ -39,29 +39,29 @@ LABEL_COLORS = ("black", "red", "blue", "forestgreen",
                 "darkorange", "purple", "saddlebrown", "deepskyblue")
 
 
-def _metavar(options: dict, option: str) -> str:
-    return f"{option} {'INT' if options[option][2] is int else option[2:].upper()}"
+def _metavar(option: str) -> str:
+    return f"{option} {option[2:].upper()}"
 
 
-def usage(commands: dict, options: dict, command: str | None) -> str:
+def usage(commands: dict, command: str | None) -> str:
     if command is None:
         return f"usage: matlabel {{{','.join(commands)}}} ..."
     _, positionals, allowed, _ = commands[command]
-    words = [p.upper() for p in positionals] + [f"[{_metavar(options, o)}]" for o in allowed]
+    words = [p.upper() for p in positionals] + [f"[{_metavar(o)}]" for o in allowed]
     return " ".join(["usage: matlabel", command] + words)
 
 
 def help_text(commands: dict, options: dict, command: str | None) -> str:
     names = [command] if command else list(commands)
     shown = [o for o in options if any(o in commands[name][2] for name in names)]
-    lines = [usage(commands, options, command), "",
+    lines = [usage(commands, command), "",
              "Strongly chordal graphs and MAT-labelings", "", "commands:"]
     for name in names:
-        lines += [f"  {usage(commands, options, name)[len('usage: matlabel '):]}",
+        lines += [f"  {usage(commands, name)[len('usage: matlabel '):]}",
                   f"      {commands[name][3]}"]
     lines += ["", "GRAPH is JSON if its text starts with { or [, and an edge list otherwise;",
               "LABELING is a labeling JSON file.", "", "options:"]
-    lines += [f"  {_metavar(options, o):27} {options[o][3]}" for o in shown]
+    lines += [f"  {_metavar(o):27} {options[o]}" for o in shown]
     lines += [f"  {'-h, --help':27} show this help and exit", "",
               "Exit codes: 0 success, 1 input or usage error, 2 rejection with a witness."]
     return "\n".join(lines) + "\n"

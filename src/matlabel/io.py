@@ -7,8 +7,9 @@ JSON: {"edges": [{"u": int, "v": int, "label": int}, ...]}, read by
 non-whitespace character is `{` or `[` as a JSON graph, {"vertices":
 [...], "edges": [[u, v], ...]}, through matlabel.formats, which holds the
 formats a `label` of an edge list never uses; no edge-list line starts
-with either. Input files are read as UTF-8. All emitters sort keys and
-arrays so identical inputs serialize byte-identically.
+with either. Input files are read as UTF-8, with no byte-order mark. All
+emitters sort keys and arrays so identical inputs serialize
+byte-identically.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def _vertex_token(tok: str) -> int:
 
 
 def _load_json(text: str, what: str, pairs: bool = False):
-    """json.loads, with a repeated object key, decoder recursion on deep
-    nesting or an int literal beyond int()'s digit limit as a ValueError
-    that names the document.
+    """json.loads, with a syntax error, a repeated object key, decoder
+    recursion on deep nesting or an int literal beyond int()'s digit limit
+    as a ValueError that names the document.
 
     With pairs, every object is decoded as a tuple of its (key, value)
     pairs, by a hook that makes no Python call, and the caller checks the
@@ -78,20 +79,26 @@ def _load_json(text: str, what: str, pairs: bool = False):
         return json.loads(text, object_pairs_hook=tuple if pairs else unique_keys)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} JSON: {exc.msg} at line {exc.lineno} "
+                         f"column {exc.colno}") from None
     except ValueError as exc:
-        if type(exc) is ValueError and not str(exc).startswith(what):
-            # neither a syntax error nor a repeated key: int() refused a literal
+        if not str(exc).startswith(what):  # not a repeated key: int() refused a literal
             raise ValueError(f"{what} JSON has an integer of more than "
                              f"{sys.get_int_max_str_digits()} digits") from None
         raise
 
 
 def read_input(path: str | Path) -> str:
-    """The text of an input file, which must be UTF-8."""
+    """The text of an input file, which must be UTF-8 with no byte-order
+    mark: one is rejected, not skipped, as input is never coerced."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if text.startswith("\ufeff"):
+        raise ValueError(f"{path}: starts with a UTF-8 byte-order mark")
+    return text
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -1,4 +1,4 @@
-"""Oracles and cross-checks for tests, acceptance checks and `matlabel selftest`.
+"""Oracles for the tests and acceptance checks; no command loads them.
 
 Deliberately naive and implemented apart from the production recognizers:
 these share only the graph primitives and the pattern search behind the
@@ -6,8 +6,7 @@ claw and net witnesses, so agreement between an oracle and a production
 path is meaningful evidence. The scans carry a fixed size guard; the sun
 and crown searches are exponential in the worst case and have none. The
 PEO and greedy MAT-PEO checks decide PEOs and MAT-labelings apart from
-the recognizers and the verifier, and `selftest` samples the
-cross-checks at run time.
+the recognizers and the verifier.
 """
 
 from __future__ import annotations
@@ -341,69 +340,3 @@ def is_mat_peo(lab: EdgeLabeling, order) -> bool:
             adj[u].discard(v)
     return True
 
-
-# -- the sampled cross-checks of `matlabel selftest` ---------------------------
-
-
-def selftest(seed: int) -> tuple[int, list[dict]]:
-    """(checks made, mismatches) of the sampled cross-checks from seed.
-
-    The three recognizers agree on random graphs; construct's labelings of
-    random strongly chordal graphs verify, have a MAT-PEO, and their
-    exponents factor the chromatic polynomial expanded by
-    deletion-contraction; and the exhaustive labeling search finds a
-    labeling exactly of the strongly chordal graphs among small random ones.
-    """
-    import random
-
-    from . import families
-    from .arrangement import (IntPolynomial, check_terao_factorization,
-                              chromatic_polynomial, dual_partition_exponents)
-    from .brute import brute_force_mat_labeling
-    from .chordal import is_chordal
-    from .construct import construct_mat_labeling
-    from .labeling import verify_mat_labeling
-    from .poset import build_poset
-    from .strong_chordal import is_strongly_chordal
-
-    rng = random.Random(seed)
-    mismatches = []
-    checked = 0
-    # recognizer three-way agreement on random graphs
-    for _ in range(60):
-        n = rng.randint(4, 7)
-        m = rng.randint(n - 1, min(n * (n - 1) // 2, 14))
-        g = families.random_graph(n, m, rng)
-        checked += 1
-        sc = is_strongly_chordal(g)
-        via_sun = is_chordal(g) and detect_induced_sun(g) is None
-        via_crown = is_chordal(g) and find_any_crown(build_poset(g)) is None
-        if not (sc == via_sun == via_crown):
-            mismatches.append({"graph": [list(e) for e in g.edges],
-                               "check": "recognizers"})
-    # construct and verify round trip on random strongly chordal graphs
-    for _ in range(20):
-        g = families.random_strongly_chordal(rng.randint(2, 12), rng=rng)
-        checked += 1
-        lab = construct_mat_labeling(g)
-        if verify_mat_labeling(lab) is not None or find_mat_peo(lab) is None:
-            mismatches.append({"graph": [list(e) for e in g.edges],
-                               "check": "construct"})
-        else:
-            # the root-multiset check against the deletion-contraction identity
-            exps = dual_partition_exponents(lab)
-            if not (check_terao_factorization(g, exps)
-                    and chromatic_polynomial(g) == IntPolynomial.from_roots(exps)):
-                mismatches.append({"graph": [list(e) for e in g.edges],
-                                   "check": "factorization"})
-    # existence oracle agreement on small graphs; n <= 6 keeps m within
-    # the 18-edge guard of brute_force_mat_labeling
-    for _ in range(15):
-        n = rng.randint(3, 6)
-        g = families.random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
-        checked += 1
-        found = brute_force_mat_labeling(g)
-        if (found is not None) != is_strongly_chordal(g):
-            mismatches.append({"graph": [list(e) for e in g.edges],
-                               "check": "brute-force"})
-    return checked, mismatches

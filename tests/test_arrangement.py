@@ -10,11 +10,13 @@ from matlabel import (
     IntPolynomial,
     check_terao_factorization,
     chromatic_polynomial,
+    construct_mat_labeling,
     exponents_from_labeling,
     height_labeling_complete,
     maximal_cliques,
     peo_exponents,
 )
+from matlabel import arrangement
 from matlabel.families import (
     complete_graph,
     cycle_graph,
@@ -167,6 +169,46 @@ def test_factorization_check_matches_the_expanded_identity():
             assert got == _factorizes_expanded(g, candidate)
             seen[got] += 1
     assert seen[True] >= 40 and seen[False] >= 500, seen
+
+
+def _exponent_mismatches(seed):
+    """The sampled strongly chordal graphs, on at most 12 vertices, whose
+    constructed labeling's exponents fail the factorization check or are
+    not the roots of the chromatic polynomial expanded by
+    deletion-contraction, which reads neither a PEO nor that check. Both
+    are looked up in arrangement at each call, so that a test can replace
+    them."""
+    rng = random.Random(seed)
+    mismatches = []
+    for _ in range(60):
+        g = random_strongly_chordal(rng.randint(2, 12), rng=rng,
+                                    grow_bias=rng.choice((0.4, 0.6, 0.8)))
+        exps = arrangement.dual_partition_exponents(construct_mat_labeling(g))
+        if not (arrangement.check_terao_factorization(g, exps)
+                and chromatic_polynomial(g) == IntPolynomial.from_roots(exps)):
+            mismatches.append(g)
+    return mismatches
+
+
+def test_constructed_exponents_factor_the_expanded_chromatic_polynomial():
+    assert _exponent_mismatches(5) == []
+
+
+def test_the_expanded_identity_does_not_trust_the_factorization_shortcut(monkeypatch):
+    # a shortcut that accepts wrong exponents is caught by the expanded identity
+    monkeypatch.setattr(arrangement, "check_terao_factorization", lambda g, exponents: True)
+    monkeypatch.setattr(arrangement, "dual_partition_exponents",
+                        lambda lab: (0,) * lab.graph.n)
+    assert _exponent_mismatches(5)
+
+
+def test_the_expanded_identity_does_not_read_a_peo(monkeypatch):
+    # a fault in the PEO exponents that the checked list shares is still
+    # caught: deletion-contraction never reads a PEO
+    monkeypatch.setattr(arrangement, "exponents_along", lambda g, order: (0,) * g.n)
+    monkeypatch.setattr(arrangement, "dual_partition_exponents",
+                        lambda lab: (0,) * lab.graph.n)
+    assert _exponent_mismatches(5)
 
 
 def test_max_exponent_counts_largest_cliques():

@@ -545,6 +545,44 @@ def test_an_input_file_that_is_not_utf8_names_its_path(capsys, tmp_path, bad):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("graph, marked", [("1 2\n2 3\n", "graph"),
+                                           ('{"edges": [[1, 2], [2, 3]]}', "graph"),
+                                           ("1 2\n2 3\n", "labeling")],
+                         ids=["edge-list", "graph-json", "labeling"])
+def test_a_byte_order_mark_is_rejected_naming_the_file(capsys, tmp_path, graph, marked):
+    # read as UTF-8, the mark is U+FEFF: no whitespace, so a JSON graph
+    # would be read as an edge list; it is rejected rather than skipped
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(("\ufeff" if marked == "graph" else "") + graph, encoding="utf-8")
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_text("\ufeff" + json.dumps(P3_LABELING), encoding="utf-8")
+    code = main(["classify", str(graph_file)] if marked == "graph"
+                else ["verify", str(graph_file), str(lab_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    path = graph_file if marked == "graph" else lab_file
+    assert captured.err == f"matlabel: error: {path}: starts with a UTF-8 byte-order mark\n"
+
+
+@pytest.mark.parametrize("bad", ["graph", "labeling"])
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "Expecting property name enclosed in double quotes at line 1 column 2"),
+    ('{"edges": []}\n]', "Extra data at line 2 column 1"),
+    ('{"edges": [\n', "Expecting value at line 2 column 1"),
+], ids=["property", "extra", "cut-short"])
+def test_a_json_syntax_error_names_the_document_and_the_position(capsys, tmp_path, bad,
+                                                                 text, message):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(text if bad == "graph" else '{"edges": [[1, 2]]}')
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_text(text)
+    code = main(["classify", str(graph_file)] if bad == "graph"
+                else ["verify", str(graph_file), str(lab_file)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"matlabel: error: {bad} JSON: {message}\n"
+
+
 def test_the_graph_format_is_read_off_the_text(capsys, tmp_path):
     # JSON when the first character after whitespace is `{` or `[`, an edge
     # list otherwise, whatever the file is called
@@ -651,35 +689,6 @@ def test_label_verify_round_trip_sampled(capsys, tmp_path):
         capsys.readouterr()
 
 
-def test_selftest(capsys):
-    code, report = run_cli(capsys, "selftest", "--seed", "5")
-    assert code == 0
-    assert report["mismatches"] == []
-
-
-def test_selftest_cross_checks_the_factorization_shortcut(capsys, monkeypatch):
-    # a shortcut that accepts wrong exponents is caught by the expanded identity
-    monkeypatch.setattr("matlabel.arrangement.check_terao_factorization",
-                        lambda g, exponents: True)
-    monkeypatch.setattr("matlabel.arrangement.dual_partition_exponents",
-                        lambda lab: (0,) * lab.graph.n)
-    code, report = run_cli(capsys, "selftest", "--seed", "5")
-    assert code == 2 and report["mismatches"]
-    assert {m["check"] for m in report["mismatches"]} == {"factorization"}
-
-
-def test_selftest_cross_check_does_not_read_a_peo(capsys, monkeypatch):
-    # a fault in the PEO exponents that the checked list shares is still
-    # caught: deletion-contraction never reads a PEO
-    monkeypatch.setattr("matlabel.arrangement.exponents_along",
-                        lambda g, order: (0,) * g.n)
-    monkeypatch.setattr("matlabel.arrangement.dual_partition_exponents",
-                        lambda lab: (0,) * lab.graph.n)
-    code, report = run_cli(capsys, "selftest", "--seed", "5")
-    assert code == 2 and report["mismatches"]
-    assert {m["check"] for m in report["mismatches"]} == {"factorization"}
-
-
 def test_usage_error_exit_code():
     result = subprocess.run(
         [sys.executable, "-m", "matlabel.cli", "frobnicate"],
@@ -750,14 +759,10 @@ def _reference_parser():
         p = sub.add_parser(name)
         common(p, **kwargs)
         p.set_defaults(func=func)
-    p = sub.add_parser("selftest")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cli.cmd_selftest)
     return parser
 
 
-OPTION_VALUES = {"--out": "o.json", "--dot": "d.dot", "--seed": "7"}
+OPTION_VALUES = {"--out": "o.json", "--dot": "d.dot"}
 
 
 def _valid_argvs():
@@ -769,8 +774,7 @@ def _valid_argvs():
                 ("verify", ["g.txt", "l.json"], ["--out"]),
                 ("exponents", ["g.txt"], ["--out"]),
                 ("exponents", ["g.json", "l.json"], ["--out"]),
-                ("poset", ["g.txt"], ["--out"]),
-                ("selftest", [], ["--seed", "--out"])]
+                ("poset", ["g.txt"], ["--out"])]
     for command, positionals, options in commands:
         for mask in range(1 << len(options)):
             chosen = [o for b, o in enumerate(options) if mask >> b & 1]
@@ -789,10 +793,10 @@ def test_the_command_table_parses_as_argparse_did():
         assert vars(cli.parse_args(argv)) == vars(reference.parse_args(argv)), argv
         count += 1
     # j chosen options give 2 * (j + 1) argvs: 2 + 4 for each of the five
-    # command lines with one option, 2 + 2 * 4 + 6 for label and selftest
-    assert count == 5 * 6 + 2 * 16
+    # command lines with one option, 2 + 2 * 4 + 6 for label
+    assert count == 5 * 6 + 16
     # a negative number is a value, and `--` ends the options
-    for argv in (["selftest", "--seed", "-3"], ["classify", "--", "-g.txt"],
+    for argv in (["label", "--dot", "-3", "g.txt"], ["classify", "--", "-g.txt"],
                  ["verify", "--out", "-", "g", "l"]):
         assert vars(cli.parse_args(argv)) == vars(reference.parse_args(argv)), argv
 
@@ -807,6 +811,7 @@ def test_the_command_table_parses_as_argparse_did():
     ["selftest", "--seed", "x"], ["selftest", "--max-brute-edges=1.5"],
     ["selftest", "g.txt"], ["verify", "g.txt", "l.json", "--dot", "d.dot"],
     ["classify", "g.txt", "--verb"], ["classify", "g.txt", "--form", "json"],
+    ["selftest"], ["classify", "g.txt", "--seed", "1"],
 ], ids=lambda argv: " ".join(argv) or "no-command")
 def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv):
     code = main(argv)
@@ -822,12 +827,11 @@ def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv):
 
 
 @pytest.mark.parametrize("option", [["--format", "json"], ["--format=edgelist"],
-                                    ["--verbose"]], ids=" ".join)
+                                    ["--verbose"], ["--seed", "1"]], ids=" ".join)
 def test_the_removed_options_are_usage_errors(capsys, option):
     for command, positionals in [("classify", ["g.txt"]), ("label", ["g.txt"]),
                                  ("verify", ["g.txt", "l.json"]),
-                                 ("exponents", ["g.txt"]), ("poset", ["g.txt"]),
-                                 ("selftest", [])]:
+                                 ("exponents", ["g.txt"]), ("poset", ["g.txt"])]:
         assert main([command, *positionals, *option]) == 1
         captured = capsys.readouterr()
         usage, error = captured.err.splitlines()
@@ -837,7 +841,7 @@ def test_the_removed_options_are_usage_errors(capsys, option):
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
-                                  ["selftest", "--seed", "3", "--help"]])
+                                  ["label", "--dot", "d.dot", "--help"]])
 def test_help_exits_0_with_usage_on_stdout(argv):
     done = subprocess.run([sys.executable, "-m", "matlabel.cli", *argv],
                           capture_output=True, text=True, timeout=60)

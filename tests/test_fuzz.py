@@ -139,3 +139,40 @@ def test_main_exits_cleanly(command, graph, labeling):
     else:
         assert out == "" and err.startswith("matlabel: error: ")
     assert "Traceback" not in err
+
+
+def _file_bodies(texts):
+    """The bytes of a file: one of `texts` as UTF-8, with or without a
+    byte-order mark in front, or any bytes."""
+    return st.one_of(texts.map(str.encode),
+                     texts.map(lambda t: b"\xef\xbb\xbf" + t.encode()),
+                     st.binary(max_size=24))
+
+
+@settings(FUZZ, max_examples=120)
+@given(st.sampled_from(["classify", "label", "verify"]),
+       _file_bodies(st.one_of(edge_list_texts, _json_texts(graph_objects))),
+       st.one_of(st.none(), _file_bodies(_json_texts(labeling_objects))))
+@example("classify", b"{bad", None)
+@example("verify", b"1 2\n", b"\xef\xbb\xbf{}")
+def test_an_input_error_is_one_stderr_line(command, graph, labeling):
+    """`verify` reads the generated labeling, or when it is None the output
+    of `matlabel label` on the same graph."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file = os.path.join(tmp, "g")
+        lab_file = os.path.join(tmp, "lab.json")
+        with open(graph_file, "wb") as f:
+            f.write(graph)
+        if labeling is None:
+            _run_main(["label", graph_file, "--out", lab_file])
+        else:
+            with open(lab_file, "wb") as f:
+                f.write(labeling)
+        argv = [command, graph_file] + ([lab_file] if command == "verify" else [])
+        code, out, err = _run_main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.startswith("matlabel: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""

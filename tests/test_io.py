@@ -175,6 +175,9 @@ def _reference_labeling(g, text):
         data = json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError("labeling JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:  # worded since, with the document and position
+        raise ValueError(f"labeling JSON: {exc.msg} at line {exc.lineno} "
+                         f"column {exc.colno}") from None
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise ValueError('labeling JSON needs an "edges" array')
     labels = {}

@@ -1,9 +1,9 @@
 """Every path that loads a module on demand, run as `python -m matlabel.cli`.
 
 A module that a command imports only when it needs it (matlabel.witness,
-matlabel.unit_interval, matlabel.formats, and the oracles for `selftest`)
-is already loaded in the test process by earlier tests, so an in-process
-call cannot show a missing import. Each case here starts a fresh
+matlabel.unit_interval and matlabel.formats) is already loaded in the
+test process by earlier tests, so an in-process call cannot show a
+missing import. Each case here starts a fresh
 interpreter and checks the exit code and the exact output.
 """
 
@@ -106,7 +106,6 @@ REJECTED = "graph is not strongly chordal"
      {"ok": False, "violation": {
          "detail": "edge (2, 3) labeled 2 closes 0 triangles with earlier labels, needs 1",
          "edges": [[2, 3]], "kind": "ML3-triangle-count", "level": 2, "vertices": []}}),
-    (["selftest", "--seed", "0"], 0, {"checked": 95, "mismatches": [], "seed": 0}),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
 def test_witnesses_and_reports(cases, argv, code, report):
     done = run(cases, *argv)
@@ -158,8 +157,8 @@ def test_help_and_a_usage_error(cases, capsys):
     done = run(cases, "--help")
     assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
     assert done.stdout.startswith(
-        "usage: matlabel {classify,label,verify,exponents,poset,selftest} ...\n")
+        "usage: matlabel {classify,label,verify,exponents,poset} ...\n")
     done = run(cases, "frobnicate")
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr == ("usage: matlabel {classify,label,verify,exponents,poset,selftest}"
-                           " ...\nmatlabel: error: unknown command 'frobnicate'\n")
+    assert done.stderr == ("usage: matlabel {classify,label,verify,exponents,poset} ..."
+                           "\nmatlabel: error: unknown command 'frobnicate'\n")

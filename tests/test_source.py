@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import matlabel
+from matlabel import cli
 
 SOURCES = sorted(Path(matlabel.__file__).parent.glob("*.py"))
 
@@ -66,8 +67,8 @@ def test_no_recursion_outside_the_oracles():
 
 ORACLE_SEARCHES = {"detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free"}
 
-# the oracles themselves (with the runtime cross-check), their re-exports,
-# and the old attribute paths that clibench/layers.py spans
+# the oracles themselves, their re-exports, and the old attribute paths
+# that clibench/layers.py spans
 ORACLE_NAMES_ALLOWED = {"oracle.py", "brute.py", "__init__.py",
                         "poset.py:__getattr__", "strong_chordal.py:__getattr__"}
 
@@ -98,7 +99,7 @@ def test_exhaustive_searches_stay_in_the_oracles():
     allowed = {f for f in found
                if f in ORACLE_NAMES_ALLOWED or f.split(":")[0] in ORACLE_NAMES_ALLOWED}
     assert sorted(found - allowed) == []
-    assert "oracle.py:selftest" in found  # the check still sees the cross-check
+    assert "oracle.py:is_crown_free" in found  # the check still sees an oracle caller
 
 
 LADDER_NAMES = {"find_chordless_cycle", "find_sun", "NotChordalError"}
@@ -268,6 +269,17 @@ DEFAULTED_PARAMETERS = {
     "graph.Graph.__init__(edges)", "graph.Graph.__init__(vertices)",
     "oracle.enumerate_graphs(connected)", "oracle.enumerate_graphs(predicate)",
 }
+
+
+# the command line's surface, pinned as the parameters above are: a new
+# command or option is a deliberate edit
+COMMANDS = {"classify", "label", "verify", "exponents", "poset"}
+OPTIONS = {"--out", "--dot"}
+
+
+def test_the_commands_and_options_are_pinned():
+    assert set(cli._COMMANDS) == COMMANDS
+    assert set(cli._OPTIONS) == OPTIONS
 
 
 def _public_functions(tree):
