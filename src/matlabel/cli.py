@@ -221,8 +221,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
                 raise _UsageError(f"unrecognized option {name!r}", command)
             if not eq:
                 value = next(rest, None)
-                if value is None or _is_option(value):
-                    raise _UsageError(f"option {name} expects a value", command)
+            if not value or not eq and _is_option(value):  # None, "" or the next option
+                raise _UsageError(f"option {name} expects a value", command)
             args[name[2:]] = value
         else:
             given.append(word)

@@ -21,16 +21,15 @@ if TYPE_CHECKING:  # each command loads only the layers it runs
 
 
 def parse_graph_json(text: str) -> Graph:
-    data = _load_json(text, "graph")
-    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
-        raise ValueError('graph JSON needs an "edges" array')
-    vertices = data.get("vertices", [])
-    if not isinstance(vertices, list):
+    top = _load_json(text, "graph", ("vertices", "edges"))
+    edges, vertices = top["edges"], top.get("vertices", [])
+    if type(vertices) is not list:
         raise ValueError('graph JSON "vertices" must be an array')
-    for i, e in enumerate(data["edges"]):
-        if not isinstance(e, list) or len(e) != 2:
-            raise ValueError(f"graph JSON edges[{i}] must be a pair [u, v], got {e!r}")
-    return Graph(vertices, data["edges"])
+    for i, e in enumerate(edges):
+        if type(e) is not list or len(e) != 2:
+            got = dict(e) if type(e) is tuple else e
+            raise ValueError(f"graph JSON edges[{i}] must be a pair [u, v], got {got!r}")
+    return Graph(vertices, edges)
 
 
 # label colors cycle through 8 values; the first three follow the usual

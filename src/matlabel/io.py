@@ -15,7 +15,6 @@ byte-identically.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,37 +55,32 @@ def _vertex_token(tok: str) -> int:
     return int(tok)
 
 
-def _load_json(text: str, what: str, pairs: bool = False):
-    """json.loads, with a syntax error, a repeated object key, decoder
-    recursion on deep nesting or an int literal beyond int()'s digit limit
-    as a ValueError that names the document.
-
-    With pairs, every object is decoded as a tuple of its (key, value)
-    pairs, by a hook that makes no Python call, and the caller checks the
-    keys of the objects it reads.
-    """
-
+def _load_json(text: str, what: str, keys: tuple[str, ...]) -> dict:
+    """The top level of a `what` JSON document: an object of an "edges"
+    array and no key outside `keys`, each once. Objects decode as tuples of
+    (key, value) pairs, by a hook that makes no Python call. A syntax
+    error, decoder recursion on deep nesting or an int literal beyond
+    int()'s digit limit is a ValueError that names the document."""
     import json
 
-    def unique_keys(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
-            raise ValueError(f"{what} JSON repeats the key {key!r} in one object")
-        return obj
-
     try:
-        return json.loads(text, object_pairs_hook=tuple if pairs else unique_keys)
+        data = json.loads(text, object_pairs_hook=tuple)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} JSON: {exc.msg} at line {exc.lineno} "
                          f"column {exc.colno}") from None
-    except ValueError as exc:
-        if not str(exc).startswith(what):  # not a repeated key: int() refused a literal
-            raise ValueError(f"{what} JSON has an integer of more than "
-                             f"{sys.get_int_max_str_digits()} digits") from None
-        raise
+    except ValueError:  # int() refused a literal
+        raise ValueError(f"{what} JSON has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    top = dict(data) if type(data) is tuple else {}
+    has_edges = type(top.get("edges")) is list
+    if not has_edges or len(top) != len(data) or top.keys() - set(keys):
+        from .witness import _object_error
+
+        raise _object_error(what, "", data, keys,
+                            not has_edges and f'{what} JSON needs an "edges" array')
+    return top
 
 
 def read_input(path: str | Path) -> str:
@@ -116,33 +110,25 @@ def load_graph(path: str | Path) -> Graph:
 def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
     """Labeling from JSON; the edge set must match the graph exactly.
 
-    One loop takes a top level of exactly {"edges": [...]} whose entries
-    are objects of exactly three int pairs "u", "v" and "label", in any key
-    order, with no (u, v) twice, and hands its {(u, v): label} table to
-    EdgeLabeling, which checks it. The plain reader witness._read_labeling
-    takes any other text and words its fault. On the loop's text it too
-    decodes no repeated key (the only objects have distinct keys and int
-    values), passes every shape check and hands EdgeLabeling the same table
-    in the same order: both routes give one labeling or one error.
-    """
+    One loop reads the entries in order: keys other than "u", "v" and
+    "label", an array or object endpoint or a (u, v) given twice is an
+    error there, and EdgeLabeling checks the ids and labels. An entry of
+    three ints makes no Python call."""
     from .labeling import EdgeLabeling
 
-    data = _load_json(text, "labeling", pairs=True)
-    edges = dict(data).get("edges") if type(data) is tuple else None
-    if type(edges) is list and len(data) == 1:
-        labels = {}
-        for item in edges:
-            entry = dict(item) if type(item) is tuple else {}
-            u, v, k = entry.get("u"), entry.get("v"), entry.get("label")
-            if not (type(u) is type(v) is type(k) is int and len(item) == 3):
-                break
-            labels[u, v] = k
-        else:
-            if len(labels) == len(edges):  # no (u, v) twice
-                return EdgeLabeling(g, labels)
-    from .witness import _read_labeling
+    labels = {}  # one per entry read so far: len(labels) is the next entry's index
+    for item in _load_json(text, "labeling", ("edges",))["edges"]:
+        entry = dict(item) if type(item) is tuple else {}
+        u, v, k = entry.get("u"), entry.get("v"), entry.get("label")
+        if not (type(u) is type(v) is type(k) is int and len(item) == 3):
+            from .witness import _check_labeling_entry
 
-    return _read_labeling(g, text)
+            _check_labeling_entry(len(labels), item)
+        e = u, v
+        if e in labels:
+            raise ValueError(f"duplicate labeling entry for edge {e}")
+        labels[e] = k
+    return EdgeLabeling(g, labels)
 
 
 # an entry of a labeling as json.dumps(..., sort_keys=True, indent=2) writes it

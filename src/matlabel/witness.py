@@ -1,16 +1,16 @@
 """Witnesses of a rejection, and the wording of input errors.
 
 A command loads this module only when it rejects its input, finds it
-malformed, reads a labeling with keys that `label` does not write, or
-reports why a graph is not unit interval (`classify`). It holds the
-chordless cycle's closing path, the sun read off an elimination residue
-and the crown lifted from it, the violations of ML1-3 with their paths,
-the plain reader of labeling JSON, which words the errors of a malformed
-labeling, and the JSON of each witness kind.
+malformed, or reports why a graph is not unit interval (`classify`). It
+holds the chordless cycle's closing path, the sun read off an elimination
+residue and the crown lifted from it, the violations of ML1-3 with their
+paths, the errors of a bad labeling entry or JSON object, and the JSON of
+each witness kind.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
@@ -253,7 +253,7 @@ def _count_violation(lab, vertices, pi_k, k, parent, below, e) -> MatViolation:
     )
 
 
-# -- malformed labelings ----------------------------------------------------
+# -- malformed labelings and JSON objects -----------------------------------
 
 
 def _check_entry(u, v, k) -> None:
@@ -276,28 +276,28 @@ def _domain_error(graph: Graph, table: Mapping[tuple[int, int], int]) -> ValueEr
     )
 
 
-_ENTRY_KEYS = frozenset(("u", "v", "label"))
+def _object_error(what: str, where: str, value, keys, missing) -> ValueError:
+    """The error for a value at `where` (as " edges[3]") in a `what` JSON
+    document that is no object (a tuple of (key, value) pairs) of the keys
+    in `keys`, each once: a repeated key, else `missing` (the caller's words
+    for no object or a bad needed key), else a key outside `keys`."""
+    counts = Counter(k for k, _ in value) if type(value) is tuple else {}
+    repeated = [k for k, c in counts.items() if c > 1]
+    unknown = [k for k in counts if k not in keys]
+    return ValueError(f"{what} JSON repeats the key {repeated[0]!r} in one object" if repeated
+                      else missing or f"{what} JSON{where} has an unknown key {unknown[0]!r}")
 
 
-def _read_labeling(g: Graph, text: str):
-    """io.parse_labeling_json's labeling of g, or the error of the first
-    fault: a repeated key, the top level, then the shape and endpoints of
-    every entry and a repeated (u, v); EdgeLabeling words the rest."""
-    from .io import _load_json
-    from .labeling import EdgeLabeling
-
-    data = _load_json(text, "labeling")
-    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
-        raise ValueError('labeling JSON needs an "edges" array')
-    labels = {}
-    for i, item in enumerate(data["edges"]):
-        if not isinstance(item, dict) or not item.keys() >= _ENTRY_KEYS:
-            raise ValueError(f'labeling JSON edges[{i}] must be an object with '
-                             f'"u", "v" and "label", got {item!r}')
-        u, v = e = item["u"], item["v"]
-        if isinstance(u, (list, dict)) or isinstance(v, (list, dict)):
-            raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")
-        if e in labels:
-            raise ValueError(f"duplicate labeling entry for edge {e}")
-        labels[e] = item["label"]
-    return EdgeLabeling(g, labels)
+def _check_labeling_entry(i: int, item) -> None:
+    """Raise the error for entry i of a labeling's "edges" when its keys are
+    not exactly "u", "v" and "label" or an endpoint is an array or object;
+    return when only a value is not an int, for EdgeLabeling to word."""
+    keys = ("u", "v", "label")
+    entry = dict(item) if type(item) is tuple else {}
+    if entry.keys() != set(keys) or len(item) != 3:
+        got = entry if type(item) is tuple else item
+        missing = not entry.keys() >= set(keys) and (
+            f'labeling JSON edges[{i}] must be an object with "u", "v" and "label", got {got!r}')
+        raise _object_error("labeling", f" edges[{i}]", item, keys, missing)
+    if type(entry["u"]) in (list, tuple) or type(entry["v"]) in (list, tuple):
+        raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")

@@ -840,6 +840,19 @@ def test_the_removed_options_are_usage_errors(capsys, option):
         assert error == f"matlabel: error: unrecognized option {name!r}"
 
 
+@pytest.mark.parametrize("option", [["--out="], ["--out", ""], ["--dot="]], ids=repr)
+def test_an_empty_option_value_is_a_usage_error(capsys, tmp_path, option):
+    # argparse took an empty value, and an empty --out then meant stdout
+    graph = tmp_path / "p3.txt"
+    graph.write_text("1 2\n2 3\n")
+    assert main(["label", str(graph), *option]) == 1
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert captured.out == "" and usage.startswith("usage: matlabel label ")
+    name = option[0].rstrip("=")
+    assert error == f"matlabel: error: option {name} expects a value"
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
                                   ["label", "--dot", "d.dot", "--help"]])
 def test_help_exits_0_with_usage_on_stdout(argv):

@@ -176,3 +176,77 @@ def test_an_input_error_is_one_stderr_line(command, graph, labeling):
         assert err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+
+
+class _Object(list):
+    """A JSON object as the list of its (key, value) pairs, so a key can repeat."""
+
+
+def _object_text(value) -> str:
+    """The JSON text of a value whose objects are _Object pair lists."""
+    if isinstance(value, _Object):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_object_text(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_object_text, value)) + "]"
+    return json.dumps(value)
+
+
+# each object of the two formats: its keys, and those of them it needs
+TOP_KEYS = {"graph": (("vertices", "edges"), ("edges",)), "labeling": (("edges",), ("edges",))}
+ENTRY_KEYS = (("u", "v", "label"), ("u", "v", "label"))
+
+
+def _break_keys(data, doc, draw) -> None:
+    """Give one object of a decoded graph or labeling document (the top
+    level or an entry, at any depth the format has) an unknown key, take
+    away a key it needs, or repeat one of its keys; then maybe another."""
+    objects = [(data, *TOP_KEYS[doc])]
+    if doc == "labeling":
+        objects += [(entry, *ENTRY_KEYS) for entry in dict(data)["edges"]]
+    for _ in range(draw(st.integers(1, 3))):
+        obj, keys, needs = draw(st.sampled_from(objects))
+        kinds = ["unknown"] + ["missing"] * any(k in needs for k, _ in obj)
+        kinds += ["repeated"] * bool(obj)
+        kind = draw(st.sampled_from(kinds))
+        at = draw(st.integers(0, len(obj)))
+        if kind == "unknown":
+            key = draw(st.text(max_size=5).filter(lambda k: k not in keys))
+            obj.insert(at, (key, draw(json_values)))
+        elif kind == "missing":
+            key = draw(st.sampled_from([k for k, _ in obj if k in needs]))
+            obj[:] = [(k, v) for k, v in obj if k != key]
+        else:
+            key, value = draw(st.sampled_from(obj))
+            obj.insert(at, (key, draw(st.one_of(st.just(value), json_values))))
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.integers(1, 9), st.integers(0, 10 ** 6), st.sampled_from(["graph", "labeling"]),
+       st.data())
+def test_a_key_outside_either_format_is_one_error_naming_the_document(n, seed, doc, data):
+    """An unknown, missing or repeated key in any object of a graph or a
+    labeling is an input error that names the document; the labeling that
+    `label` writes verifies."""
+    from matlabel.families import random_strongly_chordal
+
+    graph = json.dumps(graph_to_json_dict(random_strongly_chordal(n, seed=seed)))
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file = os.path.join(tmp, "g.json")
+        lab_file = os.path.join(tmp, "lab.json")
+        with open(graph_file, "w", encoding="utf-8") as f:
+            f.write(graph)
+        assert _run_main(["label", graph_file, "--out", lab_file]) == (0, "", "")
+        assert _run_main(["verify", graph_file, lab_file])[:2] == (0, '{\n  "ok": true\n}\n')
+        path = graph_file if doc == "graph" else lab_file
+        with open(path, encoding="utf-8") as f:
+            decoded = json.loads(f.read(), object_pairs_hook=_Object)
+        _break_keys(decoded, doc, data.draw)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(_object_text(decoded))
+        command = data.draw(st.sampled_from(
+            ["verify", "exponents"] + ["classify", "label"] * (doc == "graph")))
+        argv = [command, graph_file] + [lab_file] * (command in ("verify", "exponents"))
+        code, out, err = _run_main(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("matlabel: error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert f"{doc} JSON" in err

@@ -219,12 +219,30 @@ def _outcome(read, g, text):
 
 
 def _assert_read_alike(g, text):
+    """parse_labeling_json's outcome, checked against the earlier reader's:
+    the same labeling of a text it took with no key outside the format, an
+    error naming the document for one with such a key, and an error for
+    every text it rejected."""
     got = _outcome(parse_labeling_json, g, text)
     if got[0] == "ok":
         assert got[1] == EdgeLabeling(g, got[1].labels)
         got = ("ok", got[1].labels)
-    assert got == _outcome(_reference_labeling, g, text)
+    expected = _outcome(_reference_labeling, g, text)
+    if expected[0] == "error":
+        assert got[0] == "error", (text, got)
+    elif _has_unknown_key(text):
+        assert got[0] == "error" and got[1].startswith("labeling JSON"), (text, got)
+    else:
+        assert got == expected
     return got
+
+
+def _has_unknown_key(text):
+    """Whether a labeling the earlier reader took has a key outside the
+    format, at the top level or in an entry."""
+    data = json.loads(text)
+    return data.keys() != {"edges"} or any(e.keys() != {"u", "v", "label"}
+                                           for e in data["edges"])
 
 
 UI7 = Graph.from_edges(UI7_EDGES)
@@ -264,7 +282,7 @@ SINGLE_FAULTS = (
     + [("entry", bad) for bad in ("5", "null", "[1, 2]", "[]", '"u"', "{}")]
     + [(kind, None) for kind in ("self-loop", "same-orientation", "both-orientations",
                                  "missing-edge", "extra-edge", "non-edge",
-                                 "nested-repeat")]
+                                 "nested-repeat", "extra-key")]
 )
 
 
@@ -303,6 +321,8 @@ def _with_fault(entries, fault, i, rng):
         entries[i] = [("u", "1"), ("v", "7"), ("label", "1")]
     elif where == "nested-repeat":
         entry.insert(rng.randrange(len(entry) + 1), ("note", '{"a": 1, "a": 1}'))
+    elif where == "extra-key":
+        entry.insert(rng.randrange(len(entry) + 1), ("note", "0"))
     return entries
 
 
@@ -343,8 +363,8 @@ def test_any_labeling_text_is_read_as_the_two_pass_reader_reads_it(text):
     '{"edges": [{"label": 1, "u": 1, "v": 2}, {"label": 2, "u": 2, "v": 3}]}',
     '{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
     '{"edges": [{"u": 2, "v": 1, "label": 1}, {"v": 2, "label": 2, "u": 3}]}',
-    '{"edges": [{"u": 1, "v": 2, "label": 1, "note": {"a": [1]}}, '
-    '{"u": 2, "v": 3, "label": 2}], "meta": {"b": null}}',
+    '{"edges": [{"label": 1, "u": 1, "v": 2}, {"v": 2, "u": 3, "label": 2}]}',
+    '{"edges":[{"u":2,"v":1,"label":1},{"u":2,"v":3,"label":2}]}',
 ])
 def test_labeling_json_in_any_key_order_and_orientation(text):
     assert _assert_read_alike(P3, text) == ("ok", {(1, 2): 1, (2, 3): 2})
@@ -385,63 +405,33 @@ P3 = Graph.from_edges([(1, 2), (2, 3)])
     ("null", 'labeling JSON needs an "edges" array'),
     ("[]", 'labeling JSON needs an "edges" array'),
     ("[[]]", 'labeling JSON needs an "edges" array'),
-    ('[{"a": 1, "a": 2}]', "labeling JSON repeats the key 'a' in one object"),
+    ('[{"a": 1, "a": 2}]', 'labeling JSON needs an "edges" array'),
     ('{"edges": 5}', 'labeling JSON needs an "edges" array'),
     ('{"edges": [], "edges": []}', "labeling JSON repeats the key 'edges' in one object"),
+    # every fault EdgeLabeling words: a label 0, a self-loop, a negative id,
+    # and a domain mismatch
+    ('{"edges": [{"u": 1, "v": 2, "label": 0}, {"u": 2, "v": 3, "label": 2}]}',
+     "label of (1, 2) must be a positive integer, got 0"),
+    ('{"edges": [{"u": 1, "v": 1, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
+     "self-loop at vertex 1"),
+    ('{"edges": [{"u": -1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
+     "vertex ids must be nonnegative integers, got -1"),
+    ('{"edges": [{"u": 1, "v": 3, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
+     "label domain must equal the edge set (missing [(1, 2)], extra [(1, 3)])"),
+    # a key outside the format, in an entry or at the top level; an object
+    # is checked before the objects inside it
+    ('{"edges": [{"u": 1, "v": 2, "label": 1, "note": 0}, {"u": 2, "v": 3, "label": 2}]}',
+     "labeling JSON edges[0] has an unknown key 'note'"),
+    ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}], "meta": 0}',
+     "labeling JSON has an unknown key 'meta'"),
+    ('{"edges": [{"u": 1, "v": 2, "label": 1, "note": {"a": [1]}}, '
+     '{"u": 2, "v": 3, "label": 2}], "meta": {"b": null}}',
+     "labeling JSON has an unknown key 'meta'"),
+    ('{"edges": [{"u": 2, "v": 1, "label": 1}, {"u": 2, "v": 1, "label": 2}]}',
+     "duplicate labeling entry for edge (2, 1)"),
 ])
 def test_labeling_json_faults_keep_their_messages(text, message):
     assert _assert_read_alike(P3, text) == ("error", message)
-
-
-def test_only_text_the_loop_does_not_take_reaches_the_plain_reader(monkeypatch):
-    from matlabel import height_labeling_complete, witness
-
-    reached = []
-    plain = witness._read_labeling
-
-    def recorded(g, text):
-        reached.append(text)
-        return plain(g, text)
-
-    monkeypatch.setattr(witness, "_read_labeling", recorded)
-    labelings = [EdgeLabeling(UI7, UI7_LABELS), height_labeling_complete(10),
-                 EdgeLabeling(Graph([3]), {})]
-    for lab in labelings:
-        assert parse_labeling_json(lab.graph, labeling_json(lab)) == lab
-    for text in ('{"edges": [{"label": 1, "u": 1, "v": 2}, {"v": 2, "u": 3, "label": 2}]}',
-                 '{"edges":[{"u":2,"v":1,"label":1},{"u":2,"v":3,"label":2}]}'):
-        assert _assert_read_alike(P3, text) == ("ok", {(1, 2): 1, (2, 3): 2})
-    assert reached == []
-    # every fault EdgeLabeling words: a label 0, a self-loop, a negative id,
-    # one edge in both orientations, then domain mismatches
-    for text, outcome in [
-        ('{"edges": [{"u": 1, "v": 2, "label": 0}, {"u": 2, "v": 3, "label": 2}]}',
-         ("error", "label of (1, 2) must be a positive integer, got 0")),
-        ('{"edges": [{"u": 1, "v": 1, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
-         ("error", "self-loop at vertex 1")),
-        ('{"edges": [{"u": -1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}]}',
-         ("error", "vertex ids must be nonnegative integers, got -1")),
-        ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 1, "label": 1}]}',
-         ("error", "duplicate label entry for edge (1, 2)")),
-        ('{"edges": [{"u": 1, "v": 2, "label": 1}]}',
-         ("error", "label domain must equal the edge set (missing [(2, 3)], extra [])")),
-        ('{"edges": [{"u": 1, "v": 3, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
-         ("error", "label domain must equal the edge set (missing [(1, 2)], extra [(1, 3)])")),
-    ]:
-        assert _assert_read_alike(P3, text) == outcome
-        assert reached == []
-    # an extra entry key, an extra top-level key, then a repeated (u, v)
-    for text, outcome in [
-        ('{"edges": [{"u": 1, "v": 2, "label": 1, "note": 0}, {"u": 2, "v": 3, "label": 2}]}',
-         ("ok", {(1, 2): 1, (2, 3): 2})),
-        ('{"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 2}], "meta": 0}',
-         ("ok", {(1, 2): 1, (2, 3): 2})),
-        ('{"edges": [{"u": 2, "v": 1, "label": 1}, {"u": 2, "v": 1, "label": 2}]}',
-         ("error", "duplicate labeling entry for edge (2, 1)")),
-    ]:
-        reached.clear()
-        assert _assert_read_alike(P3, text) == outcome
-        assert reached == [text]
 
 
 def test_the_loop_builds_its_labeling_through_edgelabeling(monkeypatch):

@@ -306,3 +306,16 @@ def test_public_parameters_with_defaults_are_pinned():
                           if d is not None]
             found |= {f"{path.stem}.{name}({a.arg})" for a in defaulted}
     assert found == DEFAULTED_PARAMETERS
+
+
+def test_json_is_decoded_in_one_mode():
+    # every document decodes each object as the tuple of its (key, value)
+    # pairs, and its reader checks the keys: one decode mode, no hook of
+    # our own to call per object
+    calls = [node for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "loads" and getattr(node.func.value, "id", None) == "json"]
+    assert len(calls) == 1
+    hooks = [k.value for k in calls[0].keywords if k.arg == "object_pairs_hook"]
+    assert len(hooks) == 1 and isinstance(hooks[0], ast.Name) and hooks[0].id == "tuple"

@@ -101,13 +101,15 @@ def _ast_nodes(module: str) -> int:
 # 9,061 / 5,728 / 6,318 before the labeling reader handed its table to
 # EdgeLabeling instead of copying the entry checks, and 8,928 / 5,595 /
 # 6,242 before the graph format was read off the text and --format and
-# --verbose went, and 8,695 / 5,362 / 6,009 before selftest and --seed went
+# --verbose went, and 8,695 / 5,362 / 6,009 before selftest and --seed went,
+# and 8,607 / 5,274 / 5,921 before JSON inputs took only their formats' keys
+# and the labeling reader became one loop with one decode mode
 @pytest.mark.parametrize("argv, bound, never", [
-    (("label", "one"), 8_607, {"json", "matlabel.witness", "matlabel.formats",
+    (("label", "one"), 8_581, {"json", "matlabel.witness", "matlabel.formats",
                                 "matlabel.unit_interval"}),
-    (("verify", "one", "empty"), 5_274, {"matlabel.witness", "matlabel.formats",
+    (("verify", "one", "empty"), 5_248, {"matlabel.witness", "matlabel.formats",
                                          "matlabel.unit_interval"}),
-    (("classify", "one"), 5_921, {"matlabel.witness", "matlabel.formats"}),
+    (("classify", "one"), 5_895, {"matlabel.witness", "matlabel.formats"}),
 ], ids=["label", "verify", "classify"])
 def test_a_call_that_succeeds_compiles_no_cold_code(tmp_path, argv, bound, never):
     (tmp_path / "one").write_text("vertices: 1\n")
