@@ -16,12 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arrangement": ("IntPolynomial", "check_terao_factorization",
                     "chromatic_polynomial", "exponents_from_labeling"),
-    "brute": ("brute_force_mat_labeling",),
     "chordal": ("find_chordless_cycle", "find_peo", "is_chordal", "peo_exponents"),
     "construct": ("construct_mat_labeling", "extend_labeling_complete", "merge_complete",
                   "node_family"),
     "errors": ("NoLeafPairError", "NotChordalError", "NotStronglyChordalError"),
-    "families": ("height_labeling_complete",),
     "graph": ("Graph", "canonical_edge"),
     "labeling": ("EdgeLabeling", "is_mat_simplicial", "verify_mat_labeling"),
     "oracle": ("detect_induced_sun", "find_any_crown", "find_crown", "find_mat_peo",

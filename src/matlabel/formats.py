@@ -27,8 +27,7 @@ def parse_graph_json(text: str) -> Graph:
         raise ValueError('graph JSON "vertices" must be an array')
     for i, e in enumerate(edges):
         if type(e) is not list or len(e) != 2:
-            got = dict(e) if type(e) is tuple else e
-            raise ValueError(f"graph JSON edges[{i}] must be a pair [u, v], got {got!r}")
+            raise ValueError(f"graph JSON edges[{i}] must be a pair [u, v], got {e!r}")
     return Graph(vertices, edges)
 
 

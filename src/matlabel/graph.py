@@ -101,9 +101,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighborhood(v))
 
-    def common_neighbors(self, u: int, v: int) -> frozenset[int]:
-        return self.neighborhood(u) & self.neighborhood(v)
-
     # -- derived graphs ------------------------------------------------
 
     def induced_subgraph(self, s: Iterable[int]) -> "Graph":

@@ -55,16 +55,27 @@ def _vertex_token(tok: str) -> int:
     return int(tok)
 
 
+class _JsonObject(tuple):
+    """A decoded JSON object: the tuple of its (key, value) pairs, in order,
+    which an error message shows as the object. Decoding makes it with no
+    Python call, as it defines no constructor."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "{%s}" % ", ".join(f"{k!r}: {v!r}" for k, v in self)
+
+
 def _load_json(text: str, what: str, keys: tuple[str, ...]) -> dict:
     """The top level of a `what` JSON document: an object of an "edges"
-    array and no key outside `keys`, each once. Objects decode as tuples of
-    (key, value) pairs, by a hook that makes no Python call. A syntax
+    array and no key outside `keys`, each once. Objects decode as
+    _JsonObject tuples, by a hook that makes no Python call. A syntax
     error, decoder recursion on deep nesting or an int literal beyond
     int()'s digit limit is a ValueError that names the document."""
     import json
 
     try:
-        data = json.loads(text, object_pairs_hook=tuple)
+        data = json.loads(text, object_pairs_hook=_JsonObject)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
     except json.JSONDecodeError as exc:
@@ -73,7 +84,7 @@ def _load_json(text: str, what: str, keys: tuple[str, ...]) -> dict:
     except ValueError:  # int() refused a literal
         raise ValueError(f"{what} JSON has an integer of more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
-    top = dict(data) if type(data) is tuple else {}
+    top = dict(data) if type(data) is _JsonObject else {}
     has_edges = type(top.get("edges")) is list
     if not has_edges or len(top) != len(data) or top.keys() - set(keys):
         from .witness import _object_error
@@ -118,7 +129,7 @@ def parse_labeling_json(g: Graph, text: str) -> EdgeLabeling:
 
     labels = {}  # one per entry read so far: len(labels) is the next entry's index
     for item in _load_json(text, "labeling", ("edges",))["edges"]:
-        entry = dict(item) if type(item) is tuple else {}
+        entry = dict(item) if type(item) is _JsonObject else {}
         u, v, k = entry.get("u"), entry.get("v"), entry.get("label")
         if not (type(u) is type(v) is type(k) is int and len(item) == 3):
             from .witness import _check_labeling_entry

@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
 from .graph import Graph, _check_vertex_id, canonical_edge, sorted_sets
+from .io import _JsonObject
 
 # -- chordless cycles -------------------------------------------------------
 
@@ -278,10 +279,10 @@ def _domain_error(graph: Graph, table: Mapping[tuple[int, int], int]) -> ValueEr
 
 def _object_error(what: str, where: str, value, keys, missing) -> ValueError:
     """The error for a value at `where` (as " edges[3]") in a `what` JSON
-    document that is no object (a tuple of (key, value) pairs) of the keys
-    in `keys`, each once: a repeated key, else `missing` (the caller's words
-    for no object or a bad needed key), else a key outside `keys`."""
-    counts = Counter(k for k, _ in value) if type(value) is tuple else {}
+    document that is no object (an io._JsonObject) of the keys in `keys`,
+    each once: a repeated key, else `missing` (the caller's words for no
+    object or a bad needed key), else a key outside `keys`."""
+    counts = Counter(k for k, _ in value) if type(value) is _JsonObject else {}
     repeated = [k for k, c in counts.items() if c > 1]
     unknown = [k for k in counts if k not in keys]
     return ValueError(f"{what} JSON repeats the key {repeated[0]!r} in one object" if repeated
@@ -293,11 +294,10 @@ def _check_labeling_entry(i: int, item) -> None:
     not exactly "u", "v" and "label" or an endpoint is an array or object;
     return when only a value is not an int, for EdgeLabeling to word."""
     keys = ("u", "v", "label")
-    entry = dict(item) if type(item) is tuple else {}
+    entry = dict(item) if type(item) is _JsonObject else {}
     if entry.keys() != set(keys) or len(item) != 3:
-        got = entry if type(item) is tuple else item
         missing = not entry.keys() >= set(keys) and (
-            f'labeling JSON edges[{i}] must be an object with "u", "v" and "label", got {got!r}')
+            f'labeling JSON edges[{i}] must be an object with "u", "v" and "label", got {item!r}')
         raise _object_error("labeling", f" edges[{i}]", item, keys, missing)
-    if type(entry["u"]) in (list, tuple) or type(entry["v"]) in (list, tuple):
+    if type(entry["u"]) in (list, _JsonObject) or type(entry["v"]) in (list, _JsonObject):
         raise ValueError(f"labeling JSON edges[{i}] has an array or object endpoint")

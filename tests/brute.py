@@ -17,8 +17,8 @@ recognizer and the constructor are cross-checked.
 
 from __future__ import annotations
 
-from .graph import Graph
-from .labeling import EdgeLabeling
+from matlabel.graph import Graph
+from matlabel.labeling import EdgeLabeling
 
 
 class _Search:
@@ -39,7 +39,7 @@ class _Search:
         # triangle through e
         self.triangles = [
             tuple((eid[(index[u], index[w])], eid[(index[v], index[w])])
-                  for w in sorted(g.common_neighbors(u, v)))
+                  for w in sorted(g[u] & g[v]))
             for u, v in self.gedges
         ]
         self.cap = [min(max_label, len(t) + 1) for t in self.triangles]
@@ -224,7 +224,7 @@ def brute_force_mat_labeling(
         return EdgeLabeling(g, {})
 
     if max_label is None:
-        from .chordal import peo_exponents
+        from matlabel.chordal import peo_exponents
 
         # a vertex and its earlier neighbours along a PEO form a clique, and a
         # largest clique's last vertex has the rest earlier: omega(g) - 1 is

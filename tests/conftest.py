@@ -15,7 +15,6 @@ import pytest
 from matlabel import (
     EdgeLabeling,
     Graph,
-    brute_force_mat_labeling,
     build_poset,
     construct_mat_labeling,
     detect_induced_sun,
@@ -24,8 +23,10 @@ from matlabel import (
     is_strongly_chordal,
     verify_mat_labeling,
 )
-from matlabel.families import random_graph
 from matlabel.oracle import enumerate_graphs
+
+from .brute import brute_force_mat_labeling
+from .families import random_graph
 
 UI7_EDGES = [
     (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4),

@@ -6,11 +6,11 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .graph import Graph
-from .labeling import EdgeLabeling
-from .strong_chordal import is_simple_vertex, is_strongly_chordal
-from .unit_interval import claw, net
-from .witness import n_sun
+from matlabel.graph import Graph
+from matlabel.labeling import EdgeLabeling
+from matlabel.strong_chordal import is_simple_vertex, is_strongly_chordal
+from matlabel.unit_interval import claw, net
+from matlabel.witness import n_sun
 
 __all__ = [
     "claw", "complete_graph", "cycle_graph", "height_labeling_complete", "n_sun", "net",

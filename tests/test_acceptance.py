@@ -17,7 +17,6 @@ from matlabel import (
     EdgeLabeling,
     Graph,
     IntPolynomial,
-    brute_force_mat_labeling,
     build_poset,
     check_terao_factorization,
     chromatic_polynomial,
@@ -28,23 +27,24 @@ from matlabel import (
     find_any_crown,
     find_crown,
     find_mat_peo,
-    height_labeling_complete,
     is_chordal,
     is_strongly_chordal,
     verify_mat_labeling,
 )
 from matlabel.cli import main as cli_main
-from matlabel.families import (
+from matlabel.oracle import enumerate_graphs
+
+from .brute import brute_force_mat_labeling
+from .conftest import UI7_EDGES, UI7_EXPONENTS, UI7_POSET_COVERS, UI7_POSET_NODES
+from .families import (
     RISING_SUN_MARKED_EDGE,
     complete_graph,
+    height_labeling_complete,
     n_sun,
     path_graph,
     random_strongly_chordal,
     rising_sun,
 )
-from matlabel.oracle import enumerate_graphs
-
-from .conftest import UI7_EDGES, UI7_EXPONENTS, UI7_POSET_COVERS, UI7_POSET_NODES
 from .helpers import band, with_label
 
 

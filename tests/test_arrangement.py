@@ -12,19 +12,19 @@ from matlabel import (
     chromatic_polynomial,
     construct_mat_labeling,
     exponents_from_labeling,
-    height_labeling_complete,
     maximal_cliques,
     peo_exponents,
 )
 from matlabel import arrangement
-from matlabel.families import (
+
+from .families import (
     complete_graph,
     cycle_graph,
+    height_labeling_complete,
     path_graph,
     random_graph,
     random_strongly_chordal,
 )
-
 from .helpers import add_vertex, evaluate
 
 

@@ -8,15 +8,15 @@ import pytest
 from matlabel import (
     EdgeLabeling,
     Graph,
-    brute_force_mat_labeling,
     is_chordal,
     is_strongly_chordal,
     peo_exponents,
     verify_mat_labeling,
 )
-from matlabel.brute import _Search
-from matlabel.families import complete_graph, cycle_graph, n_sun, random_graph
 from matlabel.oracle import enumerate_graphs
+
+from .brute import _Search, brute_force_mat_labeling
+from .families import complete_graph, cycle_graph, n_sun, random_graph
 
 
 def clique_number(g):

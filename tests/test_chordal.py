@@ -15,7 +15,9 @@ from matlabel import (
 )
 from matlabel import Graph
 from matlabel.chordal import _mcs_order, exponents_along
-from matlabel.families import (
+from matlabel.oracle import brute_induced_cycles
+
+from .families import (
     claw,
     complete_graph,
     cycle_graph,
@@ -24,8 +26,6 @@ from matlabel.families import (
     random_graph,
     random_strongly_chordal,
 )
-from matlabel.oracle import brute_induced_cycles
-
 from .helpers import is_clique, random_peo
 
 

@@ -13,11 +13,11 @@ import pytest
 
 from matlabel import NoLeafPairError, cli
 from matlabel.cli import main
-from matlabel.families import n_sun
 from matlabel.labeling import verify_mat_labeling
 from matlabel.poset import maximal_cliques
 
 from .conftest import UI7_EDGES
+from .families import n_sun
 from .test_construct import d_graph
 
 ORACLE_SEARCHES = ("detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free")
@@ -628,13 +628,31 @@ P3_LABELING = {"edges": [{"u": 1, "v": 2, "label": 1}, {"u": 2, "v": 3, "label":
                  'graph JSON "vertices" must be an array', id="vertices-not-array"),
     pytest.param({"edges": [[1, 2], [2, 3]]}, {"edges": 5},
                  'labeling JSON needs an "edges" array', id="labels-not-array"),
+    # a JSON object in a message is shown as the object, nested ones too;
+    # with no labeling, the graph is classified
+    pytest.param({"edges": [[1, 2]], "vertices": [{"a": 1}]}, None,
+                 "vertex ids must be nonnegative integers, got {'a': 1}\n",
+                 id="object-vertex"),
+    pytest.param({"edges": [[1, {"a": 1}]]}, None,
+                 "vertex ids must be nonnegative integers, got {'a': 1}\n",
+                 id="object-endpoint"),
+    pytest.param({"edges": [[1, 2, {"z": 3}]]}, None,
+                 "graph JSON edges[0] must be a pair [u, v], got [1, 2, {'z': 3}]\n",
+                 id="object-in-edge"),
+    pytest.param({"edges": [[1, 2]]},
+                 {"edges": [{"u": 1, "v": 2, "label": {"x": [1, {"y": 2}]}}]},
+                 "label of (1, 2) must be a positive integer, got {'x': [1, {'y': 2}]}\n",
+                 id="object-label"),
 ])
 def test_strict_json_input_is_input_error(capsys, tmp_path, graph, labeling, message):
     graph_file = tmp_path / "g.json"
     graph_file.write_text(json.dumps(graph))
-    lab_file = tmp_path / "lab.json"
-    lab_file.write_text(json.dumps(labeling))
-    code = main(["verify", str(graph_file), str(lab_file)])
+    argv = ["classify", str(graph_file)]
+    if labeling is not None:
+        lab_file = tmp_path / "lab.json"
+        lab_file.write_text(json.dumps(labeling))
+        argv = ["verify", str(graph_file), str(lab_file)]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("matlabel: error: ") and captured.err.count("\n") == 1
@@ -675,7 +693,7 @@ def test_byte_identical_output(ui7_file, tmp_path):
 def test_label_verify_round_trip_sampled(capsys, tmp_path):
     import random
 
-    from matlabel.families import random_strongly_chordal
+    from .families import random_strongly_chordal
     from .helpers import graph_to_json_dict
 
     rng = random.Random(8)

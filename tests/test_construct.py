@@ -18,7 +18,6 @@ from matlabel import (
     exponents_from_labeling,
     extend_labeling_complete,
     find_sun,
-    height_labeling_complete,
     is_chordal,
     is_mat_simplicial,
     is_strongly_chordal,
@@ -28,18 +27,19 @@ from matlabel import (
     verify_mat_labeling,
 )
 from matlabel.construct import _extend_into, _label_table, _mat_peo, _merge_into
-from matlabel.families import (
+from matlabel.graph import sorted_key, sorted_sets
+from matlabel.oracle import enumerate_graphs
+
+from .conftest import UI7_EXPONENTS, UI7_LABELS
+from .families import (
     complete_graph,
     cycle_graph,
+    height_labeling_complete,
     n_sun,
     path_graph,
     random_graph,
     random_strongly_chordal,
 )
-from matlabel.graph import sorted_key, sorted_sets
-from matlabel.oracle import enumerate_graphs
-
-from .conftest import UI7_EXPONENTS, UI7_LABELS
 
 
 def test_height_labeling_values():

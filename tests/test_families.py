@@ -1,12 +1,12 @@
-"""The seeded generators of matlabel.families."""
+"""The seeded generators of the test suite's graph families."""
 
 import random
 
 import pytest
 
 from matlabel import Graph, is_simple_vertex, is_strongly_chordal
-from matlabel.families import path_graph, random_graph, random_strongly_chordal
 
+from .families import path_graph, random_graph, random_strongly_chordal
 from .helpers import add_vertex
 
 
@@ -51,7 +51,7 @@ def test_random_strongly_chordal_matches_the_rebuilding_generator():
 def test_random_strongly_chordal_grows_without_add_vertex(monkeypatch):
     # add_vertex copies every edge into a new Graph, so a Graph per attempt
     # is quadratic; the generator grows one dict and builds one Graph
-    from matlabel import families
+    from . import families
 
     built = []
 

@@ -227,7 +227,7 @@ def test_a_key_outside_either_format_is_one_error_naming_the_document(n, seed, d
     """An unknown, missing or repeated key in any object of a graph or a
     labeling is an input error that names the document; the labeling that
     `label` writes verifies."""
-    from matlabel.families import random_strongly_chordal
+    from .families import random_strongly_chordal
 
     graph = json.dumps(graph_to_json_dict(random_strongly_chordal(n, seed=seed)))
     with tempfile.TemporaryDirectory() as tmp:

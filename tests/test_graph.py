@@ -5,9 +5,9 @@ from enum import IntEnum
 import pytest
 
 from matlabel import Graph, canonical_edge, is_strongly_chordal
-from matlabel.families import claw, complete_graph, n_sun, path_graph, rising_sun
 from matlabel.unit_interval import find_embedding
 
+from .families import claw, complete_graph, n_sun, path_graph, rising_sun
 from .helpers import add_vertex, is_clique
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matlabel import EdgeLabeling, Graph, build_poset
-from matlabel.families import complete_graph
 from matlabel.formats import labeling_to_dot, parse_graph_json, poset_to_dot, poset_to_json_dict
 from matlabel.io import (
     _vertex_token,
@@ -20,6 +19,7 @@ from matlabel.io import (
 )
 
 from .conftest import UI7_EDGES, UI7_LABELS
+from .families import complete_graph
 from .helpers import graph_to_json_dict
 from .test_fuzz import _json_texts, edge_list_texts, labeling_objects
 
@@ -90,8 +90,9 @@ def test_labeling_json_round_trip(ui7_labeling):
 def test_labeling_json_is_what_json_writes(corpus6_facts):
     # label writes its labeling without json; the text must stay the bytes
     # that json.dumps(..., sort_keys=True, indent=2) gives
-    from matlabel import construct_mat_labeling, height_labeling_complete
-    from matlabel.families import random_strongly_chordal
+    from matlabel import construct_mat_labeling
+
+    from .families import height_labeling_complete, random_strongly_chordal
 
     labelings = [EdgeLabeling(Graph(), {}), EdgeLabeling(Graph([7]), {}),
                  EdgeLabeling(Graph.from_edges([(3, 10 ** 12)]), {(3, 10 ** 12): 10 ** 20}),
@@ -382,6 +383,9 @@ P3 = Graph.from_edges([(1, 2), (2, 3)])
      "label of (1, 2) must be a positive integer, got True"),
     ('{"edges": [{"u": 1, "v": 2, "label": 2.0}, {"u": 2, "v": 3, "label": 1}]}',
      "label of (1, 2) must be a positive integer, got 2.0"),
+    ('{"edges": [{"u": 1, "v": 2, "label": {"x": [1, {"y": 2}]}}, '
+     '{"u": 2, "v": 3, "label": 1}]}',
+     "label of (1, 2) must be a positive integer, got {'x': [1, {'y': 2}]}"),
     ('{"edges": [{"u": {"w": 1}, "v": 2, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
      "labeling JSON edges[0] has an array or object endpoint"),
     ('{"edges": [{"u": 1, "v": 2, "u": 1, "label": 1}, {"u": 2, "v": 3, "label": 1}]}',
@@ -468,7 +472,7 @@ def _python_calls(fn, *args):
 
 
 def test_labeling_json_makes_no_python_call_per_entry():
-    from matlabel import height_labeling_complete
+    from .families import height_labeling_complete
 
     for ell in (10, 40):
         lab = height_labeling_complete(ell)

@@ -13,17 +13,21 @@ from matlabel import (
     MatViolation,
     construct_mat_labeling,
     find_mat_peo,
-    height_labeling_complete,
     is_mat_peo,
     is_mat_simplicial,
     mat_simplicial_violation,
     verify_mat_labeling,
 )
 from matlabel.construct import _mat_peo
-from matlabel.families import complete_graph, path_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge
 from matlabel.witness import _path_edges
 
+from .families import (
+    complete_graph,
+    height_labeling_complete,
+    path_graph,
+    random_strongly_chordal,
+)
 from .helpers import restrict_edges, with_label
 
 
@@ -292,7 +296,7 @@ def _verify_by_scan(lab):
                            f"edges labeled {k}")
         for e in sorted(pi_k):
             u, v = e
-            count = sum(1 for w in g.common_neighbors(u, v)
+            count = sum(1 for w in g[u] & g[v]
                         if lab.label(u, w) < k and lab.label(v, w) < k)
             if count != k - 1:
                 return MatViolation(
@@ -380,7 +384,7 @@ def test_ml2_fails_only_where_an_ml3_count_fails():
         if found is None or found.kind != "ML2-closure":
             continue
         k, g = found.level, lab.graph
-        counts = [sum(1 for w in g.common_neighbors(u, v)
+        counts = [sum(1 for w in g[u] & g[v]
                       if lab.label(u, w) < k and lab.label(v, w) < k)
                   for (u, v), j in lab.items() if j == k]
         assert any(count != k - 1 for count in counts), (lab, found)

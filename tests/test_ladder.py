@@ -15,7 +15,6 @@ from matlabel.chordal import find_chordless_cycle, find_peo
 from matlabel.cli import main
 from matlabel.construct import construct_mat_labeling
 from matlabel.errors import NotChordalError, NotStronglyChordalError
-from matlabel.families import n_sun, random_graph, random_strongly_chordal
 from matlabel.formats import poset_to_json_dict
 from matlabel.oracle import enumerate_graphs
 from matlabel.poset import build_poset, maximal_cliques
@@ -23,6 +22,7 @@ from matlabel.strong_chordal import find_sun
 from matlabel.unit_interval import claw_or_net, unit_interval_obstruction
 from matlabel.witness import _shortest_path, crown_from_sun
 
+from .families import n_sun, random_graph, random_strongly_chordal
 from .helpers import random_peo
 from .test_construct import d_graph
 

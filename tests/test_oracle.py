@@ -12,19 +12,20 @@ from matlabel import (
     is_chordal,
     is_strongly_chordal,
 )
-from matlabel.families import (
-    complete_graph,
-    cycle_graph,
-    n_sun,
-    path_graph,
-    random_graph,
-)
 from matlabel.oracle import (
     brute_induced_cycles,
     brute_induced_subposet,
     brute_minimal_separators,
     crown_pattern,
     enumerate_graphs,
+)
+
+from .families import (
+    complete_graph,
+    cycle_graph,
+    n_sun,
+    path_graph,
+    random_graph,
 )
 
 

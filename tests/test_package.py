@@ -1,6 +1,7 @@
 """The lazily loaded package namespace, and the immutable result values."""
 
 import sys
+from importlib.util import find_spec
 
 import pytest
 
@@ -30,18 +31,25 @@ def test_all_is_the_public_api():
     assert set(matlabel.__all__) == {
         "CliquePoset", "CrownWitness", "EdgeLabeling", "Graph", "IntPolynomial",
         "MatViolation", "NoLeafPairError", "NotChordalError", "NotStronglyChordalError",
-        "SunWitness", "brute_force_mat_labeling", "build_poset", "canonical_edge",
-        "check_terao_factorization", "chromatic_polynomial", "construct_mat_labeling",
-        "crown_from_sun", "detect_induced_sun", "exponents_from_labeling",
-        "extend_labeling_complete", "find_any_crown", "find_chordless_cycle",
-        "find_crown", "find_induced_subgraph", "find_mat_peo", "find_peo",
-        "find_simple_elimination_ordering", "find_sun", "height_labeling_complete",
+        "SunWitness", "build_poset", "canonical_edge", "check_terao_factorization",
+        "chromatic_polynomial", "construct_mat_labeling", "crown_from_sun",
+        "detect_induced_sun", "exponents_from_labeling", "extend_labeling_complete",
+        "find_any_crown", "find_chordless_cycle", "find_crown", "find_induced_subgraph",
+        "find_mat_peo", "find_peo", "find_simple_elimination_ordering", "find_sun",
         "is_chordal", "is_crown_free", "is_mat_peo", "is_mat_simplicial", "is_peo",
         "is_simple_vertex", "is_simplicial", "is_strongly_chordal", "is_unit_interval",
         "leaf_pair", "mat_simplicial_violation", "maximal_cliques", "merge_complete",
         "node_family", "peo_exponents", "unit_interval_obstruction",
         "verify_mat_labeling",
     }
+
+
+def test_the_package_ships_no_test_harness():
+    # the exhaustive labeling search and the graph families live in tests/;
+    # oracle stays, as the benchmark's traced runs span its searches
+    assert find_spec("matlabel.brute") is None
+    assert find_spec("matlabel.families") is None
+    assert find_spec("matlabel.oracle") is not None
 
 
 def test_unknown_attribute_is_an_attribute_error():

@@ -11,16 +11,17 @@ from itertools import combinations, permutations, product
 import pytest
 
 from matlabel import (EdgeLabeling, Graph, construct_mat_labeling, find_mat_peo,
-                      height_labeling_complete, is_mat_peo, is_mat_simplicial,
-                      is_simple_vertex, is_simplicial, is_strongly_chordal)
+                      is_mat_peo, is_mat_simplicial, is_simple_vertex, is_simplicial,
+                      is_strongly_chordal)
 from matlabel.construct import _label_table, _mat_peo
-from matlabel.families import n_sun, path_graph, random_graph, random_strongly_chordal
 from matlabel.graph import canonical_edge, peel
 from matlabel.oracle import _mat_simplicial_left
 from matlabel.oracle import enumerate_graphs
 from matlabel.poset import build_poset
 from matlabel.strong_chordal import find_sun, simple_elimination
 
+from .families import (height_labeling_complete, n_sun, path_graph, random_graph,
+                       random_strongly_chordal)
 from .helpers import sorted_scan_mat_peo, with_label
 
 

@@ -17,7 +17,12 @@ from matlabel import (
     leaf_pair,
     maximal_cliques,
 )
-from matlabel.families import (
+from matlabel.graph import sorted_sets
+from matlabel.oracle import brute_minimal_separators, enumerate_graphs
+from matlabel.poset import clique_tree
+
+from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
+from .families import (
     complete_graph,
     cycle_graph,
     n_sun,
@@ -25,11 +30,6 @@ from matlabel.families import (
     random_graph,
     random_strongly_chordal,
 )
-from matlabel.graph import sorted_sets
-from matlabel.oracle import brute_minimal_separators, enumerate_graphs
-from matlabel.poset import clique_tree
-
-from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
 from .helpers import band, is_clique, random_peo
 
 

@@ -18,8 +18,8 @@ from matlabel import (
     peo_exponents,
     verify_mat_labeling,
 )
-from matlabel.families import random_strongly_chordal
 
+from .families import random_strongly_chordal
 from .helpers import restrict_edges, with_label
 
 SLOTS6 = list(combinations(range(6), 2))

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import matlabel
-from matlabel import cli
+from matlabel import cli, io
 
 SOURCES = sorted(Path(matlabel.__file__).parent.glob("*.py"))
 
@@ -26,7 +26,6 @@ def test_no_assert_for_internal_invariants():
 # exhaustive oracles, and chromatic deletion-contraction behind its size guard
 RECURSION_ALLOWED = {
     "arrangement.py:_deletion_contraction",
-    "brute.py:_Search.run",
     "oracle.py:brute_induced_subposet.place",
 }
 
@@ -69,7 +68,7 @@ ORACLE_SEARCHES = {"detect_induced_sun", "find_crown", "find_any_crown", "is_cro
 
 # the oracles themselves, their re-exports, and the old attribute paths
 # that clibench/layers.py spans
-ORACLE_NAMES_ALLOWED = {"oracle.py", "brute.py", "__init__.py",
+ORACLE_NAMES_ALLOWED = {"oracle.py", "__init__.py",
                         "poset.py:__getattr__", "strong_chordal.py:__getattr__"}
 
 
@@ -165,14 +164,15 @@ def test_the_exhaustive_search_imports_only_its_inputs_and_bound():
     # labeling type, and its label bound (omega - 1 on a chordal graph) is
     # the largest PEO exponent; any other import could share a fault with
     # the code it checks
-    path = next(p for p in SOURCES if p.name == "brute.py")
+    path = Path(__file__).with_name("brute.py")
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {f"{'.' * node.level}{node.module}.{a.name}" for a in node.names}
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
-    assert imported == {".graph.Graph", ".labeling.EdgeLabeling", ".chordal.peo_exponents"}
+    assert imported == {"matlabel.graph.Graph", "matlabel.labeling.EdgeLabeling",
+                        "matlabel.chordal.peo_exponents"}
 
 
 def test_every_labeling_is_checked_by_its_constructor():
@@ -260,12 +260,8 @@ def _called_by_scope(tree):
 # caller (a command option, a seed, a vertex list), while a value no caller
 # changes is a constant; so a new knob needs a deliberate edit here
 DEFAULTED_PARAMETERS = {
-    "brute.brute_force_mat_labeling(max_edges)", "brute.brute_force_mat_labeling(max_label)",
     "cli.main(argv)",
     "construct.extend_labeling_complete(vertices)",
-    "families.complete_graph(vertices)", "families.height_labeling_complete(vertices)",
-    "families.random_strongly_chordal(grow_bias)",
-    "families.random_strongly_chordal(rng)", "families.random_strongly_chordal(seed)",
     "graph.Graph.__init__(edges)", "graph.Graph.__init__(vertices)",
     "oracle.enumerate_graphs(connected)", "oracle.enumerate_graphs(predicate)",
 }
@@ -311,11 +307,16 @@ def test_public_parameters_with_defaults_are_pinned():
 def test_json_is_decoded_in_one_mode():
     # every document decodes each object as the tuple of its (key, value)
     # pairs, and its reader checks the keys: one decode mode, no hook of
-    # our own to call per object
+    # our own to call per object; the tuple subclass only changes how an
+    # error message shows the object, and defines no constructor
     calls = [node for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "loads" and getattr(node.func.value, "id", None) == "json"]
     assert len(calls) == 1
     hooks = [k.value for k in calls[0].keywords if k.arg == "object_pairs_hook"]
-    assert len(hooks) == 1 and isinstance(hooks[0], ast.Name) and hooks[0].id == "tuple"
+    assert len(hooks) == 1 and isinstance(hooks[0], ast.Name)
+    hook = getattr(io, hooks[0].id)
+    assert hook.__bases__ == (tuple,)
+    assert set(vars(hook)) <= {"__module__", "__qualname__", "__doc__", "__slots__",
+                               "__repr__"}

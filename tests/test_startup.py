@@ -17,8 +17,7 @@ SRC = str(Path(matlabel.__file__).resolve().parents[1])
 # test-only oracles, the stdlib module that pulls in inspect, ast and dis,
 # and the command-line parser that the command table replaced, with the
 # translation machinery it loads
-NEVER_ON_A_COMMAND = {"dataclasses", "matlabel.brute", "matlabel.oracle",
-                      "matlabel.families", "argparse", "gettext"}
+NEVER_ON_A_COMMAND = {"dataclasses", "matlabel.oracle", "argparse", "gettext"}
 
 
 def imported_by(*argv) -> set[str]:
@@ -89,27 +88,13 @@ def _ast_nodes(module: str) -> int:
 
 # what a call compiles when no bytecode is cached (clibench runs with
 # PYTHONDONTWRITEBYTECODE=1): the matlabel modules -X importtime lists, and
-# cli, which runs as __main__ and is not listed; at the commit before the
-# cold code moved out, the one-vertex calls compiled 14,302 / 9,211 / 9,208
-# nodes, 9,279 / 5,996 / 6,405 before io's labeling faults moved out, and
-# 9,203 / 5,920 / 6,329 before the verifier dropped its per-level ML2 pass;
-# `label` compiled 9,022 before a merge stopped computing an order of the
-# shared clique, and all three 8,984 / 5,739 / 6,329 before `exponents`
-# took its chordless cycle from chordal directly; `label` compiled 8,973
-# before poset read a clique tree off the MCS order and met each poset node
-# only with the cliques next to its subtree (+88), and all three
-# 9,061 / 5,728 / 6,318 before the labeling reader handed its table to
-# EdgeLabeling instead of copying the entry checks, and 8,928 / 5,595 /
-# 6,242 before the graph format was read off the text and --format and
-# --verbose went, and 8,695 / 5,362 / 6,009 before selftest and --seed went,
-# and 8,607 / 5,274 / 5,921 before JSON inputs took only their formats' keys
-# and the labeling reader became one loop with one decode mode
+# cli, which runs as __main__ and is not listed
 @pytest.mark.parametrize("argv, bound, never", [
-    (("label", "one"), 8_581, {"json", "matlabel.witness", "matlabel.formats",
+    (("label", "one"), 8_580, {"json", "matlabel.witness", "matlabel.formats",
                                 "matlabel.unit_interval"}),
-    (("verify", "one", "empty"), 5_248, {"matlabel.witness", "matlabel.formats",
+    (("verify", "one", "empty"), 5_247, {"matlabel.witness", "matlabel.formats",
                                          "matlabel.unit_interval"}),
-    (("classify", "one"), 5_895, {"matlabel.witness", "matlabel.formats"}),
+    (("classify", "one"), 5_894, {"matlabel.witness", "matlabel.formats"}),
 ], ids=["label", "verify", "classify"])
 def test_a_call_that_succeeds_compiles_no_cold_code(tmp_path, argv, bound, never):
     (tmp_path / "one").write_text("vertices: 1\n")

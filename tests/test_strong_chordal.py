@@ -20,7 +20,12 @@ from matlabel import (
     is_unit_interval,
     unit_interval_obstruction,
 )
-from matlabel.families import (
+from matlabel.oracle import enumerate_graphs
+from matlabel.strong_chordal import simple_elimination
+from matlabel.unit_interval import claw as claw_pattern
+from matlabel.unit_interval import find_embedding
+
+from .families import (
     claw,
     complete_graph,
     cycle_graph,
@@ -31,11 +36,6 @@ from matlabel.families import (
     random_strongly_chordal,
     rising_sun,
 )
-from matlabel.oracle import enumerate_graphs
-from matlabel.strong_chordal import simple_elimination
-from matlabel.unit_interval import claw as claw_pattern
-from matlabel.unit_interval import find_embedding
-
 from .helpers import add_vertex
 from .test_construct import _assert_induced_crown
 
