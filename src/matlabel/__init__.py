@@ -14,18 +14,18 @@ __version__ = "0.1.0"
 
 # home module -> the names the package exports from it
 _EXPORTS = {
-    "arrangement": ("IntPolynomial", "check_terao_factorization",
-                    "chromatic_polynomial", "exponents_from_labeling"),
+    "arrangement": ("check_terao_factorization", "chromatic_polynomial",
+                    "exponents_from_labeling"),
     "chordal": ("find_chordless_cycle", "find_peo", "is_chordal", "peo_exponents"),
     "construct": ("construct_mat_labeling", "extend_labeling_complete", "merge_complete",
                   "node_family"),
-    "errors": ("NoLeafPairError", "NotChordalError", "NotStronglyChordalError"),
     "graph": ("Graph", "canonical_edge"),
     "labeling": ("EdgeLabeling", "is_mat_simplicial", "verify_mat_labeling"),
     "oracle": ("detect_induced_sun", "find_any_crown", "find_crown", "find_mat_peo",
                "is_crown_free", "is_mat_peo", "is_peo", "is_simplicial",
                "mat_simplicial_violation"),
-    "poset": ("CliquePoset", "build_poset", "leaf_pair", "maximal_cliques"),
+    "poset": ("CliquePoset", "NoLeafPairError", "NotChordalError", "NotStronglyChordalError",
+              "build_poset", "leaf_pair", "maximal_cliques"),
     "strong_chordal": ("find_simple_elimination_ordering", "find_sun",
                        "is_simple_vertex", "is_strongly_chordal"),
     "unit_interval": ("find_induced_subgraph", "is_unit_interval",

@@ -4,76 +4,18 @@ The exponents of the arrangement attached to a graph are read off a
 MAT-labeling as the dual partition of its block sizes, and independently
 off any PEO of a chordal graph as earlier-neighbor counts; both must agree
 with the roots of the chromatic polynomial. All arithmetic is exact
-integer arithmetic.
+integer arithmetic: a polynomial is the tuple of its integer coefficients,
+lowest degree first, with no trailing zeros, and () is the zero polynomial.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .chordal import exponents_along, find_peo
-from .graph import Graph
+from .graph import Graph, canonical_edge
 from .labeling import EdgeLabeling, verify_mat_labeling
-
-
-class IntPolynomial:
-    """Integer polynomial; coefficients lowest degree first, no trailing zeros.
-
-    An immutable value: equal coefficients mean equal, equally hashed
-    polynomials.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        trimmed = list(coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"IntPolynomial is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"IntPolynomial is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial(coeffs={self.coeffs!r})"
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[int]) -> "IntPolynomial":
-        """Monic product of (t - r) over the given integer roots."""
-        poly = cls.one()
-        for r in roots:
-            poly = poly * cls((-r, 1))
-        return poly
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (size - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (size - len(other.coeffs))
-        return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
 
 
 def exponents_from_labeling(lab: EdgeLabeling) -> tuple[int, ...]:
@@ -99,16 +41,56 @@ def dual_partition_exponents(lab: EdgeLabeling) -> tuple[int, ...]:
     )
 
 
-def chromatic_polynomial(g: Graph) -> IntPolynomial:
-    """Exact chromatic polynomial by deletion-contraction.
+def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
+    """Exact chromatic polynomial by deletion-contraction, as coefficients.
 
     Guarded at 12 vertices, and memoized on relabeled canonical forms for
     graphs of at most 10 vertices. A chordal graph's polynomial needs no
-    search: it is IntPolynomial.from_roots(peo_exponents(g)).
+    search: it is the product of (t - e) over peo_exponents(g).
     """
     if g.n > 12:
         raise ValueError(f"deletion-contraction guarded at 12 vertices, got {g.n}")
     return _deletion_contraction(g, {})
+
+
+def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """G/e, whose arrangement is the restriction of G's to e's hyperplane.
+
+    Identifies the endpoints of e, keeping the smaller id; drops loops and
+    duplicate adjacencies. ValueError when e is not an edge of g.
+    """
+    u, v = canonical_edge(*e)
+    if not g.has_edge(u, v):
+        raise ValueError(f"{(u, v)} is not an edge")
+    merged = (g[u] | g[v]) - {u, v}
+    edges = [(x, y) for x, y in g.edges if v not in (x, y) and u not in (x, y)]
+    edges.extend((u, w) for w in merged)
+    return Graph(g.vertex_set - {v}, edges)
+
+
+def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)  # the leading coefficients' product is not 0
+
+
+def _from_roots(roots: Iterable[int]) -> tuple[int, ...]:
+    """Monic product of (t - r) over the given integer roots."""
+    poly = (1,)
+    for r in roots:
+        poly = _product(poly, (-r, 1))
+    return poly
 
 
 def _canonical_form(g: Graph):
@@ -116,22 +98,23 @@ def _canonical_form(g: Graph):
     return (g.n, frozenset((relabel[u], relabel[v]) for u, v in g.edges))
 
 
-def _deletion_contraction(g: Graph, memo) -> IntPolynomial:
+def _deletion_contraction(g: Graph, memo) -> tuple[int, ...]:
+    """chi(G) = chi(G - e) - chi(G / e): deletion and restriction of e's hyperplane."""
     if g.m == 0:
-        return IntPolynomial(tuple([0] * g.n + [1]))  # t^n
+        return (0,) * g.n + (1,)  # t^n
     components = g.components()
     if len(components) > 1:
-        poly = IntPolynomial.one()
+        poly = (1,)
         for comp in components:
-            poly = poly * _deletion_contraction(g.induced_subgraph(comp), memo)
+            poly = _product(poly, _deletion_contraction(g.induced_subgraph(comp), memo))
         return poly
     key = _canonical_form(g) if g.n <= 10 else None
     if key is not None and key in memo:
         return memo[key]
     e = g.edges[0]
-    deleted = Graph(g.vertices, [f for f in g.edges if f != e])
-    contracted = g.contract_edge(e)
-    poly = _deletion_contraction(deleted, memo) - _deletion_contraction(contracted, memo)
+    deleted = _deletion_contraction(Graph(g.vertices, [f for f in g.edges if f != e]), memo)
+    contracted = _deletion_contraction(contract_edge(g, e), memo)
+    poly = _trim(a - b for a, b in zip_longest(deleted, contracted, fillvalue=0))
     if key is not None:
         memo[key] = poly
     return poly
@@ -152,7 +135,6 @@ def check_terao_factorization(g: Graph, exponents: Sequence[int]) -> bool:
     """
     peo = find_peo(g)
     if peo is None:
-        chi = chromatic_polynomial(g)
-        return chi == IntPolynomial.from_roots(exponents)
+        return chromatic_polynomial(g) == _from_roots(exponents)
     return list(exponents_along(g, peo)) == sorted(exponents)
 

@@ -10,6 +10,7 @@ with a machine-checkable witness.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ def _emit(args, data: dict) -> None:
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -65,8 +66,8 @@ def cmd_classify(args) -> int:
 
 def cmd_label(args) -> int:
     from .construct import construct_mat_labeling
-    from .errors import NotStronglyChordalError
     from .io import labeling_json
+    from .poset import NotStronglyChordalError
 
     g = load_graph(args.graph)
     try:
@@ -134,9 +135,8 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    from .errors import NotStronglyChordalError
     from .formats import poset_to_dot, poset_to_json_dict
-    from .poset import strongly_chordal_poset
+    from .poset import NotStronglyChordalError, strongly_chordal_poset
 
     g = load_graph(args.graph)
     try:
@@ -269,6 +269,7 @@ def entry() -> NoReturn:
     flush would turn such a failure into a traceback and exit 120. main is
     for in-process callers, and leaves the streams to them.
     """
+    gc.disable()  # os._exit ends the process; passes over decoded input cost verify time
     code, error = EXIT_INPUT, None
     try:
         code = main()

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from itertools import combinations, count
 
-from .errors import NoLeafPairError
 from .graph import Graph, canonical_edge
 from .labeling import EdgeLabeling, verify_mat_labeling
-from .poset import CliquePoset, build_poset, leaf_pair, strongly_chordal_poset
+from .poset import (CliquePoset, NoLeafPairError, build_poset, leaf_pair,
+                    strongly_chordal_poset)
 
 
 def _complete(vertices) -> Graph:

@@ -113,17 +113,6 @@ class Graph:
         self._require_vertex(v)
         return self.induced_subgraph(self.vertex_set - {v})
 
-    def contract_edge(self, e: tuple[int, int]) -> "Graph":
-        """Identify the endpoints of e, keeping the smaller id; drops loops and
-        duplicate adjacencies."""
-        u, v = canonical_edge(*e)
-        if not self.has_edge(u, v):
-            raise ValueError(f"{(u, v)} is not an edge")
-        merged = (self._adj[u] | self._adj[v]) - {u, v}
-        edges = [(x, y) for x, y in self.edges if v not in (x, y) and u not in (x, y)]
-        edges.extend((u, w) for w in merged)
-        return Graph(self.vertex_set - {v}, edges)
-
     # -- connectivity --------------------------------------------------
 
     def component_of(self, v: int) -> frozenset[int]:

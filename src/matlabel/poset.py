@@ -6,7 +6,8 @@ the intersection of all maximal cliques (possibly the empty set). Crowns
 in this poset are exactly the obstruction to strong chordality; the one
 gate, strongly_chordal_poset, lifts one from an induced sun before any
 poset is built (witness.crown_from_sun), and the exhaustive crown search
-is an oracle (matlabel.oracle).
+is an oracle (matlabel.oracle). The module also holds the package's three
+exception types, as it is the one that raises them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,39 @@ from itertools import combinations
 from typing import Sequence
 
 from .chordal import find_peo
-from .errors import NoLeafPairError, NotChordalError, NotStronglyChordalError
 from .graph import Graph, sorted_sets
 from .strong_chordal import strongly_chordal_obstruction
+
+
+class NotChordalError(ValueError):
+    """Raised by operations whose precondition is a chordal input graph."""
+
+
+class NoLeafPairError(Exception):
+    """No leaf pair exists in the given antichain.
+
+    For clique intersection posets of chordal graphs this signals a crown
+    obstruction, i.e. the underlying graph is not strongly chordal. Carries
+    the offending antichain.
+    """
+
+    def __init__(self, antichain):
+        self.antichain = tuple(antichain)
+        super().__init__(f"no leaf pair in antichain of size {len(self.antichain)}")
+
+
+class NotStronglyChordalError(Exception):
+    """Structured rejection of a non strongly chordal input.
+
+    ``kind`` is "chordless-cycle" (input not even chordal) or "crown"
+    (poset obstruction); ``witness`` is the corresponding machine-checkable
+    object.
+    """
+
+    def __init__(self, kind: str, witness):
+        self.kind = kind
+        self.witness = witness
+        super().__init__(f"graph is not strongly chordal ({kind} witness)")
 
 
 def clique_tree(g: Graph) -> tuple[list[frozenset[int]], list[int | None]]:

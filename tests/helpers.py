@@ -82,17 +82,40 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
 
 
-def evaluate(poly, t: int) -> int:
-    """The value of an IntPolynomial at t, by Horner's rule."""
+# polynomials are coefficient tuples, lowest degree first, no trailing
+# zeros, as arrangement.chromatic_polynomial returns them; the expected
+# ones are built here, not by the code under test
+
+def product(*polys: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of the given polynomials; (1,) for none."""
+    out = [1]
+    for poly in polys:
+        step = [0] * (len(out) + len(poly) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(poly):
+                step[i + j] += a * b
+        out = step
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def from_roots(roots: Iterable[int]) -> tuple[int, ...]:
+    """The monic polynomial prod (t - r) over the given roots."""
+    return product(*((-r, 1) for r in roots))
+
+
+def evaluate(poly: tuple[int, ...], t: int) -> int:
+    """The value of a polynomial at t, by Horner's rule."""
     acc = 0
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         acc = acc * t + c
     return acc
 
 
-def degree(poly) -> int:
-    """The degree of an IntPolynomial; -1 for the zero polynomial."""
-    return len(poly.coeffs) - 1 if poly.coeffs else -1
+def degree(poly: tuple[int, ...]) -> int:
+    """The degree of a polynomial; -1 for the zero polynomial ()."""
+    return len(poly) - 1
 
 
 def all_nodes_crown(p, k: int) -> CrownWitness | None:

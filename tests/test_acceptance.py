@@ -16,7 +16,6 @@ import pytest
 from matlabel import (
     EdgeLabeling,
     Graph,
-    IntPolynomial,
     build_poset,
     check_terao_factorization,
     chromatic_polynomial,
@@ -31,6 +30,7 @@ from matlabel import (
     is_strongly_chordal,
     verify_mat_labeling,
 )
+from matlabel.arrangement import contract_edge
 from matlabel.cli import main as cli_main
 from matlabel.oracle import enumerate_graphs
 
@@ -45,7 +45,7 @@ from .families import (
     random_strongly_chordal,
     rising_sun,
 )
-from .helpers import band, with_label
+from .helpers import band, from_roots, product, with_label
 
 
 def report(num, name, ok, detail=""):
@@ -95,12 +95,8 @@ def test_criterion_1_example_reproduction(tmp_path, capsys):
         g, {(e["u"], e["v"]): e["label"] for e in data["edges"]}
     )
     exps = exponents_from_labeling(lab)
-    expected_chrom = (
-        IntPolynomial.from_roots([0])
-        * IntPolynomial.from_roots([1])
-        * IntPolynomial.from_roots([2, 2, 2])
-        * IntPolynomial.from_roots([3, 3])
-    )
+    expected_chrom = product(
+        from_roots([0]), from_roots([1]), from_roots([2, 2, 2]), from_roots([3, 3]))
     ok = (
         lab.block_sizes() == (6, 5, 2)
         and verify_mat_labeling(lab) is None
@@ -299,7 +295,7 @@ def test_criterion_10_rising_sun():
     ok = is_strongly_chordal(rs)
     lab = construct_mat_labeling(rs)
     ok = ok and verify_mat_labeling(lab) is None
-    contracted = rs.contract_edge(RISING_SUN_MARKED_EDGE)
+    contracted = contract_edge(rs, RISING_SUN_MARKED_EDGE)
     witness = detect_induced_sun(contracted)
     ok = ok and is_chordal(contracted)
     ok = ok and not is_strongly_chordal(contracted)

@@ -14,10 +14,10 @@ from matlabel import Graph, cli, poset
 from matlabel.chordal import find_chordless_cycle, find_peo
 from matlabel.cli import main
 from matlabel.construct import construct_mat_labeling
-from matlabel.errors import NotChordalError, NotStronglyChordalError
 from matlabel.formats import poset_to_json_dict
 from matlabel.oracle import enumerate_graphs
-from matlabel.poset import build_poset, maximal_cliques
+from matlabel.poset import (NotChordalError, NotStronglyChordalError, build_poset,
+                            maximal_cliques)
 from matlabel.strong_chordal import find_sun
 from matlabel.unit_interval import claw_or_net, unit_interval_obstruction
 from matlabel.witness import _shortest_path, crown_from_sun

@@ -6,9 +6,7 @@ from importlib.util import find_spec
 import pytest
 
 import matlabel
-from matlabel import CrownWitness, IntPolynomial, MatViolation, SunWitness
-
-from .helpers import degree
+from matlabel import CrownWitness, MatViolation, SunWitness
 
 
 @pytest.mark.parametrize("name", matlabel.__all__)
@@ -29,9 +27,9 @@ def test_star_import_binds_every_exported_name():
 
 def test_all_is_the_public_api():
     assert set(matlabel.__all__) == {
-        "CliquePoset", "CrownWitness", "EdgeLabeling", "Graph", "IntPolynomial",
-        "MatViolation", "NoLeafPairError", "NotChordalError", "NotStronglyChordalError",
-        "SunWitness", "build_poset", "canonical_edge", "check_terao_factorization",
+        "CliquePoset", "CrownWitness", "EdgeLabeling", "Graph", "MatViolation",
+        "NoLeafPairError", "NotChordalError", "NotStronglyChordalError", "SunWitness",
+        "build_poset", "canonical_edge", "check_terao_factorization",
         "chromatic_polynomial", "construct_mat_labeling", "crown_from_sun",
         "detect_induced_sun", "exponents_from_labeling", "extend_labeling_complete",
         "find_any_crown", "find_chordless_cycle", "find_crown", "find_induced_subgraph",
@@ -42,6 +40,7 @@ def test_all_is_the_public_api():
         "node_family", "peo_exponents", "unit_interval_obstruction",
         "verify_mat_labeling",
     }
+    assert len(matlabel.__all__) == 43
 
 
 def test_the_package_ships_no_test_harness():
@@ -85,14 +84,3 @@ def test_witness_values(make, other, as_json):
     for field in as_json.keys() - {"kind"}:
         _refuses_assignment(value, field)
 
-
-def test_int_polynomial_value():
-    p = IntPolynomial((1, 0, 0))
-    assert p == IntPolynomial((1,)) and hash(p) == hash(IntPolynomial([1]))
-    assert p.coeffs == (1,) and repr(p) == "IntPolynomial(coeffs=(1,))"
-    assert IntPolynomial((0, 0)) == IntPolynomial(()) and degree(IntPolynomial(())) == -1
-    assert p != IntPolynomial((1, 1)) and p != (1,)
-    assert len({IntPolynomial((2, 1)), IntPolynomial((2, 1, 0)), p}) == 2
-    _refuses_assignment(p, "coeffs")
-    with pytest.raises(AttributeError):
-        del p.coeffs

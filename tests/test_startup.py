@@ -64,10 +64,9 @@ def test_command_imports_only_its_layers(files, argv, forbidden):
     assert _layers(modules) & forbidden == set()
 
 
-def test_classify_of_one_vertex_loads_four_layers_and_errors(files):
+def test_classify_of_one_vertex_loads_four_layers(files):
     modules = imported_by("classify", files["one"])
-    assert _layers(modules) <= {"graph", "io", "chordal", "strong_chordal", "unit_interval",
-                                "errors"}
+    assert _layers(modules) <= {"graph", "io", "chordal", "strong_chordal", "unit_interval"}
     assert "dataclasses" not in modules
 
 
@@ -90,12 +89,14 @@ def _ast_nodes(module: str) -> int:
 # PYTHONDONTWRITEBYTECODE=1): the matlabel modules -X importtime lists, and
 # cli, which runs as __main__ and is not listed
 @pytest.mark.parametrize("argv, bound, never", [
-    (("label", "one"), 8_580, {"json", "matlabel.witness", "matlabel.formats",
+    (("label", "one"), 8_410, {"json", "matlabel.witness", "matlabel.formats",
                                 "matlabel.unit_interval"}),
-    (("verify", "one", "empty"), 5_247, {"matlabel.witness", "matlabel.formats",
+    (("verify", "one", "empty"), 5_087, {"matlabel.witness", "matlabel.formats",
                                          "matlabel.unit_interval"}),
-    (("classify", "one"), 5_894, {"matlabel.witness", "matlabel.formats"}),
-], ids=["label", "verify", "classify"])
+    (("classify", "one"), 5_734, {"matlabel.witness", "matlabel.formats"}),
+    (("exponents", "one", "empty"), 6_616, {"matlabel.witness", "matlabel.formats",
+                                            "matlabel.unit_interval"}),
+], ids=["label", "verify", "classify", "exponents-labeling"])
 def test_a_call_that_succeeds_compiles_no_cold_code(tmp_path, argv, bound, never):
     (tmp_path / "one").write_text("vertices: 1\n")
     (tmp_path / "empty").write_text('{"edges": []}')

@@ -20,6 +20,7 @@ from matlabel import (
     is_unit_interval,
     unit_interval_obstruction,
 )
+from matlabel.arrangement import contract_edge
 from matlabel.oracle import enumerate_graphs
 from matlabel.strong_chordal import simple_elimination
 from matlabel.unit_interval import claw as claw_pattern
@@ -174,7 +175,7 @@ def test_find_sun_and_its_crown(corpus6_facts):
 def test_find_sun_none_exactly_on_strongly_chordal():
     assert find_sun(Graph()) is None
     assert find_sun(rising_sun()) is None
-    assert find_sun(rising_sun().contract_edge((1, 2))) is not None
+    assert find_sun(contract_edge(rising_sun(), (1, 2))) is not None
     rng = random.Random(42)
     for _ in range(30):
         assert find_sun(random_strongly_chordal(rng.randint(1, 20), rng=rng)) is None
@@ -194,7 +195,7 @@ def test_is_strongly_chordal_basics():
     assert is_strongly_chordal(claw())
     assert not is_strongly_chordal(n_sun(3))
     assert is_strongly_chordal(rising_sun())
-    assert not is_strongly_chordal(rising_sun().contract_edge((1, 2)))
+    assert not is_strongly_chordal(contract_edge(rising_sun(), (1, 2)))
 
 
 def test_strongly_chordal_hereditary():
