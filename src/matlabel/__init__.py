@@ -21,15 +21,14 @@ _EXPORTS = {
                   "node_family"),
     "graph": ("Graph", "canonical_edge"),
     "labeling": ("EdgeLabeling", "is_mat_simplicial", "verify_mat_labeling"),
-    "oracle": ("detect_induced_sun", "find_any_crown", "find_crown", "find_mat_peo",
-               "is_crown_free", "is_mat_peo", "is_peo", "is_simplicial",
-               "mat_simplicial_violation"),
+    "oracle": ("detect_induced_sun", "find_any_crown", "find_crown",
+               "find_induced_subgraph", "find_mat_peo", "is_crown_free", "is_mat_peo",
+               "is_peo", "is_simplicial", "mat_simplicial_violation"),
     "poset": ("CliquePoset", "NoLeafPairError", "NotChordalError", "NotStronglyChordalError",
               "build_poset", "leaf_pair", "maximal_cliques"),
     "strong_chordal": ("find_simple_elimination_ordering", "find_sun",
                        "is_simple_vertex", "is_strongly_chordal"),
-    "unit_interval": ("find_induced_subgraph", "is_unit_interval",
-                      "unit_interval_obstruction"),
+    "unit_interval": ("is_unit_interval", "unit_interval_obstruction"),
     "witness": ("CrownWitness", "MatViolation", "SunWitness", "crown_from_sun"),
 }
 

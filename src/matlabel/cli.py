@@ -295,6 +295,6 @@ if __name__ == "__main__":
 # matlabel.cli` loads only those and exits above. A library import goes on
 # to load every layer: clibench/layers.py looks each one up in sys.modules
 # after `import matlabel.cli`, to wrap its functions for a traced run
-# (unit_interval's two through strong_chordal's __getattr__).
+# (unit_interval's rung and oracle's two searches through strong_chordal's __getattr__).
 from . import (arrangement, chordal, construct, labeling, poset,  # noqa: E402,F401
                strong_chordal, unit_interval)

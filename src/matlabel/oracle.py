@@ -1,11 +1,11 @@
 """Oracles for the tests and acceptance checks; no command loads them.
 
 Deliberately naive and implemented apart from the production recognizers:
-these share only the graph primitives and the pattern search behind the
-claw and net witnesses, so agreement between an oracle and a production
-path is meaningful evidence. The scans carry a fixed size guard; the sun
-and crown searches are exponential in the worst case and have none. The
-PEO and greedy MAT-PEO checks decide PEOs and MAT-labelings apart from
+these share only the graph primitives, so agreement between an oracle and
+a production path is meaningful evidence. The scans carry a fixed size
+guard; the induced subgraph, sun and crown searches, all one backtracking
+search (find_embedding), are exponential in the worst case and have none.
+The PEO and greedy MAT-PEO checks decide PEOs and MAT-labelings apart from
 the recognizers and the verifier.
 """
 
@@ -19,7 +19,6 @@ from .chordal import _peo_violation
 from .graph import Graph, canonical_edge, peel, sorted_sets
 from .labeling import EdgeLabeling
 from .poset import CliquePoset
-from .unit_interval import find_embedding, find_induced_subgraph
 from .witness import CrownWitness, MatViolation, SunWitness, n_sun
 
 
@@ -78,6 +77,62 @@ def brute_induced_cycles(g: Graph) -> tuple[int, ...] | None:
             walk.append(next(x for x in sub.neighborhood(b) if x != a))
         return tuple(walk)
     return None
+
+
+def find_embedding(candidates: Callable[[list], Iterable], pattern: Sequence[Sequence],
+                   relation: Callable) -> list | None:
+    """First placement of the pattern's positions on distinct candidates, or None.
+
+    `candidates(image)` lists, in order, the candidates of position
+    len(image) given the earlier images, and must not keep or change the
+    list it is handed. `relation(x)[v]` is how candidate x relates to v,
+    and `pattern[i]` lists, for each j < i, the value that the row of
+    image[j], built once per placement, must hold at image[i]. Positions are
+    placed in order, each trying its candidates in order, backtracking on
+    an explicit stack, so the result is the least image list in candidate
+    order. Exponential in the worst case.
+    """
+    if not pattern:
+        return []
+    image, rows, used = [], [], set()
+    stack = [iter(candidates(image))]
+    while stack:
+        want = pattern[len(image)]
+        for v in stack[-1]:
+            if v in used:
+                continue
+            for row, w in zip(rows, want):
+                if row[v] != w:
+                    break
+            else:
+                image.append(v)
+                if len(image) == len(pattern):
+                    return image
+                rows.append(relation(v))
+                used.add(v)
+                stack.append(iter(candidates(image)))
+                break
+        else:
+            stack.pop()
+            if image:
+                used.discard(image.pop())
+                rows.pop()
+    return None
+
+
+def find_induced_subgraph(g: Graph, pattern: Graph) -> dict[int, int] | None:
+    """Injective map from pattern vertices to g realizing pattern as an
+    induced subgraph, or None.
+
+    A find_embedding with every vertex of g a candidate at every position:
+    pattern vertices are placed in ascending order, each on the smallest
+    vertex of g with the pattern's adjacencies to those placed, so the map
+    is the least one in that order.
+    """
+    pverts, verts = pattern.vertices, g.vertices
+    want = [tuple(pattern.has_edge(p, q) for q in pverts[:i]) for i, p in enumerate(pverts)]
+    image = find_embedding(lambda image: verts, want, lambda x: {v: v in g[x] for v in verts})
+    return None if image is None else dict(zip(pverts, image))
 
 
 def detect_induced_sun(g: Graph) -> SunWitness | None:

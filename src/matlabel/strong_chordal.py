@@ -112,11 +112,11 @@ def strongly_chordal_obstruction(g: Graph):
 
 def __getattr__(name):
     # clibench/layers.py spans these under this module: the exhaustive sun
-    # search, and classify's unit interval rung
-    if name == "detect_induced_sun":
+    # and pattern searches, and classify's unit interval rung
+    if name in ("detect_induced_sun", "find_induced_subgraph"):
         from . import oracle
-        return oracle.detect_induced_sun
-    if name in ("unit_interval_obstruction", "find_induced_subgraph"):
+        return getattr(oracle, name)
+    if name == "unit_interval_obstruction":
         from . import unit_interval
-        return getattr(unit_interval, name)
+        return unit_interval.unit_interval_obstruction
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

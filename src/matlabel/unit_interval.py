@@ -2,135 +2,80 @@
 
 A chordal graph is unit interval iff it has no induced claw, net or 3-sun
 (Wegner 1967), and a strongly chordal one has no sun (Farber 1983), so
-above the strongly chordal rung only the claw and the net are searched
-for. `classify` and the oracles load this module; the other commands
-never compile it.
+above the strongly chordal rung only the claw and the net are looked for,
+each by one scan of neighbourhood bitsets. Only `classify` loads this.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterable, Sequence
 
 from .graph import Graph
 from .strong_chordal import strongly_chordal_obstruction
 
 
-def find_embedding(candidates: Callable[[list], Iterable], pattern: Sequence[Sequence],
-                   relation: Callable) -> list | None:
-    """First placement of the pattern's positions on distinct candidates, or None.
+def _bits(row: int):
+    """The indices of the set bits of row, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
-    `candidates(image)` lists, in order, the candidates of the next
-    position, len(image), given the images of the earlier positions; the
-    search calls it each time it reaches that position and must not keep
-    or change the list it is handed. `relation(x)` returns the row of
-    candidate x, indexable by candidate: `relation(x)[v]` is how x relates
-    to v. `pattern[i]` lists, for each earlier position j < i, the value
-    the row of image[j] must hold at image[i]. Positions are placed in
-    order, each trying its candidates in the given order, and the search
-    backtracks on an explicit stack rather than by recursion, so the result
-    is the least image list in candidate order. A row is built once per
-    placement. Exponential in the worst case.
-    """
-    size = len(pattern)
-    if not size:
-        return []
-    image: list = []
-    rows: list = []
-    used: set = set()
-    stack = [iter(candidates(image))]
-    while stack:
-        want = pattern[len(image)]
-        for v in stack[-1]:
-            if v in used:
-                continue
-            for row, w in zip(rows, want):
-                if row[v] != w:
-                    break
-            else:
-                image.append(v)
-                if len(image) == size:
-                    return image
-                rows.append(relation(v))
-                used.add(v)
-                stack.append(iter(candidates(image)))
-                break
-        else:
-            stack.pop()
-            if image:
-                used.discard(image.pop())
-                rows.pop()
+
+def _least_claw(near: list[int]):
+    """(c, a, b, d): for c, then a in N(c), ascending, b is the first vertex
+    of R = N(c) - N[a] with R - N[b] non-empty, and d the least of that."""
+    for c, row in enumerate(near):
+        for a in _bits(row ^ 1 << c):
+            rest = row & ~near[a]
+            for b in _bits(rest):
+                leaves = rest & ~near[b]
+                if leaves:
+                    return c, a, b, next(_bits(leaves))
     return None
 
 
-def find_induced_subgraph(g: Graph, pattern: Graph) -> dict[int, int] | None:
-    """Injective map from pattern vertices to g realizing pattern as an
-    induced subgraph, or None.
-
-    A find_embedding over the vertices of g in ascending order:
-    pattern vertices are placed in ascending order, each on the smallest
-    vertex of g with exactly the pattern's adjacencies to the vertices
-    already placed, so the map is the least one in that order. A pattern
-    vertex with an earlier neighbour in the pattern draws its candidates
-    from the ascending neighbourhood of the image of the first such
-    neighbour: that drops only vertices that fail the adjacency test, so
-    the least map is the same, and a connected pattern scans all of g only
-    for its first vertex. Rows are adjacency bytes over vertex indices.
-    Exponential in the worst case.
-    """
-    pverts, verts = pattern.vertices, g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = [sorted(index[u] for u in g.neighborhood(v)) for v in verts]
-
-    def adjacency(i):
-        row = bytearray(len(verts))
-        for j in nbrs[i]:
-            row[j] = 1
-        return row
-
-    want = [tuple(int(pattern.has_edge(p, q)) for q in pverts[:i])
-            for i, p in enumerate(pverts)]
-    anchor = [w.index(1) if 1 in w else None for w in want]
-
-    def candidates(image):
-        a = anchor[len(image)]
-        return range(len(verts)) if a is None else nbrs[image[a]]
-
-    image = find_embedding(candidates, want, adjacency)
-    return None if image is None else {p: verts[i] for p, i in zip(pverts, image)}
-
-
-def claw() -> Graph:
-    """K_{1,3}: center 1 with leaves 2, 3, 4."""
-    return Graph.from_edges([(1, 2), (1, 3), (1, 4)])
-
-
-def net() -> Graph:
-    """Triangle 1-2-3 with a pendant vertex on each corner."""
-    return Graph.from_edges([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)])
+def _least_net(near: list[int]):
+    """(a, b, c, x, y, z): the first triangle, for a, b in N(a) and c in
+    N(a) & N(b) ascending, whose corners have private neighbours, x in
+    N(a) - N[b] - N[c] and so on, and the least of each. In a chordal graph
+    x and y are never adjacent, or x a b y would be a chordless 4-cycle."""
+    for a, row_a in enumerate(near):
+        for b in _bits(row_a ^ 1 << a):
+            row_b = near[b]
+            only_a, only_b = row_a & ~row_b, row_b & ~row_a
+            if only_a and only_b:
+                for c in _bits((row_a & row_b) ^ (1 << a | 1 << b)):
+                    row_c = near[c]
+                    x, y, z = only_a & ~row_c, only_b & ~row_c, row_c & ~(row_a | row_b)
+                    if x and y and z:
+                        return (a, b, c) + tuple(next(_bits(s)) for s in (x, y, z))
+    return None
 
 
 def claw_or_net(g: Graph):
-    """("claw", map) or ("net", map) for an induced claw or net, or None.
+    """("claw", map) or ("net", map) for an induced claw or net of g, or None.
 
-    The claw is searched for first; each map is find_induced_subgraph's
-    least one. A strongly chordal graph has no sun (Farber 1983), so it is
-    unit interval exactly when this returns None.
+    g must be chordal: unit_interval_obstruction calls this only above the
+    strongly chordal rung. The claw comes first. A map takes claw centre 1
+    and leaves 2, 3, 4, or net triangle 1, 2, 3 and pendants 4, 5, 6 in
+    turn, to g, and is the least in ascending vertex order, as
+    oracle.find_induced_subgraph's is. The scans read closed neighbourhoods
+    as int bitsets, bit i the vertex of rank i.
     """
-    for kind, pattern in (("claw", claw()), ("net", net())):
-        hit = find_induced_subgraph(g, pattern)
+    verts = g.vertices
+    rank = {v: i for i, v in enumerate(verts)}
+    near = [sum(1 << rank[u] for u in g[v]) | 1 << i for i, v in enumerate(verts)]
+    for kind, scan in (("claw", _least_claw), ("net", _least_net)):
+        hit = scan(near)
         if hit is not None:
-            return kind, hit
+            return kind, {p: verts[i] for p, i in enumerate(hit, 1)}
     return None
 
 
 def unit_interval_obstruction(g: Graph):
     """The first rung of unit interval ⊂ strongly chordal ⊂ chordal that g
-    fails, or None exactly when g is unit interval.
-
-    strongly_chordal_obstruction(g), else claw_or_net(g). A chordal graph
-    is unit interval iff it has no induced claw, net or 3-sun (Wegner
-    1967), and a k-sun with k >= 4 holds a claw, so any sun rules g out.
-    """
+    fails, strongly_chordal_obstruction(g) else claw_or_net(g), or None
+    exactly when g is unit interval: a k-sun with k >= 4 holds a claw, so
+    any sun rules g out."""
     return strongly_chordal_obstruction(g) or claw_or_net(g)
 
 

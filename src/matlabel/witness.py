@@ -164,8 +164,8 @@ def crown_from_sun(cliques: Iterable[frozenset[int]], sun) -> CrownWitness:
 
 def _witness_json(kind: str, hit) -> dict:
     """A rung's witness as the CLI reports it: a chordless cycle's vertices,
-    a claw's or net's map (from unit_interval.find_induced_subgraph), or a
-    SunWitness or CrownWitness."""
+    unit_interval.claw_or_net's map of a claw or net, or a SunWitness or
+    CrownWitness."""
     if kind == "chordless-cycle":
         return {"kind": kind, "vertices": list(hit)}
     if kind == "claw":

@@ -9,12 +9,11 @@ from itertools import combinations
 from matlabel.graph import Graph
 from matlabel.labeling import EdgeLabeling
 from matlabel.strong_chordal import is_simple_vertex, is_strongly_chordal
-from matlabel.unit_interval import claw, net
 from matlabel.witness import n_sun
 
 __all__ = [
-    "claw", "complete_graph", "cycle_graph", "height_labeling_complete", "n_sun", "net",
-    "path_graph", "random_graph", "random_strongly_chordal", "rising_sun",
+    "blown_up_net", "claw", "complete_graph", "cycle_graph", "height_labeling_complete",
+    "n_sun", "net", "path_graph", "random_graph", "random_strongly_chordal", "rising_sun",
     "RISING_SUN_MARKED_EDGE",
 ]
 
@@ -52,6 +51,26 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     return Graph(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def claw() -> Graph:
+    """K_{1,3}: center 1 with leaves 2, 3, 4."""
+    return Graph.from_edges([(1, 2), (1, 3), (1, 4)])
+
+
+def net() -> Graph:
+    """Triangle 1-2-3 with a pendant vertex on each corner."""
+    return Graph.from_edges([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)])
+
+
+def blown_up_net(s: int, first: int) -> Graph:
+    """The net with each vertex p replaced by s true twins, first + s(p - 1)
+    and on: strongly chordal, claw-free, and its least net is the first twin
+    of each of its vertices."""
+    twins = {p: range(first + s * (p - 1), first + s * p) for p in net().vertices}
+    edges = [(u, v) for p in twins for u in twins[p] for v in twins[p] if u < v]
+    edges += [(u, v) for p, q in net().edges for u in twins[p] for v in twins[q]]
+    return Graph.from_edges(edges)
 
 
 def rising_sun() -> Graph:

@@ -8,8 +8,7 @@ from typing import Iterable
 
 from matlabel.graph import Graph, _check_vertex_id, canonical_edge, peel, sorted_sets
 from matlabel.labeling import EdgeLabeling
-from matlabel.oracle import is_simplicial
-from matlabel.unit_interval import find_embedding
+from matlabel.oracle import find_embedding, is_simplicial
 from matlabel.witness import CrownWitness
 
 
@@ -133,3 +132,20 @@ def all_nodes_crown(p, k: int) -> CrownWitness | None:
         return None
     return CrownWitness(k, tuple(nodes[a] for a in image[:k]),
                         tuple(nodes[a] for a in image[k:]))
+
+
+def spy_on_claw_and_net_scans(monkeypatch) -> list[str]:
+    """The list that "claw" or "net" is appended to each time classify's
+    rung runs unit_interval's claw or net scan."""
+    from matlabel import unit_interval
+
+    scanned = []
+    for kind in ("claw", "net"):
+        real_scan = getattr(unit_interval, f"_least_{kind}")
+
+        def spy(near, kind=kind, real_scan=real_scan):
+            scanned.append(kind)
+            return real_scan(near)
+
+        monkeypatch.setattr(unit_interval, f"_least_{kind}", spy)
+    return scanned

@@ -11,16 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from matlabel import NoLeafPairError, cli
+from matlabel import Graph, NoLeafPairError, cli
 from matlabel.cli import main
 from matlabel.labeling import verify_mat_labeling
 from matlabel.poset import maximal_cliques
 
 from .conftest import UI7_EDGES
-from .families import n_sun
+from .families import blown_up_net, complete_graph, n_sun
+from .helpers import band, spy_on_claw_and_net_scans
 from .test_construct import d_graph
 
-ORACLE_SEARCHES = ("detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free")
+ORACLE_SEARCHES = ("detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free",
+                   "find_embedding", "find_induced_subgraph")
 
 
 def _forbid(monkeypatch, target):
@@ -110,26 +112,40 @@ def test_classify_claw_witness(capsys, tmp_path):
     assert report["witness"] == {"kind": "claw", "center": 1, "leaves": [2, 3, 4]}
 
 
+@pytest.mark.parametrize("graph, witness", [
+    # band(60, 10) is unit interval, so the least net is the first twin of
+    # each vertex of the net blown up by 2 on 61..72
+    (Graph.from_edges(band(60, 10).edges + blown_up_net(2, 61).edges),
+     {"kind": "net", "triangle": [61, 63, 65], "pendants": [67, 69, 71]}),
+    # pendants 61, 62, 63 on vertex 30: the least claw centred at 30 takes
+    # its least neighbour 20, then 31, the least beyond 20's reach, then 61
+    (Graph.from_edges(band(60, 10).edges + ((30, 61), (30, 62), (30, 63))),
+     {"kind": "claw", "center": 30, "leaves": [20, 31, 61]}),
+    (complete_graph(40), None),
+], ids=["band-net", "band-claw", "K40"])
+def test_classify_answers_dense_input(capsys, tmp_path, monkeypatch, graph, witness):
+    # every neighbourhood holds 20 or more vertices; the claw and net come
+    # from the bitset scans, never from a pattern search
+    _forbid_oracles(monkeypatch)
+    path = tmp_path / "dense.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges))
+    code, report = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert report == {"chordal": True, "strongly_chordal": True,
+                      "unit_interval": witness is None, "witness": witness}
+
+
 def test_classify_claw_needs_no_sun_search(capsys, tmp_path, monkeypatch):
     # a strongly chordal graph has no induced sun, so after recognition only
-    # the claw and net patterns are searched for, and chordality is not
+    # the claw and then the net are scanned for, and chordality is not
     # tested again by a cycle search
     _forbid_oracles(monkeypatch)
-    from matlabel import unit_interval
-
-    searched = []
-    real_search = unit_interval.find_induced_subgraph
-
-    def spy(g, pattern):
-        searched.append(pattern.n)
-        return real_search(g, pattern)
-
-    monkeypatch.setattr(unit_interval, "find_induced_subgraph", spy)
+    searched = spy_on_claw_and_net_scans(monkeypatch)
     _forbid(monkeypatch, "matlabel.chordal.find_chordless_cycle")
     path = tmp_path / "claw.txt"
     path.write_text("1 2\n1 3\n1 4\n")
     code, report = run_cli(capsys, "classify", str(path))
-    assert code == 0 and searched == [4]
+    assert code == 0 and searched == ["claw"]
     assert report == {
         "chordal": True,
         "strongly_chordal": True,
@@ -139,7 +155,7 @@ def test_classify_claw_needs_no_sun_search(capsys, tmp_path, monkeypatch):
     searched.clear()
     path.write_text("".join(f"{u} {v}\n" for u, v in UI7_EDGES))
     code, report = run_cli(capsys, "classify", str(path))
-    assert code == 0 and report["unit_interval"] and searched == [4, 6]
+    assert code == 0 and report["unit_interval"] and searched == ["claw", "net"]
 
 
 def test_classify_searches_the_elimination_residue_for_a_sun(
@@ -187,7 +203,6 @@ def test_large_sun_is_answered_without_an_exhaustive_search(
     # the exhaustive sun and crown searches would run for minutes on the
     # 12-sun; the witnesses come from find_sun and crown_from_sun instead
     _forbid_oracles(monkeypatch)
-    _forbid(monkeypatch, "matlabel.unit_interval.find_embedding")
     path = tmp_path / "sun12.txt"
     path.write_text("".join(f"{u} {v}\n" for u, v in n_sun(12).edges))
     code, report = run_cli(capsys, command, str(path))

@@ -6,7 +6,7 @@ import pytest
 
 from matlabel import Graph, canonical_edge, is_strongly_chordal
 from matlabel.arrangement import contract_edge
-from matlabel.unit_interval import find_embedding
+from matlabel.oracle import find_embedding
 
 from .families import claw, complete_graph, n_sun, path_graph, rising_sun
 from .helpers import add_vertex, is_clique

@@ -23,7 +23,7 @@ from matlabel.unit_interval import claw_or_net, unit_interval_obstruction
 from matlabel.witness import _shortest_path, crown_from_sun
 
 from .families import n_sun, random_graph, random_strongly_chordal
-from .helpers import random_peo
+from .helpers import random_peo, spy_on_claw_and_net_scans
 from .test_construct import d_graph
 
 
@@ -123,16 +123,7 @@ def test_one_mcs_pass_per_cycle(monkeypatch):
 def test_ladder_reads_the_sun_before_any_pattern_search(monkeypatch):
     # a 3-sun on 41..46 hangs off the end of the path 1..40 at inner vertex
     # 41, which also makes 41 the centre of a claw; the sun rung comes first
-    from matlabel import unit_interval
-
-    searched = []
-    real_search = unit_interval.find_induced_subgraph
-
-    def spy(g, pattern):
-        searched.append(pattern)
-        return real_search(g, pattern)
-
-    monkeypatch.setattr(unit_interval, "find_induced_subgraph", spy)
+    searched = spy_on_claw_and_net_scans(monkeypatch)
     edges = [(i, i + 1) for i in range(1, 41)]
     edges += [(41, 42), (41, 43), (42, 43), (41, 44), (42, 44),
               (42, 45), (43, 45), (41, 46), (43, 46)]
@@ -141,9 +132,9 @@ def test_ladder_reads_the_sun_before_any_pattern_search(monkeypatch):
         assert sun is not None and sun.n == 3
         assert unit_interval_obstruction(g) == ("sun", sun)
     assert searched == []
-    # strongly chordal input reaches the claw and net searches only
+    # strongly chordal input reaches the claw and net scans only
     assert unit_interval_obstruction(Graph.from_edges(edges[:40])) is None
-    assert [p.n for p in searched] == [4, 6]
+    assert searched == ["claw", "net"]
 
 
 def test_no_closing_path_is_one_internal_error_line(capsys, tmp_path, monkeypatch):
@@ -158,16 +149,18 @@ def test_no_closing_path_is_one_internal_error_line(capsys, tmp_path, monkeypatc
 
 
 def test_sun_patterns_are_searched_for_only_in_the_oracle():
-    # a sun is read off the elimination residue by find_sun
-    found = []
+    # a sun is read off the elimination residue by find_sun, and a claw or
+    # net by unit_interval's scans: only the oracle runs the pattern search
+    searches, sun_searches = set(), set()
     for path in sorted(Path(matlabel.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) == "find_induced_subgraph"
-                    and any(getattr(getattr(arg, "func", None), "id", None) == "n_sun"
-                            for arg in node.args)):
-                found.append(path.name)
-    assert found == ["oracle.py"]
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                    in ("find_embedding", "find_induced_subgraph")):
+                searches.add(path.name)
+                if any(getattr(getattr(arg, "func", None), "id", None) == "n_sun"
+                       for arg in node.args):
+                    sun_searches.add(path.name)
+    assert searches == sun_searches == {"oracle.py"}
 
 
 def test_one_mcs_pass_per_command(tmp_path, capsys, monkeypatch):

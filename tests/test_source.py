@@ -64,7 +64,8 @@ def test_no_recursion_outside_the_oracles():
     assert found >= RECURSION_ALLOWED  # the check still sees the oracles
 
 
-ORACLE_SEARCHES = {"detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free"}
+ORACLE_SEARCHES = {"detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free",
+                   "find_embedding", "find_induced_subgraph"}
 
 # the oracles themselves, their re-exports, and the old attribute paths
 # that clibench/layers.py spans

@@ -93,7 +93,7 @@ def _ast_nodes(module: str) -> int:
                                 "matlabel.unit_interval"}),
     (("verify", "one", "empty"), 5_087, {"matlabel.witness", "matlabel.formats",
                                          "matlabel.unit_interval"}),
-    (("classify", "one"), 5_734, {"matlabel.witness", "matlabel.formats"}),
+    (("classify", "one"), 5_592, {"matlabel.witness", "matlabel.formats"}),
     (("exponents", "one", "empty"), 6_616, {"matlabel.witness", "matlabel.formats",
                                             "matlabel.unit_interval"}),
 ], ids=["label", "verify", "classify", "exponents-labeling"])

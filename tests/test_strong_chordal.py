@@ -23,10 +23,10 @@ from matlabel import (
 from matlabel.arrangement import contract_edge
 from matlabel.oracle import enumerate_graphs
 from matlabel.strong_chordal import simple_elimination
-from matlabel.unit_interval import claw as claw_pattern
-from matlabel.unit_interval import find_embedding
+from matlabel.unit_interval import claw_or_net
 
 from .families import (
+    blown_up_net,
     claw,
     complete_graph,
     cycle_graph,
@@ -37,7 +37,7 @@ from .families import (
     random_strongly_chordal,
     rising_sun,
 )
-from .helpers import add_vertex
+from .helpers import add_vertex, band
 from .test_construct import _assert_induced_crown
 
 
@@ -240,8 +240,8 @@ def test_unit_interval_implies_strongly_chordal_sampled():
 
 
 def test_find_induced_subgraph():
-    assert find_induced_subgraph(rising_sun(), claw_pattern()) is not None
-    assert find_induced_subgraph(complete_graph(5), claw_pattern()) is None
+    assert find_induced_subgraph(rising_sun(), claw()) is not None
+    assert find_induced_subgraph(complete_graph(5), claw()) is None
     hit = find_induced_subgraph(n_sun(3), net())
     # the 3-sun has no induced net: the outer vertices pend off edges
     assert hit is None
@@ -250,66 +250,69 @@ def test_find_induced_subgraph():
     assert find_induced_subgraph(long, long) == {v: v for v in long.vertices}
 
 
-def all_vertices_induced_subgraph(g, pattern):
-    """Reference for find_induced_subgraph: the same least-map search, with
-    every vertex of g a candidate at every pattern position."""
-    pverts, verts = pattern.vertices, g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[index[u] for u in g.neighborhood(v)] for v in verts]
-
-    def adjacency(i):
-        row = bytearray(len(verts))
-        for j in nbrs[i]:
-            row[j] = 1
-        return row
-
-    want = [tuple(int(pattern.has_edge(p, q)) for q in pverts[:i])
-            for i, p in enumerate(pverts)]
-    image = find_embedding(lambda image: range(len(verts)), want, adjacency)
-    return None if image is None else {p: verts[i] for p, i in zip(pverts, image)}
+def proper_interval_graph(n: int, rng: random.Random) -> Graph:
+    """A random unit interval graph on 0..n-1: i < j are adjacent iff j is
+    at most reach[i], for a non-decreasing reach with reach[i] >= i."""
+    reach, edges = 0, []
+    for i in range(n):
+        reach = min(n - 1, max(reach, i + rng.randint(0, 3)))
+        edges += [(i, j) for j in range(i + 1, reach + 1)]
+    return Graph(range(n), edges)
 
 
-def test_neighbourhood_candidates_keep_the_least_map():
-    # candidates drawn from the neighbourhood of a placed vertex drop only
-    # vertices that fail the adjacency test, so the least map is the same
-    rng = random.Random(2)
-    graphs = [g for n in range(7) for g in enumerate_graphs(n)]
-    graphs += [random_strongly_chordal(rng.randint(5, 60), rng=rng, grow_bias=bias)
-               for bias in (0.3, 0.6, 0.9) for _ in range(40)]
-    mismatches, hits = [], {}
-    for name, pattern in (("claw", claw()), ("net", net()), ("3-sun", n_sun(3))):
-        hits[name] = 0
-        for g in graphs:
-            got = find_induced_subgraph(g, pattern)
-            if got != all_vertices_induced_subgraph(g, pattern):
-                mismatches.append((name, g))
-            hits[name] += got is not None
-    assert mismatches == []
-    # the scan sees hits and misses of every pattern
-    assert all(0 < count < len(graphs) for count in hits.values()), hits
+def planted_net(rng: random.Random) -> Graph:
+    """A claw-free unit interval graph and a blown-up net, disjoint, under a
+    seeded relabelling of all vertices."""
+    host = proper_interval_graph(rng.randint(0, 12), rng)
+    net_part = blown_up_net(rng.randint(1, 3), host.n)
+    g = Graph(host.vertices, host.edges + net_part.edges)
+    ids = rng.sample(range(4 * g.n), g.n)
+    return Graph([ids[v] for v in g.vertices], [(ids[u], ids[v]) for u, v in g.edges])
 
 
-def test_claw_and_net_search_scans_a_path_once(monkeypatch):
-    # every pattern position after the first draws its candidates from a
-    # neighbourhood, so only the first position scans the whole path
+def test_claw_or_net_is_the_oracles_least_map():
+    # the two bitset scans return the least map of the exhaustive search,
+    # so classify's witnesses are unchanged
+    rng = random.Random(41)
+    graphs = [random_strongly_chordal(rng.randint(1, 14), rng=rng, grow_bias=bias)
+              for bias in (0.3, 0.6, 0.9) for _ in range(900)]
+    planted = [planted_net(rng) for _ in range(400)]
+    kinds = []
+    for g in graphs + planted:
+        want = None
+        for kind, pattern in (("claw", claw()), ("net", net())):
+            hit = find_induced_subgraph(g, pattern)
+            if hit is not None:
+                want = (kind, hit)
+                break
+        assert claw_or_net(g) == want, g
+        kinds.append(None if want is None else want[0])
+    assert kinds[len(graphs):] == ["net"] * len(planted)
+    assert kinds.count("claw") >= 300 and kinds.count(None) >= 300
+
+
+def test_claw_and_net_scans_visit_a_bounded_number_of_candidates_per_vertex(monkeypatch):
+    # each scan draws every candidate from a neighbourhood bitset, so the
+    # candidates visited per vertex do not grow with the graph
     from matlabel import unit_interval
 
-    offered = []
-    real_search = unit_interval.find_embedding
+    visited = []
+    real_bits = unit_interval._bits
 
-    def counting(candidates, pattern, relation):
-        def counted(image):
-            got = list(candidates(image))
-            offered.append(len(got))
-            return got
-        return real_search(counted, pattern, relation)
+    def counting(row):
+        for i in real_bits(row):
+            visited.append(i)
+            yield i
 
-    monkeypatch.setattr(unit_interval, "find_embedding", counting)
-    long = path_graph(3000)
-    assert unit_interval_obstruction(long) is None
-    assert offered.count(3000) == 2  # the first position of the claw and the net
-    # a bounded number per vertex, where every position was offered all 3000
-    assert sum(offered) < 20 * 3000
+    monkeypatch.setattr(unit_interval, "_bits", counting)
+
+    def per_vertex(g):
+        visited.clear()
+        assert unit_interval_obstruction(g) is None
+        return len(visited) / g.n
+
+    for small, large in ((band(500, 5), band(1000, 5)), (path_graph(1500), path_graph(3000))):
+        assert 0 < per_vertex(large) <= 1.5 * per_vertex(small)
 
 
 def _threeway(g):
