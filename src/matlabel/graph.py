@@ -137,9 +137,6 @@ class Graph:
             left -= comp
         return tuple(sorted(out, key=sorted_key))
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
     # -- value semantics -----------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -22,11 +22,12 @@ def _bits(row: int):
 
 def _least_claw(near: list[int]):
     """(c, a, b, d): for c, then a in N(c), ascending, b is the first vertex
-    of R = N(c) - N[a] with R - N[b] non-empty, and d the least of that."""
+    of R = N(c) - N[a] above a with R - N[b] non-empty, and d the least of
+    that. The leaves of the least claw ascend, so no b below a is drawn."""
     for c, row in enumerate(near):
         for a in _bits(row ^ 1 << c):
             rest = row & ~near[a]
-            for b in _bits(rest):
+            for b in _bits(rest >> a + 1 << a + 1):
                 leaves = rest & ~near[b]
                 if leaves:
                     return c, a, b, next(_bits(leaves))
@@ -34,16 +35,18 @@ def _least_claw(near: list[int]):
 
 
 def _least_net(near: list[int]):
-    """(a, b, c, x, y, z): the first triangle, for a, b in N(a) and c in
-    N(a) & N(b) ascending, whose corners have private neighbours, x in
-    N(a) - N[b] - N[c] and so on, and the least of each. In a chordal graph
-    x and y are never adjacent, or x a b y would be a chordless 4-cycle."""
+    """(a, b, c, x, y, z): the first triangle, for a, b in N(a) above a and
+    c in N(a) & N(b) above b ascending, whose corners have private
+    neighbours, x in N(a) - N[b] - N[c] and so on, and the least of each.
+    The net condition is symmetric in the corners, so the least net's
+    corners ascend and each triangle is tested once. In a chordal graph x
+    and y are never adjacent, or x a b y would be a chordless 4-cycle."""
     for a, row_a in enumerate(near):
-        for b in _bits(row_a ^ 1 << a):
+        for b in _bits(row_a >> a + 1 << a + 1):
             row_b = near[b]
             only_a, only_b = row_a & ~row_b, row_b & ~row_a
             if only_a and only_b:
-                for c in _bits((row_a & row_b) ^ (1 << a | 1 << b)):
+                for c in _bits((row_a & row_b) >> b + 1 << b + 1):
                     row_c = near[c]
                     x, y, z = only_a & ~row_c, only_b & ~row_c, row_c & ~(row_a | row_b)
                     if x and y and z:

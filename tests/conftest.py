@@ -23,10 +23,9 @@ from matlabel import (
     is_strongly_chordal,
     verify_mat_labeling,
 )
-from matlabel.oracle import enumerate_graphs
 
 from .brute import brute_force_mat_labeling
-from .families import random_graph
+from .families import enumerate_graphs, random_graph
 
 UI7_EDGES = [
     (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4),

@@ -1,10 +1,11 @@
-"""Standard graph constructions, the height labeling of a clique, and
-seeded random generators."""
+"""Standard graph constructions, the height labeling of a clique, every
+graph on a few vertices, and seeded random generators."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Callable, Iterator
 
 from matlabel.graph import Graph
 from matlabel.labeling import EdgeLabeling
@@ -12,9 +13,9 @@ from matlabel.strong_chordal import is_simple_vertex, is_strongly_chordal
 from matlabel.witness import n_sun
 
 __all__ = [
-    "blown_up_net", "claw", "complete_graph", "cycle_graph", "height_labeling_complete",
-    "n_sun", "net", "path_graph", "random_graph", "random_strongly_chordal", "rising_sun",
-    "RISING_SUN_MARKED_EDGE",
+    "blown_up_net", "claw", "complete_graph", "cycle_graph", "enumerate_graphs",
+    "height_labeling_complete", "n_sun", "net", "path_graph", "random_graph",
+    "random_strongly_chordal", "rising_sun", "RISING_SUN_MARKED_EDGE",
 ]
 
 
@@ -86,6 +87,30 @@ def rising_sun() -> Graph:
 
 
 RISING_SUN_MARKED_EDGE = (1, 2)
+
+
+def enumerate_graphs(
+    n: int,
+    predicate: Callable[[Graph], bool] | None = None,
+    connected: bool = False,
+) -> Iterator[Graph]:
+    """All graphs on n labeled vertices 0..n-1, optionally connected only.
+
+    Streams 2^(n choose 2) graphs, filtered by `predicate` when given;
+    guarded at n <= 8.
+    """
+    if n > 8:
+        raise ValueError(f"enumeration guarded at 8 vertices, got {n}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    slots = list(combinations(range(n), 2))
+    for mask in range(1 << len(slots)):
+        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
+        g = Graph(range(n), edges)
+        if connected and len(g.components()) > 1:
+            continue
+        if predicate is None or predicate(g):
+            yield g
 
 
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:

@@ -32,13 +32,13 @@ from matlabel import (
 )
 from matlabel.arrangement import contract_edge
 from matlabel.cli import main as cli_main
-from matlabel.oracle import enumerate_graphs
 
 from .brute import brute_force_mat_labeling
 from .conftest import UI7_EDGES, UI7_EXPONENTS, UI7_POSET_COVERS, UI7_POSET_NODES
 from .families import (
     RISING_SUN_MARKED_EDGE,
     complete_graph,
+    enumerate_graphs,
     height_labeling_complete,
     n_sun,
     path_graph,

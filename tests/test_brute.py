@@ -13,10 +13,9 @@ from matlabel import (
     peo_exponents,
     verify_mat_labeling,
 )
-from matlabel.oracle import enumerate_graphs
 
 from .brute import _Search, brute_force_mat_labeling
-from .families import complete_graph, cycle_graph, n_sun, random_graph
+from .families import complete_graph, cycle_graph, enumerate_graphs, n_sun, random_graph
 
 
 def clique_number(g):

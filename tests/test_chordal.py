@@ -15,7 +15,6 @@ from matlabel import (
 )
 from matlabel import Graph
 from matlabel.chordal import _mcs_order, exponents_along
-from matlabel.oracle import brute_induced_cycles
 
 from .families import (
     claw,
@@ -27,6 +26,7 @@ from .families import (
     random_strongly_chordal,
 )
 from .helpers import is_clique, random_peo
+from .scans import brute_induced_cycles
 
 
 def test_is_simplicial():

@@ -28,12 +28,12 @@ from matlabel import (
 )
 from matlabel.construct import _extend_into, _label_table, _mat_peo, _merge_into
 from matlabel.graph import sorted_key, sorted_sets
-from matlabel.oracle import enumerate_graphs
 
 from .conftest import UI7_EXPONENTS, UI7_LABELS
 from .families import (
     complete_graph,
     cycle_graph,
+    enumerate_graphs,
     height_labeling_complete,
     n_sun,
     path_graph,

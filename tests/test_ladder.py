@@ -15,14 +15,13 @@ from matlabel.chordal import find_chordless_cycle, find_peo
 from matlabel.cli import main
 from matlabel.construct import construct_mat_labeling
 from matlabel.formats import poset_to_json_dict
-from matlabel.oracle import enumerate_graphs
 from matlabel.poset import (NotChordalError, NotStronglyChordalError, build_poset,
                             maximal_cliques)
 from matlabel.strong_chordal import find_sun
 from matlabel.unit_interval import claw_or_net, unit_interval_obstruction
 from matlabel.witness import _shortest_path, crown_from_sun
 
-from .families import n_sun, random_graph, random_strongly_chordal
+from .families import enumerate_graphs, n_sun, random_graph, random_strongly_chordal
 from .helpers import random_peo, spy_on_claw_and_net_scans
 from .test_construct import d_graph
 

@@ -16,12 +16,11 @@ from matlabel import (EdgeLabeling, Graph, construct_mat_labeling, find_mat_peo,
 from matlabel.construct import _label_table, _mat_peo
 from matlabel.graph import canonical_edge, peel
 from matlabel.oracle import _mat_simplicial_left
-from matlabel.oracle import enumerate_graphs
 from matlabel.poset import build_poset
 from matlabel.strong_chordal import find_sun, simple_elimination
 
-from .families import (height_labeling_complete, n_sun, path_graph, random_graph,
-                       random_strongly_chordal)
+from .families import (enumerate_graphs, height_labeling_complete, n_sun, path_graph,
+                       random_graph, random_strongly_chordal)
 from .helpers import sorted_scan_mat_peo, with_label
 
 

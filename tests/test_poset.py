@@ -18,19 +18,20 @@ from matlabel import (
     maximal_cliques,
 )
 from matlabel.graph import sorted_sets
-from matlabel.oracle import brute_minimal_separators, enumerate_graphs
 from matlabel.poset import clique_tree
 
 from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
 from .families import (
     complete_graph,
     cycle_graph,
+    enumerate_graphs,
     n_sun,
     path_graph,
     random_graph,
     random_strongly_chordal,
 )
 from .helpers import band, is_clique, random_peo
+from .scans import brute_minimal_separators
 
 
 def test_maximal_cliques_complete():
@@ -67,7 +68,7 @@ def test_maximal_cliques_brute_agreement():
             continue
         # an independent check: every reported set is a maximal clique and
         # every vertex subset that is a maximal clique is reported
-        from matlabel.oracle import iter_subsets
+        from .scans import iter_subsets
 
         expect = set()
         for s in iter_subsets(g.vertices):

@@ -23,11 +23,8 @@ def test_no_assert_for_internal_invariants():
     assert SOURCES and not found, found
 
 
-# exhaustive oracles, and chromatic deletion-contraction behind its size guard
-RECURSION_ALLOWED = {
-    "arrangement.py:_deletion_contraction",
-    "oracle.py:brute_induced_subposet.place",
-}
+# chromatic deletion-contraction, behind its size guard
+RECURSION_ALLOWED = {"arrangement.py:_deletion_contraction"}
 
 
 def _called_name(func):
@@ -61,7 +58,7 @@ def test_no_recursion_outside_the_oracles():
         _self_calling(ast.parse(path.read_text(), str(path)), "", names)
         found |= {f"{path.name}:{name}" for name in names}
     assert sorted(found - RECURSION_ALLOWED) == []
-    assert found >= RECURSION_ALLOWED  # the check still sees the oracles
+    assert found >= RECURSION_ALLOWED  # the check still sees the recursion
 
 
 ORACLE_SEARCHES = {"detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free",
@@ -160,20 +157,32 @@ def test_construct_reads_mat_peos_off_the_top_edge():
     assert "_mat_peo" in names  # the check still sees the constructor's MAT-PEOs
 
 
-def test_the_exhaustive_search_imports_only_its_inputs_and_bound():
-    # brute is the independent existence oracle: it takes the graph and the
-    # labeling type, and its label bound (omega - 1 on a chordal graph) is
-    # the largest PEO exponent; any other import could share a fault with
-    # the code it checks
-    path = Path(__file__).with_name("brute.py")
+def _imported(name):
+    """Every name that the test support module `name` imports, dotted."""
+    path = Path(__file__).with_name(name)
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {f"{'.' * node.level}{node.module}.{a.name}" for a in node.names}
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
-    assert imported == {"matlabel.graph.Graph", "matlabel.labeling.EdgeLabeling",
-                        "matlabel.chordal.peo_exponents"}
+    return imported
+
+
+def test_the_exhaustive_search_imports_only_its_inputs_and_bound():
+    # brute is the independent existence oracle: it takes the graph and the
+    # labeling type, and its label bound (omega - 1 on a chordal graph) is
+    # the largest PEO exponent; any other import could share a fault with
+    # the code it checks
+    assert _imported("brute.py") == {"matlabel.graph.Graph", "matlabel.labeling.EdgeLabeling",
+                                     "matlabel.chordal.peo_exponents"}
+
+
+def test_the_subset_scans_import_only_the_graph():
+    # the scans cross-check the recognizers and the oracles, so they read
+    # the graph through its primitives and share no other code
+    assert _imported("scans.py") == {"itertools.combinations", "typing.Iterable",
+                                     "typing.Iterator", "matlabel.graph.Graph"}
 
 
 def test_every_labeling_is_checked_by_its_constructor():
@@ -264,7 +273,6 @@ DEFAULTED_PARAMETERS = {
     "cli.main(argv)",
     "construct.extend_labeling_complete(vertices)",
     "graph.Graph.__init__(edges)", "graph.Graph.__init__(vertices)",
-    "oracle.enumerate_graphs(connected)", "oracle.enumerate_graphs(predicate)",
 }
 
 
@@ -321,3 +329,82 @@ def test_json_is_decoded_in_one_mode():
     assert hook.__bases__ == (tuple,)
     assert set(vars(hook)) <= {"__module__", "__qualname__", "__doc__", "__slots__",
                                "__repr__"}
+
+
+# what no command reaches: the functions, classes and methods of the package
+# that a name-level call graph does not reach from the CLI entry, the
+# command handlers and the package's lazy exports, with oracle never
+# loaded. A new function that no command runs, or a command that stops
+# calling one, is a deliberate edit here, and a deletion shrinks the set
+UNREACHED = {
+    # the oracles, which no command loads
+    "oracle._mat_simplicial_left", "oracle.detect_induced_sun", "oracle.find_any_crown",
+    "oracle.find_crown", "oracle.find_embedding", "oracle.find_induced_subgraph",
+    "oracle.find_mat_peo", "oracle.is_crown_free", "oracle.is_mat_peo", "oracle.is_peo",
+    "oracle.is_simplicial", "oracle.mat_simplicial_violation",
+    # the old attribute paths of oracle searches that clibench/layers.py spans
+    "poset.__getattr__", "strong_chordal.__getattr__",
+    # the public merge and extension of MAT-labeled cliques
+    "construct._complete", "construct._require_valid_complete",
+    "construct.extend_labeling_complete", "construct.merge_complete", "construct.node_family",
+    # thin wrappers that only the tests call
+    "arrangement.exponents_from_labeling", "chordal.is_chordal",
+    "labeling.EdgeLabeling.restrict_vertices", "labeling.is_mat_simplicial",
+    "strong_chordal.find_simple_elimination_ordering", "strong_chordal.is_strongly_chordal",
+    "unit_interval.is_unit_interval",
+}
+
+
+def _definitions(tree, module):
+    """(module.name, node) for each top-level function and class, and
+    (module.Class.name, node) for each method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{top.name}", top
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{module}.{top.name}.{node.name}", node) for node in top.body
+                        if isinstance(node, ast.FunctionDef))
+
+
+def _uses(name, node):
+    """(the definitions it reaches by their qualified names, the nodes whose
+    identifiers it uses) for a definition. A function uses all of itself.
+    A class uses its bases, decorators and the statements outside its
+    methods, and reaches the dunder methods that Python calls on it; its
+    other methods are reached by their names."""
+    if not isinstance(node, ast.ClassDef):
+        return set(), [node]
+    methods = [p for p in node.body if isinstance(p, ast.FunctionDef)]
+    dunders = {f"{name}.{m.name}" for m in methods
+               if m.name.startswith("__") and m.name.endswith("__")}
+    parts = [p for p in node.body if p not in methods]
+    return dunders, parts + node.bases + node.keywords + node.decorator_list
+
+
+def test_what_no_command_reaches_is_pinned():
+    defined = {}
+    for path in SOURCES:
+        defined.update(_definitions(ast.parse(path.read_text(), str(path)), path.stem))
+    by_name: dict[str, set] = {}
+    for name in defined:
+        if not name.startswith("oracle."):  # oracle is never loaded
+            by_name.setdefault(name.rsplit(".", 1)[1], set()).add(name)
+    handlers = {f"{func.__module__.rsplit('.', 1)[1]}.{func.__qualname__}"
+                for func, *_ in cli._COMMANDS.values()}
+    roots = {"cli.entry", "__init__.__getattr__", "__init__.__dir__"} | handlers
+    assert roots <= defined.keys()
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        found, parts = _uses(name, defined[name])
+        for part in parts:
+            for node in ast.walk(part):
+                ident = (node.id if isinstance(node, ast.Name) else
+                         node.attr if isinstance(node, ast.Attribute) else
+                         node.name if isinstance(node, ast.alias) else None)
+                found |= by_name.get(ident, set())
+        todo.extend(found - reached)
+    assert defined.keys() - reached == UNREACHED

@@ -21,7 +21,6 @@ from matlabel import (
     unit_interval_obstruction,
 )
 from matlabel.arrangement import contract_edge
-from matlabel.oracle import enumerate_graphs
 from matlabel.strong_chordal import simple_elimination
 from matlabel.unit_interval import claw_or_net
 
@@ -30,6 +29,7 @@ from .families import (
     claw,
     complete_graph,
     cycle_graph,
+    enumerate_graphs,
     n_sun,
     net,
     path_graph,
@@ -313,6 +313,37 @@ def test_claw_and_net_scans_visit_a_bounded_number_of_candidates_per_vertex(monk
 
     for small, large in ((band(500, 5), band(1000, 5)), (path_graph(1500), path_graph(3000))):
         assert 0 < per_vertex(large) <= 1.5 * per_vertex(small)
+
+
+def test_the_net_scan_tests_each_triangle_once(monkeypatch):
+    # the net condition is symmetric in a triangle's corners, so the scan
+    # draws them ascending and meets each triangle once, not in six orders
+    from matlabel import unit_interval
+
+    drawn, tested = [], []  # the corners a, b, c drawn so far; each triangle met
+    real_bits = unit_interval._bits
+
+    class Rows(list):
+        def __iter__(self):
+            for a, row in enumerate(list.__iter__(self)):
+                drawn[:] = [a]
+                yield row
+
+    def drawing(row):
+        depth = len(drawn)
+        for i in real_bits(row):
+            del drawn[depth:]
+            drawn.append(i)
+            if depth == 2:
+                tested.append(frozenset(drawn))
+            yield i
+        del drawn[depth:]
+
+    monkeypatch.setattr(unit_interval, "_bits", drawing)
+    g = band(40, 12)  # unit interval, so net-free
+    near = Rows(sum(1 << u - 1 for u in g[v]) | 1 << v - 1 for v in g.vertices)
+    assert unit_interval._least_net(near) is None
+    assert len(tested) > 1000 and len(set(tested)) == len(tested)
 
 
 def _threeway(g):
