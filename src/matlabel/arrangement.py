@@ -1,20 +1,20 @@
-"""Exponents, chromatic polynomials and factorization cross-checks.
+"""Exponents, chromatic polynomials and factorization checks, in polynomial time.
 
-The exponents of the arrangement attached to a graph are read off a
-MAT-labeling as the dual partition of its block sizes, and independently
-off any PEO of a chordal graph as earlier-neighbor counts; both must agree
-with the roots of the chromatic polynomial. All arithmetic is exact
-integer arithmetic: a polynomial is the tuple of its integer coefficients,
-lowest degree first, with no trailing zeros, and () is the zero polynomial.
+The exponents of a graph's arrangement are read off a MAT-labeling as the
+dual partition of its block sizes, and off a PEO of a chordal graph as
+earlier-neighbor counts; both are the roots of the chromatic polynomial.
+Free graphic arrangements are exactly those of chordal graphs, so the
+polynomial and the factorization check take chordal graphs only and raise
+NotChordalError on any other. A polynomial is the tuple of its integer
+coefficients, lowest degree first, with no trailing zeros.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chordal import exponents_along, find_peo
-from .graph import Graph, canonical_edge
+from .graph import Graph
 from .labeling import EdgeLabeling, verify_mat_labeling
 
 
@@ -42,99 +42,37 @@ def dual_partition_exponents(lab: EdgeLabeling) -> tuple[int, ...]:
 
 
 def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
-    """Exact chromatic polynomial by deletion-contraction, as coefficients.
+    """Chromatic polynomial of a chordal graph: prod (t - e) over peo_exponents(g).
 
-    Guarded at 12 vertices, and memoized on relabeled canonical forms for
-    graphs of at most 10 vertices. A chordal graph's polynomial needs no
-    search: it is the product of (t - e) over peo_exponents(g).
+    Along a PEO a vertex's e earlier neighbors form a clique, leaving t - e
+    colors for it (Stanley 1972: the arrangement is supersolvable). Built
+    one linear factor at a time; NotChordalError if g is not chordal.
     """
-    if g.n > 12:
-        raise ValueError(f"deletion-contraction guarded at 12 vertices, got {g.n}")
-    return _deletion_contraction(g, {})
-
-
-def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """G/e, whose arrangement is the restriction of G's to e's hyperplane.
-
-    Identifies the endpoints of e, keeping the smaller id; drops loops and
-    duplicate adjacencies. ValueError when e is not an edge of g.
-    """
-    u, v = canonical_edge(*e)
-    if not g.has_edge(u, v):
-        raise ValueError(f"{(u, v)} is not an edge")
-    merged = (g[u] | g[v]) - {u, v}
-    edges = [(x, y) for x, y in g.edges if v not in (x, y) and u not in (x, y)]
-    edges.extend((u, w) for w in merged)
-    return Graph(g.vertex_set - {v}, edges)
-
-
-def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)  # the leading coefficients' product is not 0
-
-
-def _from_roots(roots: Iterable[int]) -> tuple[int, ...]:
-    """Monic product of (t - r) over the given integer roots."""
-    poly = (1,)
-    for r in roots:
-        poly = _product(poly, (-r, 1))
-    return poly
-
-
-def _canonical_form(g: Graph):
-    relabel = {v: i for i, v in enumerate(g.vertices)}
-    return (g.n, frozenset((relabel[u], relabel[v]) for u, v in g.edges))
-
-
-def _deletion_contraction(g: Graph, memo) -> tuple[int, ...]:
-    """chi(G) = chi(G - e) - chi(G / e): deletion and restriction of e's hyperplane."""
-    if g.m == 0:
-        return (0,) * g.n + (1,)  # t^n
-    components = g.components()
-    if len(components) > 1:
-        poly = (1,)
-        for comp in components:
-            poly = _product(poly, _deletion_contraction(g.induced_subgraph(comp), memo))
-        return poly
-    key = _canonical_form(g) if g.n <= 10 else None
-    if key is not None and key in memo:
-        return memo[key]
-    e = g.edges[0]
-    deleted = _deletion_contraction(Graph(g.vertices, [f for f in g.edges if f != e]), memo)
-    contracted = _deletion_contraction(contract_edge(g, e), memo)
-    poly = _trim(a - b for a, b in zip_longest(deleted, contracted, fillvalue=0))
-    if key is not None:
-        memo[key] = poly
-    return poly
+    poly = [1]
+    for e in _peo_exponents(g):
+        poly = [a - e * b for a, b in zip([0] + poly, poly + [0])]
+    return tuple(poly)
 
 
 def check_terao_factorization(g: Graph, exponents: Sequence[int]) -> bool:
     """True iff the chromatic polynomial equals prod (t - d) over exponents.
 
-    For a chordal g, chromatic_polynomial(g) is prod (t - e) over the
-    exponents e along a PEO, so the check compares two monic polynomials
-    that split into integer linear factors. Z[t] is a unique factorization
-    domain and each t - r is irreducible there, so two such products are
-    equal iff they have the same factors with the same multiplicities,
-    that is iff the multisets of roots are equal. The check therefore
-    compares the sorted PEO exponents with the sorted given list and never
-    expands a polynomial. A non-chordal g keeps the deletion-contraction
-    route.
+    chromatic_polynomial(g) is prod (t - e) over the PEO exponents e, so
+    both sides are monic products of integer linear factors. Z[t] is a
+    unique factorization domain and each t - r is irreducible there, so the
+    products are equal iff their multisets of roots are: the check compares
+    the sorted PEO exponents with the sorted given list and never expands a
+    polynomial. NotChordalError if g is not chordal; by the paper's theorem
+    a graph with a MAT-labeling is strongly chordal, so chordal.
     """
+    return list(_peo_exponents(g)) == sorted(exponents)
+
+
+def _peo_exponents(g: Graph) -> tuple[int, ...]:
+    """The earlier-neighbor counts along g's PEO; NotChordalError if none."""
     peo = find_peo(g)
     if peo is None:
-        return chromatic_polynomial(g) == _from_roots(exponents)
-    return list(exponents_along(g, peo)) == sorted(exponents)
+        from .poset import NotChordalError
 
+        raise NotChordalError(f"graph with {g.n} vertices is not chordal")
+    return exponents_along(g, peo)

@@ -100,6 +100,7 @@ def cmd_exponents(args) -> int:
     g = load_graph(args.graph)
     if args.labeling:
         from .arrangement import check_terao_factorization, dual_partition_exponents
+        from .chordal import find_peo
         from .io import parse_labeling_json
         from .labeling import verify_mat_labeling
 
@@ -109,6 +110,9 @@ def cmd_exponents(args) -> int:
             _emit(args, {"error": "labeling is not a MAT-labeling",
                          "violation": violation.as_json()})
             return EXIT_REJECT
+        if find_peo(g) is None:  # a MAT-labeled graph is strongly chordal, so chordal
+            raise RuntimeError(f"exponents: a verified labeling of a graph with {g.n} "
+                               "vertices that is not chordal")
         exps = dual_partition_exponents(lab)
         factors_check = check_terao_factorization(g, exps)
     else:

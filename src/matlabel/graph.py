@@ -113,30 +113,6 @@ class Graph:
         self._require_vertex(v)
         return self.induced_subgraph(self.vertex_set - {v})
 
-    # -- connectivity --------------------------------------------------
-
-    def component_of(self, v: int) -> frozenset[int]:
-        """Vertices reachable from v."""
-        self._require_vertex(v)
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
-
-    def components(self) -> tuple[frozenset[int], ...]:
-        out = []
-        left = set(self._vertices)
-        while left:
-            comp = self.component_of(min(left))
-            out.append(comp)
-            left -= comp
-        return tuple(sorted(out, key=sorted_key))
-
     # -- value semantics -----------------------------------------------
 
     def __eq__(self, other) -> bool:

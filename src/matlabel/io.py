@@ -1,15 +1,17 @@
 """The file formats of a `label` call: edge-list text in, labeling JSON out.
 
 Graph text format: one `u v` line per edge, `#` starts a comment, and an
-optional `vertices: u1 u2 ...` line declares isolated vertices. Labeling
-JSON: {"edges": [{"u": int, "v": int, "label": int}, ...]}, read by
-`verify` and `exponents`. load_graph reads a file whose first
-non-whitespace character is `{` or `[` as a JSON graph, {"vertices":
-[...], "edges": [[u, v], ...]}, through matlabel.formats, which holds the
-formats a `label` of an edge list never uses; no edge-list line starts
-with either. Input files are read as UTF-8, with no byte-order mark. All
-emitters sort keys and arrays so identical inputs serialize
-byte-identically.
+optional `vertices: u1 u2 ...` line declares isolated vertices. A line
+ends at a line feed (CRLF reads as LF), and spaces or tabs separate ids;
+any other character outside a comment is an error naming the line, by
+its count of line feeds. Labeling JSON: {"edges": [{"u": int, "v": int,
+"label": int}, ...]}, read by `verify` and `exponents`. load_graph reads
+a file whose first non-whitespace character is `{` or `[` as a JSON
+graph, {"vertices": [...], "edges": [[u, v], ...]}, through
+matlabel.formats, which holds the formats a `label` of an edge list
+never uses; no edge-list line starts with either. Input files are read
+as UTF-8, with no byte-order mark. All emitters sort keys and arrays so
+identical inputs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -27,20 +29,18 @@ if TYPE_CHECKING:  # each command loads only the layers it runs
 def parse_graph_text(text: str) -> Graph:
     vertices: list[int] = []
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         u, _, v = raw.partition(" ")
         try:
             if u.isdigit() and v.isdigit() and raw.isascii():  # a plain `u v` line
                 edges.append((int(u), int(v)))
                 continue
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+            line = raw.split("#", 1)[0].replace("\t", " ").strip(" ")
             if line.startswith("vertices:"):
                 vertices.extend(_vertex_token(tok)
-                                for tok in line[len("vertices:"):].split())
-            else:
-                u, v = line.split()
+                                for tok in line[len("vertices:"):].split(" ") if tok)
+            elif line:
+                u, v = (tok for tok in line.split(" ") if tok)
                 edges.append((_vertex_token(u), _vertex_token(v)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
@@ -98,7 +98,8 @@ def read_input(path: str | Path) -> str:
     """The text of an input file, which must be UTF-8 with no byte-order
     mark: one is rejected, not skipped, as input is never coerced."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as file:  # line ends as written
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if text.startswith("\ufeff"):

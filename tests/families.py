@@ -12,6 +12,8 @@ from matlabel.labeling import EdgeLabeling
 from matlabel.strong_chordal import is_simple_vertex, is_strongly_chordal
 from matlabel.witness import n_sun
 
+from .chromatic import components
+
 __all__ = [
     "blown_up_net", "claw", "complete_graph", "cycle_graph", "enumerate_graphs",
     "height_labeling_complete", "n_sun", "net", "path_graph", "random_graph",
@@ -107,7 +109,7 @@ def enumerate_graphs(
     for mask in range(1 << len(slots)):
         edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
         g = Graph(range(n), edges)
-        if connected and len(g.components()) > 1:
+        if connected and len(components(g)) > 1:
             continue
         if predicate is None or predicate(g):
             yield g

@@ -13,6 +13,8 @@ from typing import Iterable, Iterator
 
 from matlabel.graph import Graph
 
+from .chromatic import component_of
+
 
 def iter_subsets(items: Iterable[int]) -> Iterator[frozenset[int]]:
     """All subsets of items, smallest first, deterministic order."""
@@ -34,7 +36,7 @@ def brute_induced_cycles(g: Graph) -> tuple[int, ...] | None:
         if len(subset) < 4:
             continue
         sub = g.induced_subgraph(subset)
-        if sub.m != sub.n or len(sub.components()) > 1:
+        if sub.m != sub.n or component_of(sub, min(subset)) != subset:
             continue
         if any(sub.degree(v) != 2 for v in sub.vertices):
             continue
@@ -113,7 +115,7 @@ def brute_minimal_separators(g: Graph) -> frozenset[frozenset[int]]:
     found = set()
     vs = g.vertices
     for a, b in combinations(vs, 2):
-        if g.has_edge(a, b) or b not in g.component_of(a):
+        if g.has_edge(a, b) or b not in component_of(g, a):
             continue
         for s in iter_subsets(g.vertex_set - {a, b}):
             if not _separates(g, s, a, b):
@@ -124,4 +126,4 @@ def brute_minimal_separators(g: Graph) -> frozenset[frozenset[int]]:
 
 
 def _separates(g, s, a, b):
-    return b not in g.induced_subgraph(g.vertex_set - s).component_of(a)
+    return b not in component_of(g.induced_subgraph(g.vertex_set - s), a)

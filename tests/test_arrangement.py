@@ -1,6 +1,7 @@
 """Exponents, chromatic polynomials, factorization identities."""
 
 import random
+import time
 
 import pytest
 
@@ -11,14 +12,18 @@ from matlabel import (
     chromatic_polynomial,
     construct_mat_labeling,
     exponents_from_labeling,
+    is_chordal,
     maximal_cliques,
     peo_exponents,
 )
 from matlabel import arrangement
+from matlabel.poset import NotChordalError
 
+from . import chromatic
 from .families import (
     complete_graph,
     cycle_graph,
+    enumerate_graphs,
     height_labeling_complete,
     path_graph,
     random_graph,
@@ -28,15 +33,16 @@ from .helpers import add_vertex, degree, evaluate, from_roots, product
 
 
 def test_polynomial_basics():
-    p = arrangement._from_roots([0, 1, 2])
+    # the reference's arithmetic against the tests' own
+    p = chromatic._product(chromatic._product((0, 1), (-1, 1)), (-2, 1))
     assert p == (0, 2, -3, 1)  # t(t-1)(t-2) = t^3 - 3t^2 + 2t
     assert p == from_roots([0, 1, 2]) and degree(p) == 3
     assert evaluate(p, 3) == 6 and evaluate(p, 1) == 0
-    assert arrangement._from_roots([]) == (1,) == from_roots([])
-    assert arrangement._product((0, 1), (0, 1)) == (0, 0, 1) == product((0, 1), (0, 1))
-    assert arrangement._product((2, 1), ()) == () and degree(()) == -1
-    assert arrangement._trim((1, 0, 0)) == (1,)  # trailing zeros trimmed
-    assert arrangement._trim((0, 0)) == ()
+    assert from_roots([]) == (1,)
+    assert chromatic._product((0, 1), (0, 1)) == (0, 0, 1) == product((0, 1), (0, 1))
+    assert chromatic._product((2, 1), ()) == () and degree(()) == -1
+    assert chromatic._trim((1, 0, 0)) == (1,)  # trailing zeros trimmed
+    assert chromatic._trim((0, 0)) == ()
 
 
 def test_exponents_from_labeling(ui7_labeling):
@@ -60,19 +66,22 @@ def test_chromatic_complete():
     for ell in (1, 3, 5):
         expected = from_roots(range(ell))
         assert chromatic_polynomial(complete_graph(ell)) == expected
+        assert chromatic.deletion_contraction(complete_graph(ell)) == expected
+    assert chromatic_polynomial(Graph()) == (1,) == chromatic.deletion_contraction(Graph())
 
 
 def test_chromatic_example_cross_check(ui7):
     via_peo = from_roots(peo_exponents(ui7))
-    via_dc = chromatic_polynomial(ui7)
-    assert via_peo == via_dc
+    via_dc = chromatic.deletion_contraction(ui7)
+    assert via_peo == via_dc == chromatic_polynomial(ui7)
     assert via_peo == from_roots([0, 1, 2, 2, 2, 3, 3])
 
 
 def test_chromatic_edgeless_and_cycle():
     assert chromatic_polynomial(Graph(range(4))) == (0, 0, 0, 0, 1)
+    assert chromatic.deletion_contraction(Graph(range(4))) == (0, 0, 0, 0, 1)
     # C4: t(t-1)(t^2 - 3t + 3)
-    c4 = chromatic_polynomial(cycle_graph(4))
+    c4 = chromatic.deletion_contraction(cycle_graph(4))
     expected = product((0, 1), (-1, 1), (3, -3, 1))
     assert c4 == expected
     assert evaluate(c4, 2) == 2  # two proper 2-colorings
@@ -83,9 +92,9 @@ def test_chromatic_cross_check_random():
     for _ in range(40):
         n = rng.randint(1, 6)
         g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
-        dc = chromatic_polynomial(g)
+        dc = chromatic.deletion_contraction(g)
         exps = peo_exponents(g)
-        assert exps is None or dc == from_roots(exps)
+        assert exps is None or dc == from_roots(exps) == chromatic_polynomial(g)
         assert evaluate(dc, 3) == _count_colorings(g, 3)
 
 
@@ -110,13 +119,54 @@ def _count_colorings(g, t):
 
 
 def test_chromatic_guards():
-    with pytest.raises(ValueError):
-        chromatic_polynomial(cycle_graph(13))
-    # chordal graphs too: their polynomial is the PEO product, no search
-    with pytest.raises(ValueError):
-        chromatic_polynomial(path_graph(13))
-    assert evaluate(chromatic_polynomial(path_graph(12)), 2) == 2
-    assert evaluate(from_roots(peo_exponents(path_graph(40))), 2) == 2
+    # a chordal graph's polynomial is its PEO product, at any size; a graph
+    # that is not chordal has no free arrangement, and no answer here
+    for g in (path_graph(13), path_graph(40), complete_graph(30)):
+        start = time.perf_counter()
+        poly = chromatic_polynomial(g)
+        assert time.perf_counter() - start < 1.0
+        assert poly == from_roots(peo_exponents(g))
+    assert evaluate(chromatic_polynomial(path_graph(40)), 2) == 2
+    for g in (cycle_graph(4), cycle_graph(13)):
+        with pytest.raises(NotChordalError):
+            chromatic_polynomial(g)
+        with pytest.raises(NotChordalError):
+            check_terao_factorization(g, [0] * g.n)
+    # the reference keeps its guard
+    with pytest.raises(ValueError, match="guarded at 12 vertices"):
+        chromatic.deletion_contraction(path_graph(13))
+
+
+def _random_chordal(n, rng):
+    """A chordal graph on 1..n: each vertex joins a clique of the earlier
+    ones, so the vertex order is a PEO. The clique grows from a random
+    earlier vertex through its neighbours, each kept with probability 1/2."""
+    adj = {}
+    for v in range(1, n + 1):
+        clique = []
+        if adj and rng.random() < 0.9:
+            x = rng.choice(sorted(adj))
+            clique = [x]
+            for u in rng.sample(sorted(adj[x]), len(adj[x])):
+                if rng.random() < 0.5 and all(w in adj[u] for w in clique):
+                    clique.append(u)
+        adj[v] = set(clique)
+        for u in clique:
+            adj[u].add(v)
+    return Graph(adj, [(u, v) for v in adj for u in adj[v] if u < v])
+
+
+def test_the_peo_product_is_the_expanded_polynomial():
+    # every connected chordal graph on at most 6 vertices, and 200 seeded
+    # random chordal graphs on 7 to 12; the reference reads no PEO
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n, is_chordal, connected=True)]
+    rng = random.Random(43)
+    graphs += [_random_chordal(rng.randint(7, 12), rng) for _ in range(200)]
+    assert len(graphs) == 13_884 + 200 and all(map(is_chordal, graphs[-200:]))
+    memo = {}
+    wrong = [g for g in graphs
+             if chromatic_polynomial(g) != chromatic.deletion_contraction(g, memo)]
+    assert wrong == []
 
 
 def test_terao_factorization(ui7):
@@ -125,11 +175,13 @@ def test_terao_factorization(ui7):
     assert not check_terao_factorization(complete_graph(3), (0, 1, 1))
 
 
-def _factorizes_expanded(g, exponents):
-    """Reference check: expand both sides and compare the polynomials."""
-    exps = peo_exponents(g)
-    chi = chromatic_polynomial(g) if exps is None else from_roots(exps)
-    return chi == from_roots(exponents)
+def _expanded_chromatic(g):
+    """The reference's chromatic polynomial: by deletion-contraction within
+    its 12-vertex guard, and as the expanded product along a PEO on larger
+    chordal graphs."""
+    if g.n <= 12:
+        return chromatic.deletion_contraction(g)
+    return from_roots(peo_exponents(g))
 
 
 def _exponent_lists(exps, rng):
@@ -155,7 +207,7 @@ def _exponent_lists(exps, rng):
 
 def test_factorization_check_matches_the_expanded_identity():
     rng = random.Random(83)
-    seen = {True: 0, False: 0}
+    seen = {True: 0, False: 0, "not chordal": 0}
     graphs = [random_strongly_chordal(rng.randint(1, 16), rng=rng,
                                       grow_bias=rng.choice((0.4, 0.8)))
               for _ in range(40)]
@@ -164,22 +216,29 @@ def test_factorization_check_matches_the_expanded_identity():
     graphs += [Graph(), cycle_graph(5), complete_graph(6)]
     for g in graphs:
         exps = peo_exponents(g)
-        if exps is None:  # not chordal: degree counts are the wrong roots
+        chordal = exps is not None
+        if not chordal:  # degree counts are the wrong roots
             exps = tuple(sorted(g.degree(v) // 2 for v in g.vertices))
+        chi = _expanded_chromatic(g) if chordal else None  # expanded on both sides
         for candidate in _exponent_lists(exps, rng):
+            if not chordal:  # no free arrangement: the check has no answer
+                with pytest.raises(NotChordalError):
+                    check_terao_factorization(g, candidate)
+                seen["not chordal"] += 1
+                continue
             got = check_terao_factorization(g, candidate)
-            assert got == _factorizes_expanded(g, candidate)
+            assert got == (chi == from_roots(candidate))
             seen[got] += 1
-    assert seen[True] >= 40 and seen[False] >= 500, seen
+    assert seen[True] >= 40 and seen[False] >= 500 and seen["not chordal"] >= 20, seen
 
 
 def _exponent_mismatches(seed):
     """The sampled strongly chordal graphs, on at most 12 vertices, whose
     constructed labeling's exponents fail the factorization check or are
     not the roots of the chromatic polynomial expanded by
-    deletion-contraction, which reads neither a PEO nor that check. Both
-    are looked up in arrangement at each call, so that a test can replace
-    them."""
+    deletion-contraction, which reads neither a PEO nor that check. The
+    check and the labeling's exponents are looked up in arrangement at
+    each call, so that a test can replace them."""
     rng = random.Random(seed)
     mismatches = []
     for _ in range(60):
@@ -187,7 +246,7 @@ def _exponent_mismatches(seed):
                                     grow_bias=rng.choice((0.4, 0.6, 0.8)))
         exps = arrangement.dual_partition_exponents(construct_mat_labeling(g))
         if not (arrangement.check_terao_factorization(g, exps)
-                and chromatic_polynomial(g) == from_roots(exps)):
+                and chromatic.deletion_contraction(g) == from_roots(exps)):
             mismatches.append(g)
     return mismatches
 

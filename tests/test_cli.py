@@ -368,14 +368,13 @@ def test_exponents_computes_one_peo(capsys, ui7_file, tmp_path, monkeypatch):
     bad.write_text(json.dumps(report))
     capsys.readouterr()
     calls = []
-    real_find_peo = chordal.find_peo
+    real_mcs_order = chordal._mcs_order
 
-    def counting(g):
+    def counting(g):  # the search that find_peo runs once per graph
         calls.append(g.n)
-        return real_find_peo(g)
+        return real_mcs_order(g)
 
-    for module in ("matlabel.chordal", "matlabel.arrangement"):
-        monkeypatch.setattr(f"{module}.find_peo", counting)
+    monkeypatch.setattr(chordal, "_mcs_order", counting)
     expected = {"chromatic_factors_check": True,
                 "exponents": [0, 1, 2, 2, 2, 3, 3]}
     assert run_cli(capsys, "exponents", str(ui7_file)) == (0, expected)
@@ -387,6 +386,33 @@ def test_exponents_computes_one_peo(capsys, ui7_file, tmp_path, monkeypatch):
     code, report = run_cli(capsys, "exponents", str(ui7_file), str(bad))
     assert code == 2 and report["error"] == "labeling is not a MAT-labeling"
     assert calls == []
+
+
+def test_exponents_names_a_verified_labeling_of_a_graph_that_is_not_chordal(
+        capsys, c4_file, tmp_path, monkeypatch):
+    # a MAT-labeled graph is strongly chordal, so chordal; a verifier that
+    # accepts a labeling of C4 breaks that, and the command says so
+    lab = tmp_path / "c4-lab.json"
+    lab.write_text(json.dumps({"edges": [{"u": u, "v": v, "label": 1}
+                                         for u, v in ((1, 2), (2, 3), (3, 4), (1, 4))]}))
+    monkeypatch.setattr("matlabel.labeling.verify_mat_labeling", lambda labeling: None)
+    code = main(["exponents", str(c4_file), str(lab)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("matlabel: internal error: exponents: a verified labeling of "
+                            "a graph with 4 vertices that is not chordal\n")
+
+
+@pytest.mark.parametrize("separator", ["\f", "\v", "\r", "\x85", "\u2028"])
+def test_edge_list_line_ends_at_a_line_feed(capsys, tmp_path, separator):
+    # str.splitlines would read two edges off the first line, and number
+    # the bad line 3
+    path = tmp_path / "g.txt"
+    path.write_text(f"1 2{separator}2 3\n3 x\n", encoding="utf-8", newline="")
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"matlabel: error: line 1: cannot parse {'1 2' + separator + '2 3'!r}\n"
 
 
 def test_verify_time_does_not_grow_with_the_labels(tmp_path):

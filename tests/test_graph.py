@@ -5,9 +5,9 @@ from enum import IntEnum
 import pytest
 
 from matlabel import Graph, canonical_edge, is_strongly_chordal
-from matlabel.arrangement import contract_edge
 from matlabel.oracle import find_embedding
 
+from .chromatic import components, contract_edge
 from .families import claw, complete_graph, n_sun, path_graph, rising_sun
 from .helpers import add_vertex, is_clique
 
@@ -144,10 +144,10 @@ def test_contract_no_loops_or_duplicates():
 
 def test_components_and_connectivity():
     g = Graph([1, 2, 3, 4, 9], [(1, 2), (3, 4)])
-    assert g.components() == (frozenset({9}), frozenset({1, 2}), frozenset({3, 4}))
-    assert not len(g.components()) <= 1
-    assert len(path_graph(4).components()) <= 1
-    assert len(Graph().components()) <= 1
+    assert components(g) == (frozenset({9}), frozenset({1, 2}), frozenset({3, 4}))
+    assert not len(components(g)) <= 1
+    assert len(components(path_graph(4))) <= 1
+    assert len(components(Graph())) <= 1
 
 
 def test_value_semantics():

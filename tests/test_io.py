@@ -1,10 +1,11 @@
 """File formats and exports."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matlabel import EdgeLabeling, Graph, build_poset
@@ -483,27 +484,77 @@ def test_labeling_json_makes_no_python_call_per_entry():
 
 
 def _reference_graph_text(text):
-    """The edge-list reader before plain lines took a fast path."""
+    """The edge-list reader before plain lines took a fast path, under the
+    line rule since: a line ends at a line feed, a carriage return just
+    before one is dropped, and only spaces and tabs separate tokens."""
     vertices, edges = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(re.split(r"\r?\n", text), start=1):
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
         try:
             if line.startswith("vertices:"):
-                vertices.extend(_vertex_token(tok) for tok in line[len("vertices:"):].split())
+                vertices.extend(_vertex_token(tok) for tok in
+                                re.split(r"[ \t]+", line[len("vertices:"):].strip(" \t")) if tok)
             else:
-                u, v = line.split()
+                u, v = re.split(r"[ \t]+", line)
                 edges.append((_vertex_token(u), _vertex_token(v)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
     return Graph(vertices, edges)
 
 
+# what str.splitlines also breaks a line at, and Unicode spaces that
+# str.split also separates tokens at
+LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+UNICODE_SPACES = ["\xa0", "\u2003", "\u3000"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(edge_list_texts)
+@example("1 2\f2 3\n3 x\n")
+@example("1 2\r\n2 3\r\nvertices:\t9\r\n")
+@example("1\t2\n\t2 \t3\t# c\f\n")
+@example("1\xa02\n")
+@example("1 2\r")
 def test_edge_list_is_read_as_before(text):
     # the fast path takes a line of two ASCII-digit tokens and one space;
     # every other line gets the comment, `vertices:` and error handling
     got = _outcome(lambda _, t: parse_graph_text(t), None, text)
     assert got == _outcome(lambda _, t: _reference_graph_text(t), None, text)
+
+
+@pytest.mark.parametrize("separator", LINE_BREAKS + UNICODE_SPACES)
+def test_edge_list_lines_end_at_line_feeds_and_ids_part_at_spaces_and_tabs(separator):
+    # each of these once split "1 2<sep>2 3" into two edges, or "1<sep>2"
+    # into two ids; now each is a parse error on the line that holds it,
+    # and lines are counted by their line feeds
+    for text, line, bad in ((f"1 2{separator}2 3\n3 4\n", 1, f"1 2{separator}2 3"),
+                            (f"1 2\n3{separator}4\n", 2, f"3{separator}4"),
+                            (f"# {separator}\n1 2\n3 x\n", 3, "3 x"),
+                            (f"vertices: 1{separator}2\n", 1, f"vertices: 1{separator}2")):
+        with pytest.raises(ValueError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == f"line {line}: cannot parse {bad!r}"
+
+
+def test_crlf_and_tab_edge_lists_read_as_before():
+    text = "# a graph\nvertices: 9 1\n1 2\n2 3  # an edge\n\n3 4"
+    g = parse_graph_text(text)
+    assert g == Graph([1, 2, 3, 4, 9], [(1, 2), (2, 3), (3, 4)])
+    assert parse_graph_text(text.replace("\n", "\r\n")) == g
+    assert parse_graph_text(text.replace(" ", "\t")) == g
+    assert parse_graph_text(text.replace(" ", " \t ").replace("\n", "\r\n")) == g
+    with pytest.raises(ValueError) as err:
+        parse_graph_text("1 2\r\n\r\n2 x\r\n")
+    assert str(err.value) == "line 3: cannot parse '2 x'"
+
+
+def test_crlf_edge_lists_keep_the_fast_path():
+    # a plain `u v` line makes no Python call, ended by LF or CRLF
+    for ending in ("\n", "\r\n"):
+        for n in (10, 400):
+            text = "".join(f"{i} {i + 1}{ending}" for i in range(n))
+            g, calls = _python_calls(parse_graph_text, text)
+            assert g.m == n
+            assert calls < 10, (ending, n, calls)

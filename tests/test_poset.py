@@ -20,6 +20,7 @@ from matlabel import (
 from matlabel.graph import sorted_sets
 from matlabel.poset import clique_tree
 
+from .chromatic import components
 from .conftest import UI7_MAXIMAL_CLIQUES, UI7_POSET_COVERS, UI7_POSET_NODES
 from .families import (
     complete_graph,
@@ -248,7 +249,7 @@ def test_clique_tree_is_a_clique_tree():
         cliques, parent = clique_tree(g)
         assert len(set(cliques)) == len(cliques) == len(parent), g.edges
         assert all(up is None or up < i for i, up in enumerate(parent)), g.edges
-        assert parent.count(None) == len(g.components()), g.edges
+        assert parent.count(None) == len(components(g)), g.edges
         # the cliques through a vertex span a subtree: one fewer edge than cliques
         for v in g.vertices:
             through = {i for i, c in enumerate(cliques) if v in c}

@@ -18,8 +18,8 @@ from matlabel import (
     peo_exponents,
     verify_mat_labeling,
 )
-from matlabel.arrangement import contract_edge
 
+from .chromatic import contract_edge
 from .families import random_strongly_chordal
 from .helpers import restrict_edges, with_label
 

@@ -23,8 +23,9 @@ def test_no_assert_for_internal_invariants():
     assert SOURCES and not found, found
 
 
-# chromatic deletion-contraction, behind its size guard
-RECURSION_ALLOWED = {"arrangement.py:_deletion_contraction"}
+# none: deletion-contraction, the one recursion the package had, is the
+# expanded reference in tests/chromatic.py
+RECURSION_ALLOWED: set[str] = set()
 
 
 def _called_name(func):
@@ -58,7 +59,10 @@ def test_no_recursion_outside_the_oracles():
         _self_calling(ast.parse(path.read_text(), str(path)), "", names)
         found |= {f"{path.name}:{name}" for name in names}
     assert sorted(found - RECURSION_ALLOWED) == []
-    assert found >= RECURSION_ALLOWED  # the check still sees the recursion
+    reference = Path(__file__).with_name("chromatic.py")
+    names = set()
+    _self_calling(ast.parse(reference.read_text(), str(reference)), "", names)
+    assert "_deletion_contraction" in names  # the check still sees a recursion
 
 
 ORACLE_SEARCHES = {"detect_induced_sun", "find_crown", "find_any_crown", "is_crown_free",
@@ -180,9 +184,19 @@ def test_the_exhaustive_search_imports_only_its_inputs_and_bound():
 
 def test_the_subset_scans_import_only_the_graph():
     # the scans cross-check the recognizers and the oracles, so they read
-    # the graph through its primitives and share no other code
+    # the graph through its primitives and share no other code; the one
+    # test-support import is the reference's component search, which reads
+    # the graph alone too
     assert _imported("scans.py") == {"itertools.combinations", "typing.Iterable",
-                                     "typing.Iterator", "matlabel.graph.Graph"}
+                                     "typing.Iterator", "matlabel.graph.Graph",
+                                     ".chromatic.component_of"}
+
+
+def test_the_expanded_reference_imports_only_the_graph():
+    # deletion-contraction checks arrangement's PEO product, so it reads
+    # the graph through its primitives: no PEO and no arrangement code
+    assert _imported("chromatic.py") == {"itertools.zip_longest", "typing.Iterable",
+                                         "matlabel.graph.Graph"}
 
 
 def test_every_labeling_is_checked_by_its_constructor():
@@ -347,8 +361,11 @@ UNREACHED = {
     # the public merge and extension of MAT-labeled cliques
     "construct._complete", "construct._require_valid_complete",
     "construct.extend_labeling_complete", "construct.merge_complete", "construct.node_family",
-    # thin wrappers that only the tests call
-    "arrangement.exponents_from_labeling", "chordal.is_chordal",
+    # exported on purpose: the chromatic polynomial of a chordal graph
+    "arrangement.chromatic_polynomial",
+    # thin wrappers that only the tests call, and the edge query that only
+    # oracle and the tests use
+    "arrangement.exponents_from_labeling", "chordal.is_chordal", "graph.Graph.has_edge",
     "labeling.EdgeLabeling.restrict_vertices", "labeling.is_mat_simplicial",
     "strong_chordal.find_simple_elimination_ordering", "strong_chordal.is_strongly_chordal",
     "unit_interval.is_unit_interval",

@@ -89,12 +89,12 @@ def _ast_nodes(module: str) -> int:
 # PYTHONDONTWRITEBYTECODE=1): the matlabel modules -X importtime lists, and
 # cli, which runs as __main__ and is not listed
 @pytest.mark.parametrize("argv, bound, never", [
-    (("label", "one"), 8_410, {"json", "matlabel.witness", "matlabel.formats",
+    (("label", "one"), 8_277, {"json", "matlabel.witness", "matlabel.formats",
                                 "matlabel.unit_interval"}),
-    (("verify", "one", "empty"), 5_087, {"matlabel.witness", "matlabel.formats",
+    (("verify", "one", "empty"), 4_954, {"matlabel.witness", "matlabel.formats",
                                          "matlabel.unit_interval"}),
-    (("classify", "one"), 5_592, {"matlabel.witness", "matlabel.formats"}),
-    (("exponents", "one", "empty"), 6_616, {"matlabel.witness", "matlabel.formats",
+    (("classify", "one"), 5_480, {"matlabel.witness", "matlabel.formats"}),
+    (("exponents", "one", "empty"), 5_862, {"matlabel.witness", "matlabel.formats",
                                             "matlabel.unit_interval"}),
 ], ids=["label", "verify", "classify", "exponents-labeling"])
 def test_a_call_that_succeeds_compiles_no_cold_code(tmp_path, argv, bound, never):

@@ -20,10 +20,10 @@ from matlabel import (
     is_unit_interval,
     unit_interval_obstruction,
 )
-from matlabel.arrangement import contract_edge
 from matlabel.strong_chordal import simple_elimination
 from matlabel.unit_interval import claw_or_net
 
+from .chromatic import contract_edge
 from .families import (
     blown_up_net,
     claw,
